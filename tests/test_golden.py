@@ -1,0 +1,177 @@
+"""Byte-exact goldens for every result the exact linear-algebra core shapes.
+
+Each expected value was recorded once and is never regenerated: layer
+bases and layer coordinates (``prolong`` reports), Gaussian kernel
+witnesses (``analyze-quadric`` on degenerate forms), echelon bases
+(radical, derived series, simple ideals), unique coordinates
+(``change_basis``, fundamental weights) and the canonical Gaussian
+kernel and solution.  Reports are compared as bytes, with the temporary
+input path replaced by ``<path>``; long ones through their sha256.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from levitanaka import corpus
+from levitanaka.cli import main
+from levitanaka.graded import Subspace
+from levitanaka.matrices import ExactMatrix
+from levitanaka.quadric import HermitianFormSystem, diagonal_form
+from levitanaka.rootdata import RootSystem
+from levitanaka.scalars import GaussRational
+
+from test_graded import sl2_semidirect_adjoint, sl2_sl2
+
+Q = Fraction
+I = GaussRational(0, 1)
+ONE = GaussRational(1)
+ZERO = GaussRational(0)
+
+
+def _k2_form():
+    """n=2, k=2 quadric: diag(1, -1) and the off-diagonal i / -i form."""
+    return HermitianFormSystem(2, 2, [
+        ExactMatrix.from_rows([[ONE, ZERO], [ZERO, -ONE]]),
+        ExactMatrix.from_rows([[ZERO, I], [-I, ZERO]])])
+
+
+def _cli_bytes(capsys, tmp_path, dump, command):
+    path = str(tmp_path / "input.json")
+    dump(path)
+    code = main([command, path])
+    return code, capsys.readouterr().out.replace(path, "<path>")
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _strs(vectors):
+    return [[str(x) for x in v] for v in vectors]
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: diagonal_form([1, -1]).build_m_minus(),
+     "14067f4019afbe2bfd611d13a2240e23485e5572f4d534e2ab0aa8b3d27903af"),
+    (lambda: _k2_form().build_m_minus(),
+     "79cac4a77e3f3b930b105364cc80db34fe3b94e80025ee68e85481584c13d4f8"),
+    (lambda: corpus.counterexample_quadric().payload.build_m_minus(),
+     "5c1c5efe58d57b31a0aabb3be0c9c8681f4b88e8bb1262d14dad58f0b805eb94"),
+], ids=["heisenberg_pm", "k2_quadric", "counterexample_n7_k8"])
+def test_prolong_report_bytes(capsys, tmp_path, build, digest):
+    code, out = _cli_bytes(capsys, tmp_path, build().dump, "prolong")
+    assert code == 0
+    assert _sha(out) == digest
+
+
+@pytest.mark.parametrize("form, expected", [
+    (lambda: diagonal_form([1, 0, 1]),
+     '{"checks":[{"name":"nondegenerate","status":"fail","witness":["0","1","0"]}],'
+     '"command":"analyze-quadric","degree_dims":null,'
+     '"input":{"k":1,"n":3,"path":"<path>"},"timings":null,"verdicts":null}\n'),
+    (lambda: HermitianFormSystem(2, 1, [ExactMatrix.from_rows([[ONE, I], [-I, ONE]])]),
+     '{"checks":[{"name":"nondegenerate","status":"fail","witness":["-1i","1"]}],'
+     '"command":"analyze-quadric","degree_dims":null,'
+     '"input":{"k":1,"n":2,"path":"<path>"},"timings":null,"verdicts":null}\n'),
+], ids=["diagonal_1_0_1", "rank_one_complex"])
+def test_analyze_degenerate_witness_bytes(capsys, tmp_path, form, expected):
+    code, out = _cli_bytes(capsys, tmp_path, form().dump, "analyze-quadric")
+    assert code == 1
+    assert out == expected
+
+
+@pytest.mark.parametrize("form, expected", [
+    (lambda: diagonal_form([1, 1]),
+     '{"characteristic_element":{"d0_4":"-1"},"checks":['
+     '{"name":"nondegenerate","status":"pass","witness":null},'
+     '{"name":"fundamental","status":"pass","witness":null},'
+     '{"name":"prolongation","status":"pass","witness":null},'
+     '{"name":"transitivity","status":"pass","witness":null}],'
+     '"command":"analyze-quadric","degree_dims":[[-2,1],[-1,4],[0,5],[1,4],[2,1]],'
+     '"input":{"k":1,"n":2,"path":"<path>"},"timings":null,'
+     '"verdicts":{"grading_element_in_levi":true,"levi_dim":15,"radical_dim":0}}\n'),
+    (_k2_form,
+     '{"characteristic_element":{"d0_3":"-1"},"checks":['
+     '{"name":"nondegenerate","status":"pass","witness":null},'
+     '{"name":"fundamental","status":"pass","witness":null},'
+     '{"name":"prolongation","status":"pass","witness":null},'
+     '{"name":"transitivity","status":"pass","witness":null}],'
+     '"command":"analyze-quadric","degree_dims":[[-2,2],[-1,4],[0,4],[1,4],[2,2]],'
+     '"input":{"k":2,"n":2,"path":"<path>"},"timings":null,'
+     '"verdicts":{"grading_element_in_levi":true,"levi_dim":16,"radical_dim":0}}\n'),
+], ids=["heisenberg_pp", "k2_quadric"])
+def test_analyze_quadric_report_bytes(capsys, tmp_path, form, expected):
+    code, out = _cli_bytes(capsys, tmp_path, form().dump, "analyze-quadric")
+    assert code == 0
+    assert out == expected
+
+
+def test_radical_and_derived_series_vectors():
+    g = sl2_semidirect_adjoint(shear=True)
+    rad = g.radical()
+    expected = [["0", "0", "0", "0", "0", "1"],
+                ["0", "0", "0", "1", "0", "0"],
+                ["0", "0", "0", "0", "1", "0"]]
+    assert _strs(rad.vectors) == expected
+    assert [_strs(s.vectors) for s in g.derived_series(rad)] == [expected, []]
+    whole = Subspace(g, [[Q(int(a == b)) for b in range(6)] for a in range(6)])
+    assert [_strs(s.vectors) for s in g.derived_series(whole)] == [
+        [["1" if a == b else "0" for b in range(6)] for a in range(6)]]
+
+
+def test_simple_ideal_vectors_of_sheared_sl2_sl2():
+    p = ExactMatrix.identity(6)
+    p.entries[3 * 6 + 0] = Q(2)
+    p.entries[0 * 6 + 3] = Q(1)
+    g = sl2_sl2().change_basis(p)
+    assert g.to_json()["brackets"] == [
+        [0, 1, 1, "2"], [0, 2, 2, "-2"], [0, 4, 4, "4"], [0, 5, 5, "-4"],
+        [1, 2, 0, "-1"], [1, 2, 3, "2"], [1, 3, 1, "-2"], [2, 3, 2, "2"],
+        [3, 4, 4, "2"], [3, 5, 5, "-2"], [4, 5, 0, "1"], [4, 5, 3, "-1"]]
+    whole = Subspace(g, [[Q(int(a == b)) for b in range(6)] for a in range(6)])
+    assert [_strs(s.vectors) for s in g.simple_ideals(whole)] == [
+        [["0", "0", "1", "0", "0", "0"], ["1", "0", "0", "-2", "0", "0"],
+         ["0", "1", "0", "0", "0", "0"]],
+        [["0", "0", "0", "0", "0", "1"], ["1", "0", "0", "-1", "0", "0"],
+         ["0", "0", "0", "0", "1", "0"]]]
+
+
+def test_change_basis_of_algebra_a_bytes():
+    moves = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
+             [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
+             [67, 23, -1], [68, 65, -1]]
+    a = corpus.example_algebra_a().payload
+    n = a.dim
+    p = ExactMatrix.identity(n)
+    for i, j, c in moves:
+        for r in range(n):
+            p.entries[r * n + j] += c * p.entries[r * n + i]
+    text = json.dumps(a.change_basis(p).to_json(), sort_keys=True)
+    assert _sha(text) == "f43ff1ed47c18145a93c3012dddf917744c433b160cb0cf1290c345a12246c18"
+
+
+def test_gaussian_kernel_and_solution_strings():
+    m = ExactMatrix.from_rows([[ONE, I, GaussRational(2), ZERO],
+                               [I, -ONE, GaussRational(0, 2), GaussRational(1, 1)]])
+    assert m.rank() == 2
+    assert _strs(m.kernel_vectors()) == [["-1i", "1", "0", "0"], ["-2", "0", "1", "0"]]
+    assert [str(x) for x in m.solve([ONE, GaussRational(0, 3)])] == ["1", "0", "0", "1+1i"]
+
+
+def test_fundamental_weight_strings():
+    assert _strs(RootSystem("A", 4).fundamental_weights()) == [
+        ["4/5", "-1/5", "-1/5", "-1/5", "-1/5"], ["3/5", "3/5", "-2/5", "-2/5", "-2/5"],
+        ["2/5", "2/5", "2/5", "-3/5", "-3/5"], ["1/5", "1/5", "1/5", "1/5", "-4/5"]]
+    assert _strs(RootSystem("D", 5).fundamental_weights()) == [
+        ["1", "0", "0", "0", "0"], ["1", "1", "0", "0", "0"], ["1", "1", "1", "0", "0"],
+        ["1/2", "1/2", "1/2", "1/2", "-1/2"], ["1/2", "1/2", "1/2", "1/2", "1/2"]]
+    assert _strs(RootSystem("E6", 6).fundamental_weights()) == [
+        ["0", "0", "0", "0", "0", "-2/3", "-2/3", "2/3"],
+        ["1/2", "1/2", "1/2", "1/2", "1/2", "-1/2", "-1/2", "1/2"],
+        ["-1/2", "1/2", "1/2", "1/2", "1/2", "-5/6", "-5/6", "5/6"],
+        ["0", "0", "1", "1", "1", "-1", "-1", "1"],
+        ["0", "0", "0", "1", "1", "-2/3", "-2/3", "2/3"],
+        ["0", "0", "0", "0", "1", "-1/3", "-1/3", "1/3"]]
