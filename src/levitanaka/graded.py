@@ -703,7 +703,10 @@ class GradedLieAlgebra:
                     if sp:
                         sig_red[(a, m)] = sp
 
-            for (a, b), dvec in delta.items():
+            # rows for every pair, not only the defective ones: phi must
+            # not create a defect where there was none
+            pairs = [(a, b) for a in range(nq) for b in range(a + 1, nq)]
+            for a, b in pairs:
                 per_coord = {}
 
                 def accumulate(slot, sparse_vec, sign):
@@ -726,7 +729,8 @@ class GradedLieAlgebra:
                     slot = slot_index.get((a, m))
                     if slot is not None and (b, m) in sig_red:
                         accumulate(slot, sig_red[(b, m)], Q(1))
-                rhs_red = nxt.reduce(dvec)
+                dvec = delta.get((a, b))
+                rhs_red = nxt.reduce(dvec) if dvec else [Q(0)] * n
                 touched = set(per_coord) | {t for t, x in enumerate(rhs_red) if x}
                 for t in sorted(touched):
                     coeffs = {s: v for s, v in per_coord.get(t, {}).items() if v}

@@ -281,3 +281,24 @@ def test_change_basis_preserves_structure():
     k1 = sl2_semidirect_adjoint().killing_form()
     # Killing rank is basis independent
     assert g.killing_form().rank() == k1.rank()
+
+
+def test_levi_correction_keeps_zero_defects_zero():
+    # The correction phi of one stage must also keep the pairs whose defect
+    # was already zero closed; on this basis change of the 70-dim example
+    # algebra, solving only the defective pairs left a defect outside the
+    # next derived ideal ("defect escaped the expected ideal").
+    from levitanaka.corpus import example_algebra_a
+
+    moves = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
+             [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
+             [67, 23, -1], [68, 65, -1]]
+    a = example_algebra_a().payload
+    n = a.dim
+    p = ExactMatrix.identity(n)
+    for i, j, c in moves:  # column j += c * column i
+        for r in range(n):
+            p.entries[r * n + j] += c * p.entries[r * n + i]
+    dec = a.change_basis(p).levi_decomposition()
+    assert dec.s.dim == 16
+    assert dec.r.dim == 54
