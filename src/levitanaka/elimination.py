@@ -1,43 +1,87 @@
-"""Sparse exact row reduction over the integers: rank, kernel, solve.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
-This is the hot kernel of the package; every linear question (matrix
+Every linear question of the package reduces to this module: matrix
 rank, null spaces of derivation systems, characteristic-element and
-Levi-correction solves) reduces to it.
+Levi-correction solves (the batch ``row_echelon``), and spans, residuals,
+coordinates and inverses (the incremental ``Echelon``).
 
 Rows are sparse pairs (cols, vals): strictly increasing column indices
 with nonzero arbitrary-precision integer values.  Reduction is
-fraction-free: a combined row is ``p*row - r*pivot_row`` followed by
-division by the gcd of its entries, which keeps growth under control
-while staying exact.  Columns are processed left to right; within a
-column the pivot is the candidate whose leading value has the smallest
-bit length, ties broken by arrival order.  Everything is deterministic.
-
-The inner row combination is provided by the compiled extension
-``levitanaka._speedups`` when built; set LEVITANAKA_PURE=1 to force the
-pure-Python twin (results are identical either way).
+fraction-free: ``combine`` forms ``a*row - b*pivot_row`` and divides the
+result by the gcd of its entries, which keeps growth under control while
+staying exact.  In ``row_echelon`` columns are processed left to right;
+within a column the pivot is the candidate whose leading value has the
+smallest bit length, ties broken by arrival order.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
-from . import _elim_py
 
-if os.environ.get("LEVITANAKA_PURE"):
-    combine = _elim_py.combine
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups
+def combine(pcols, pvals, rcols, rvals):
+    """Return a*row_r - b*row_p with row_p's leading column cancelled.
 
-        combine = _speedups.combine
-        BACKEND = "compiled"
-    except ImportError:
-        combine = _elim_py.combine
-        BACKEND = "pure"
+    Both rows are sparse (strictly increasing column lists, nonzero
+    integer values).  a = pvals[0] is the pivot value and b the entry of
+    row_r at the pivot's leading column, which row_r must contain; it is
+    usually row_r's own leading entry.  The result is divided by the gcd
+    of its entries, so entries stay small.
+    """
+    a = pvals[0]
+    if rcols[0] == pcols[0]:
+        b = rvals[0]
+        i = j = 1  # leading entries cancel by construction
+    else:
+        b = rvals[bisect_left(rcols, pcols[0])]
+        i = j = 0  # the cancelled entry comes out zero and is dropped
+    np_ = len(pcols)
+    nr = len(rcols)
+    cols = []
+    vals = []
+    g = 0
+    while i < np_ and j < nr:
+        cp = pcols[i]
+        cr = rcols[j]
+        if cr < cp:
+            v = a * rvals[j]
+            cols.append(cr)
+            vals.append(v)
+            g = gcd(g, v)
+            j += 1
+        elif cp < cr:
+            v = -b * pvals[i]
+            cols.append(cp)
+            vals.append(v)
+            g = gcd(g, v)
+            i += 1
+        else:
+            v = a * rvals[j] - b * pvals[i]
+            if v:
+                cols.append(cp)
+                vals.append(v)
+                g = gcd(g, v)
+            i += 1
+            j += 1
+    while j < nr:
+        v = a * rvals[j]
+        cols.append(rcols[j])
+        vals.append(v)
+        g = gcd(g, v)
+        j += 1
+    while i < np_:
+        v = -b * pvals[i]
+        cols.append(pcols[i])
+        vals.append(v)
+        g = gcd(g, v)
+        i += 1
+    if g > 1:
+        vals = [v // g for v in vals]
+    return cols, vals
 
 
 def _normalize_row(cols, vals):
@@ -174,3 +218,114 @@ def solve(rows, ncols_total, bcol):
     assignment = {bcol: Fraction(-1)}
     _back_substitute(pivots, pivot_rows, assignment)
     return [assignment.get(c, Fraction(0)) for c in range(bcol)]
+
+
+class Echelon:
+    """Incremental reduced echelon form of the span of added vectors.
+
+    Vectors are dense lists of ``ncols`` rationals.  Each stored row is a
+    primitive sparse integer row that leads at its pivot column and is
+    zero at every other pivot column, so it is a multiple of the row of
+    the reduced row echelon form (RREF) with the same pivot.
+
+    Past column ``ncols`` rows carry bookkeeping columns, which are never
+    pivots.  A row (x | m | t) stands for the relation
+    x = m*v + sum_k t_k*u_k, where v is the vector being reduced (column
+    ``ncols``) and u_k the k-th added vector (column ``ncols + 1 + k``).
+    Row operations preserve relations, so after reduction x/m is the
+    residual of v and, when x = 0, -t/m are its coordinates.
+    """
+
+    def __init__(self, ncols, vectors=()):
+        self.ncols = ncols
+        self._rows = {}  # pivot column -> (cols, vals)
+        self._added = 0
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _int_row(self, vector, extra_cols):
+        """Vector scaled to integers, with the scale put in extra_cols."""
+        lcm = 1
+        for x in vector:
+            if x:
+                d = x.denominator
+                if d != 1:
+                    lcm = lcm // gcd(lcm, d) * d
+        cols = [c for c, x in enumerate(vector) if x]
+        vals = [vector[c].numerator * (lcm // vector[c].denominator) for c in cols]
+        cols.extend(extra_cols)
+        vals.extend(lcm for _ in extra_cols)
+        return cols, vals
+
+    def _reduce(self, cols, vals):
+        """Clear every pivot column of a sparse integer row."""
+        rows = self._rows
+        # stored rows are zero at each other's pivots: no pivot is created
+        for c in [c for c in cols if c in rows]:
+            pcols, pvals = rows[c]
+            cols, vals = combine(pcols, pvals, cols, vals)
+        return cols, vals
+
+    def add(self, vector) -> bool:
+        """Add a vector; True when it enlarged the span."""
+        n = self.ncols
+        cols, vals = self._reduce(*self._int_row(vector, [n + 1 + self._added]))
+        self._added += 1
+        if not cols or cols[0] >= n:
+            return False
+        p = cols[0]
+        rows = self._rows
+        for c, (rcols, rvals) in rows.items():
+            k = bisect_left(rcols, p)
+            if k < len(rcols) and rcols[k] == p:
+                rows[c] = combine(cols, vals, rcols, rvals)
+        rows[p] = (cols, vals)
+        return True
+
+    def reduce(self, vector):
+        """Canonical residual: v minus a member of the span, zero on every pivot."""
+        n = self.ncols
+        cols, vals = self._reduce(*self._int_row(vector, [n]))
+        m = vals[bisect_left(cols, n)]
+        out = [Fraction(0)] * n
+        for c, x in zip(cols, vals):
+            if c >= n:
+                break
+            out[c] = Fraction(x, m)
+        return out
+
+    def contains(self, vector) -> bool:
+        cols, _ = self._reduce(*self._int_row(vector, []))
+        return not cols or cols[0] >= self.ncols
+
+    def coords(self, vector):
+        """Coefficients of a member on the added vectors, or None off the span."""
+        n = self.ncols
+        cols, vals = self._reduce(*self._int_row(vector, [n]))
+        if cols[0] < n:
+            return None
+        m = vals[0]
+        out = [Fraction(0)] * self._added
+        for c, x in zip(cols[1:], vals[1:]):
+            out[c - n - 1] = Fraction(-x, m)
+        return out
+
+    @property
+    def basis(self):
+        """The RREF rows of the span, as dense Fraction lists."""
+        n = self.ncols
+        out = []
+        for p in sorted(self._rows):
+            cols, vals = self._rows[p]
+            lead = vals[0]
+            row = [Fraction(0)] * n
+            for c, x in zip(cols, vals):
+                if c >= n:
+                    break
+                row[c] = Fraction(x, lead)
+            out.append(row)
+        return out

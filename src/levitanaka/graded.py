@@ -60,90 +60,35 @@ class Subspace:
     def dim(self):
         return len(self.vectors)
 
-    def _echelon_rows(self):
+    def _span(self):
         if self._echelon is None:
-            rows = [[Q(x) for x in v] for v in self.vectors]
-            self._echelon = _rref(rows)
+            self._echelon = elimination.Echelon(self.parent.dim, self.vectors)
         return self._echelon
 
     def reduce(self, vector):
         """Residual of a vector after reduction against the span."""
-        rows, pivots = self._echelon_rows()
-        v = [Q(x) for x in vector]
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, rows[r])]
-        return v
+        return self._span().reduce(vector)
 
     def contains(self, vector) -> bool:
-        return not any(self.reduce(vector))
-
-    def coords_of(self, vector):
-        """Coordinates of a member vector on self.vectors, or None."""
-        if not self.vectors:
-            return [] if not any(vector) else None
-        m = ExactMatrix.from_rows(self.vectors).transpose()
-        return m.solve(list(vector))
+        return self._span().contains(vector)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim})"
 
 
-def _rref(rows):
-    """Reduced row echelon over Q; drops zero rows; returns (rows, pivots)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def span_basis(vectors):
-    """Echelonized basis of the span of the given vectors."""
-    rows, _ = _rref([[Q(x) for x in v] for v in vectors])
-    return rows
+    """Reduced row echelon basis of the span of the given vectors."""
+    if not vectors:
+        return []
+    return elimination.Echelon(len(vectors[0]), vectors).basis
 
 
-class _GreedyBasis:
-    """Incremental echelon accumulator for independence-filtered extension."""
-
-    def __init__(self, vectors=()):
-        self.rows = []
-        self.pivots = []
-        for v in vectors:
-            self.add(v)
-
-    def add(self, vector) -> bool:
-        v = [Q(x) for x in vector]
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        pc = next((i for i, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        lead = v[pc]
-        v = [x / lead for x in v]
-        self.rows.append(v)
-        self.pivots.append(pc)
-        return True
+def _basis_coordinates(vectors, ncols):
+    """Echelon with coordinates on a basis of Q^ncols; ValueError if singular."""
+    ech = elimination.Echelon(ncols, vectors)
+    if len(vectors) != ncols or ech.rank != ncols:
+        raise ValueError("matrix is singular")
+    return ech
 
 
 class ValidationReport:
@@ -576,27 +521,19 @@ class GradedLieAlgebra:
             if len(present) != 1:
                 raise ValueError("subalgebra basis vector is not homogeneous")
             degs.append(present.pop())
-        n = self.dim
-        # extend to a full basis once; coordinates come from one inverse
-        ext = list(vecs)
-        acc = _GreedyBasis(vecs)
-        for i in range(n):
-            if len(ext) == n:
-                break
-            unit = [Q(int(t == i)) for t in range(n)]
-            if acc.add(unit):
-                ext.append(unit)
-        minv = _inverse(ExactMatrix.from_rows(ext).transpose()) if d else None
+        span = elimination.Echelon(self.dim, vecs)
+        if span.rank != d:
+            raise ValueError("subalgebra basis is not linearly independent")
         table = {}
         for a in range(d):
             for b in range(a + 1, d):
                 w = self.bracket(vecs[a], vecs[b])
                 if not any(w):
                     continue
-                coords = minv.apply_sparse(w)
-                if any(coords[d:]):
+                coords = span.coords(w)
+                if coords is None:
                     raise ValueError("span is not bracket-closed")
-                comp = {k: c for k, c in enumerate(coords[:d]) if c}
+                comp = {k: c for k, c in enumerate(coords) if c}
                 if comp:
                     table[(a, b)] = comp
         names = [f"v{a}" for a in range(d)]
@@ -610,22 +547,22 @@ class GradedLieAlgebra:
         n = self.dim
         if rad.dim == n:
             raise ValueError("algebra is solvable; no Levi factor")
+        # complement units, in degree order; coordinates come from the
+        # basis (radical, complement) they complete
         complement_idx = []
-        acc = _GreedyBasis(rad.vectors)
-        for p in sorted(set(self.degrees)):
-            for i in self.degree_indices(p):
-                unit = [Q(int(t == i)) for t in range(n)]
-                if acc.add(unit):
-                    complement_idx.append(i)
+        q_slots = []
+        basis = elimination.Echelon(n, rad.vectors)
+        for slot, i in enumerate(sorted(range(n), key=lambda i: self.degrees[i]),
+                                 rad.dim):
+            if basis.add([Q(int(t == i)) for t in range(n)]):
+                complement_idx.append(i)
+                q_slots.append(slot)
         nq = len(complement_idx)
         assert nq + rad.dim == n
-        basis_cols = [[Q(int(t == i)) for t in range(n)] for i in complement_idx]
-        basis_cols += [list(v) for v in rad.vectors]
-        minv = _inverse(ExactMatrix.from_rows(basis_cols).transpose())
 
         def q_coords(vec):
-            full = minv.apply_sparse(vec)
-            return full[:nq]
+            full = basis.coords(vec)
+            return [full[slot] for slot in q_slots]
 
         q_deg = [self.degrees[i] for i in complement_idx]
         sigma = [[Q(int(t == i)) for t in range(n)] for i in complement_idx]
@@ -808,9 +745,9 @@ class GradedLieAlgebra:
         n = self.dim
         if p.nrows != n or p.ncols != n:
             raise ValueError("basis change must be square of matching size")
-        pinv = _inverse(p)
-        new_deg = []
         cols = [p.col(j) for j in range(n)]
+        new_basis = _basis_coordinates(cols, n)
+        new_deg = []
         for j, col in enumerate(cols):
             present = {self.degrees[i] for i, x in enumerate(col) if x}
             if len(present) != 1:
@@ -822,7 +759,7 @@ class GradedLieAlgebra:
                 w = self.bracket(cols[a], cols[b])
                 if not any(w):
                     continue
-                coords = pinv.apply_sparse(w)
+                coords = new_basis.coords(w)
                 comp = {k: c for k, c in enumerate(coords) if c}
                 if comp:
                     table[(a, b)] = comp
@@ -835,7 +772,11 @@ class GradedLieAlgebra:
                 raise ValueError("degree -1 block changed position")
             sub = ExactMatrix.from_rows(
                 [[p.entry(i, j) for j in new_block] for i in block])
-            jmat = _inverse(sub) * self.J * sub
+            sub_basis = _basis_coordinates(
+                [sub.col(j) for j in range(sub.ncols)], sub.nrows)
+            jsub = self.J * sub
+            jmat = ExactMatrix.from_rows([sub_basis.coords(jsub.col(j))
+                                          for j in range(jsub.ncols)]).transpose()
         return GradedLieAlgebra(list(self.names), new_deg, table, jmat)
 
     # -- serialization -----------------------------------------------------
@@ -893,35 +834,24 @@ class LeviDecomposition:
 
 
 def _ideal_closure(alg: GradedLieAlgebra, t: int):
-    """Echelon basis of the smallest ideal containing basis vector t."""
+    """Echelon basis of the smallest ideal containing basis vector t.
+
+    Worklist closure: only vectors that enlarged the span are bracketed
+    with the basis, and the search stops once the span is everything.
+    """
+    n = alg.dim
     cols = alg._columns()
-    current = span_basis([[Q(int(i == t)) for i in range(alg.dim)]])
-    while True:
-        new = list(current)
-        for i in range(alg.dim):
-            ci = cols[i]
-            for v in current:
-                w = [Q(0)] * alg.dim
-                hit = False
-                for j, comp in ci.items():
-                    if v[j]:
-                        hit = True
-                        for k, c in comp.items():
-                            w[k] += v[j] * c
-                if hit and any(w):
-                    new.append(w)
-        nxt = span_basis(new)
-        if len(nxt) == len(current):
-            return nxt
-        current = nxt
-
-
-def _inverse(m: ExactMatrix) -> ExactMatrix:
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("inverse of non-square matrix")
-    work = [list(m.row(i)) + [Q(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref(work)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return ExactMatrix.from_rows([r[n:] for r in rows])
+    span = elimination.Echelon(n)
+    work = [[Q(int(i == t)) for i in range(n)]]
+    span.add(work[0])
+    while work and span.rank < n:
+        v = work.pop()
+        for i in range(n):
+            w = [Q(0)] * n
+            for j, comp in cols[i].items():
+                if v[j]:
+                    for k, c in comp.items():
+                        w[k] += v[j] * c
+            if any(w) and span.add(w):
+                work.append(w)
+    return span.basis

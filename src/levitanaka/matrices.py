@@ -1,9 +1,12 @@
 """Dense exact matrices over the rationals or Gaussian rationals.
 
-Rational matrices route rank/kernel/solve through the sparse integer
-eliminator (rows are scaled to integers first).  Gaussian-rational
-matrices are reduced directly as a field with first-nonzero pivoting;
-they only ever appear at hermitian-form size, so a dense pass is fine.
+Rank, kernel and solve go through the sparse integer eliminator (rows
+are scaled to integers first).  A Gaussian-rational matrix is reduced by
+restriction of scalars: each entry a+bi becomes the real 2x2 block
+[[a, -b], [b, a]], so complex column j turns into the real columns 2j
+(real part) and 2j+1 (imaginary part).  The free columns of the real
+block are the real and imaginary parts of the complex free columns, so
+canonical kernel vectors and free-unknowns-zero solutions carry over.
 """
 
 from __future__ import annotations
@@ -174,6 +177,20 @@ class ExactMatrix:
 
     # -- integer rows for the sparse eliminator -----------------------
 
+    def _real_block(self):
+        """The 2m x 2n rational matrix of a Gaussian matrix (module docstring)."""
+        rows = []
+        for i in range(self.nrows):
+            re_row = []
+            im_row = []
+            for x in self.row(i):
+                x = _as_gauss(x)
+                re_row += [x.re, -x.im]
+                im_row += [x.im, x.re]
+            rows += [re_row, im_row]
+        return ExactMatrix(2 * self.nrows, 2 * self.ncols,
+                           [x for r in rows for x in r])
+
     def _int_rows(self, augment=None):
         """Scale each row to coprime integers; optionally append a column."""
         rows = []
@@ -201,13 +218,26 @@ class ExactMatrix:
 
     def rank(self) -> int:
         if self.is_gaussian():
-            return _field_rank(self.to_rows())
+            return elimination.rank(self._real_block()._int_rows(), 2 * self.ncols) // 2
         return elimination.rank(self._int_rows(), self.ncols)
 
     def kernel_vectors(self):
-        """Basis of the right null space as plain vectors."""
+        """Basis of the right null space as plain vectors.
+
+        Rational: primitive integer vectors.  Gaussian: one vector per
+        free column, with entry 1 there.
+        """
         if self.is_gaussian():
-            return _field_kernel(self.to_rows(), self.ncols)
+            basis = elimination.kernel_basis(self._real_block()._int_rows(),
+                                             2 * self.ncols)
+            out = []
+            for v in basis:
+                # a kernel vector is zero past its free column; an odd
+                # (imaginary-part) free column repeats the even one times i
+                f = max(c for c, x in enumerate(v) if x)
+                if f % 2 == 0:
+                    out.append(_from_real([Fraction(x, v[f]) for x in v]))
+            return out
         basis = elimination.kernel_basis(self._int_rows(), self.ncols)
         return [[Fraction(v) for v in vec] for vec in basis]
 
@@ -222,7 +252,10 @@ class ExactMatrix:
         if len(b) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         if self.is_gaussian() or any(isinstance(x, GaussRational) for x in b):
-            return _field_solve(self.to_rows(), [_as_scalar(x) for x in b])
+            rhs = [part for x in b for part in (_as_gauss(x).re, _as_gauss(x).im)]
+            x = elimination.solve(self._real_block()._int_rows(augment=rhs),
+                                  2 * self.ncols + 1, 2 * self.ncols)
+            return None if x is None else _from_real(x)
         return elimination.solve(self._int_rows(augment=b), self.ncols + 1, self.ncols)
 
     def det(self):
@@ -251,80 +284,10 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-# -- generic field elimination for Gaussian-rational matrices ---------
-
-def _field_echelon(rows):
-    """In-place row echelon with first-nonzero pivoting; returns pivots."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _as_gauss(x):
+    return x if isinstance(x, GaussRational) else GaussRational(x)
 
 
-def _field_rank(rows) -> int:
-    return len(_field_echelon([list(r) for r in rows]))
-
-
-def _field_kernel(rows, ncols):
-    work = [list(r) for r in rows]
-    pivots = _field_echelon(work)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [GaussRational(0) for _ in range(ncols)]
-        vec[f] = GaussRational(1)
-        for r, pc in enumerate(pivots):
-            # reduced echelon: pivot rows have unit leads and cleared columns
-            vec[pc] = -_as_scalar(work[r][f]) * GaussRational(1)
-        basis.append(vec)
-    return basis
-
-
-def _field_solve(rows, b):
-    work = [list(r) + [bb] for r, bb in zip(rows, b)]
-    if not work:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    for i in range(r, len(work)):
-        if work[i][ncols]:
-            return None
-    x = [GaussRational(0) for _ in range(ncols)]
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = _as_scalar(work[row_idx][ncols]) * GaussRational(1)
-    return x
+def _from_real(v):
+    """Gaussian vector from its interleaved (real, imaginary) parts."""
+    return [GaussRational(v[k], v[k + 1]) for k in range(0, len(v), 2)]

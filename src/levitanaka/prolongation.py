@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import elimination
 from .errors import CapReachedError, PreconditionError
-from .graded import GradedLieAlgebra, _int_sparse_row, _rref
+from .graded import GradedLieAlgebra, _int_sparse_row
 from .matrices import ExactMatrix
 
 Q = Fraction
@@ -98,49 +98,6 @@ def _check_preconditions(m: GradedLieAlgebra):
     if ExactMatrix.from_rows(rows).rank() != n1:
         raise PreconditionError("input is not nondegenerate")
     return block1, block2
-
-
-class _LayerSolver:
-    """Expresses action pairs in the coordinates of one computed layer."""
-
-    def __init__(self, flat_actions):
-        # flat_actions[j] = full action vector of the j-th layer basis element
-        self.dim = len(flat_actions)
-        self.ncoords = len(flat_actions[0]) if flat_actions else 0
-        rows = [list(v) for v in flat_actions]
-        echelon, pivots = _rref(rows)
-        assert len(pivots) == self.dim, "layer action map is not injective"
-        self.pivots = pivots
-        minor = ExactMatrix.from_rows(
-            [[flat_actions[j][p] for j in range(self.dim)] for p in pivots])
-        self._inv = _invert_small(minor)
-        self._actions = flat_actions
-
-    def coords_of(self, flat_target):
-        if self.dim == 0:
-            return []
-        rhs = [flat_target[p] for p in self.pivots]
-        coeffs = self._inv.apply_sparse(rhs)
-        # exactness check against every coordinate
-        recon = [Q(0)] * self.ncoords
-        for j, c in enumerate(coeffs):
-            if c:
-                row = self._actions[j]
-                for t, x in enumerate(row):
-                    if x:
-                        recon[t] += c * x
-        if recon != list(flat_target):
-            raise AssertionError("bracket left the computed layer (bug)")
-        return coeffs
-
-
-def _invert_small(m: ExactMatrix) -> ExactMatrix:
-    n = m.nrows
-    work = [list(m.row(i)) + [Q(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref(work)
-    if pivots != list(range(n)):
-        raise AssertionError("layer minor is singular (bug)")
-    return ExactMatrix.from_rows([r[n:] for r in rows])
 
 
 def prolong(m: GradedLieAlgebra, max_degree: int = 6,
@@ -324,14 +281,15 @@ def _assemble(m, block1, block2, bra, layers, terminated_at, check_assembly):
             for z in range(n2):
                 put(gi, block2[z], to_global(p - 2, [a2[t][z] for t in range(len(a2))]))
 
-    # solvers for expressing actions in layer coordinates
+    # each layer's action vectors, for expressing actions in layer coordinates
     solvers = []
-    for p, layer in enumerate(layers):
-        flats = []
-        for (a1, a2) in layer:
-            flat = [x for row in a1 for x in row] + [x for row in a2 for x in row]
-            flats.append(flat)
-        solvers.append(_LayerSolver(flats))
+    for layer in layers:
+        flats = [[x for row in a1 for x in row] + [x for row in a2 for x in row]
+                 for a1, a2 in layer]
+        span = elimination.Echelon(len(flats[0]), flats)
+        if span.rank != len(flats):
+            raise AssertionError("layer action map is not injective")
+        solvers.append(span)
 
     def global_bracket(gi, gj):
         if gi == gj:
@@ -402,7 +360,9 @@ def _assemble(m, block1, block2, bra, layers, terminated_at, check_assembly):
                 for z in range(n2):
                     for gk, c in w2[z].items():
                         flat[d1t * n1 + pos2[gk] * n2 + z] = c
-                coeffs = solvers[tdeg].coords_of(flat)
+                coeffs = solvers[tdeg].coords(flat)
+                if coeffs is None:
+                    raise AssertionError("bracket left the computed layer (bug)")
                 put(gi, gj, {offsets[tdeg] + t: c
                              for t, c in enumerate(coeffs) if c})
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import elimination
 from .errors import NonIntegralPairingError
-from .graded import _rref
 from .matrices import ExactMatrix
 
 Q = Fraction
@@ -176,12 +176,18 @@ class RootSystem:
         if self._fundamental is not None:
             return self._fundamental
         l = self.rank
-        inv = _invert_int_matrix(self.cartan_matrix)
+        # omega_j = sum_k x_k alpha_k with C x = e_j: coordinates of e_j
+        # on the columns of the Cartan matrix C
+        cartan = elimination.Echelon(
+            l, [[row[k] for row in self.cartan_matrix] for k in range(l)])
+        if cartan.rank != l:
+            raise ValueError("matrix is singular")
         weights = []
         for j in range(l):
+            coeffs = cartan.coords([Q(int(t == j)) for t in range(l)])
             w = [Q(0)] * self.ambient
             for k in range(l):
-                c = inv[k][j]
+                c = coeffs[k]
                 if c:
                     w = [x + c * a for x, a in zip(w, self.simple_roots[k])]
             weights.append(w)
@@ -238,16 +244,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.family}, {self.rank})"
-
-
-def _invert_int_matrix(mat):
-    n = len(mat)
-    work = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    rows, pivots = _rref(work)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
 
 
 def _in_span_coeffs(basis, v):

@@ -1,16 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levitanaka import _elim_py, elimination
+from levitanaka import elimination
+from levitanaka.scalars import GaussRational
 
-try:
-    from levitanaka import _speedups
-except ImportError:
-    _speedups = None
+from naive_oracle import rref
 
 Q = Fraction
 
@@ -66,37 +63,6 @@ def test_pivot_rule_prefers_small_bit_length():
     assert pivot_rows[0][1][0] == 3
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_backends_bit_identical(data):
-    ncols = data.draw(st.integers(2, 20))
-    lead = data.draw(st.integers(0, ncols - 2))
-    rest = st.lists(st.integers(lead + 1, ncols - 1), unique=True, max_size=8)
-    big = st.integers(-10**40, 10**40).filter(lambda v: v != 0)
-    pc = [lead] + sorted(data.draw(rest))
-    rc = [lead] + sorted(data.draw(rest))
-    pv = [data.draw(big) for _ in pc]
-    rv = [data.draw(big) for _ in rc]
-    assert _elim_py.combine(pc, pv, rc, rv) == \
-        _speedups.combine(pc, pv, rc, rv)
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_pipeline_identical_across_backends(monkeypatch):
-    rng = random.Random(99)
-    rows = random_sparse_rows(rng, 40, 25, density=0.3)
-    results = {}
-    for name, kernel in (("pure", _elim_py.combine),
-                         ("compiled", _speedups.combine)):
-        monkeypatch.setattr(elimination, "combine", kernel)
-        results[name] = (elimination.kernel_basis([(list(c), list(v))
-                                                   for c, v in rows], 25),
-                         elimination.rank([(list(c), list(v))
-                                           for c, v in rows], 25))
-    assert results["pure"] == results["compiled"]
-
-
 def test_growth_stays_controlled():
     # gcd normalization keeps entries from exploding on a dense-ish system
     rng = random.Random(5)
@@ -104,3 +70,104 @@ def test_growth_stays_controlled():
     _, pivot_rows, _ = elimination.row_echelon(rows, 30)
     worst = max(abs(v).bit_length() for _, vals in pivot_rows for v in vals)
     assert worst < 512
+
+
+# -- the incremental echelon against the brute-force oracle ---------------
+
+small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def _realify(vec):
+    """Gaussian vector -> interleaved (real, imaginary) rational vector."""
+    return [part for x in vec for part in (x.re, x.im)]
+
+
+@st.composite
+def spans(draw, gaussian):
+    """(vectors, probe) of one length; the vectors may be dependent."""
+    ncols = draw(st.integers(1, 5 if gaussian else 7))
+    if gaussian:
+        zero, entry = GaussRational(0), st.builds(GaussRational, small_rats, small_rats)
+    else:
+        zero, entry = Q(0), small_rats
+    vec = st.lists(st.one_of(st.just(zero), entry), min_size=ncols, max_size=ncols)
+    vectors = draw(st.lists(vec, max_size=6))
+    if vectors and draw(st.booleans()):
+        c = draw(entry)  # a combination of two of the rows
+        vectors.append([c * x + y for x, y in zip(vectors[0], vectors[-1])])
+    return vectors, draw(vec)
+
+
+def _check_against_oracle(vectors, probe, gaussian):
+    """Echelon of the (realified) vectors against the naive RREF.
+
+    Over Q(i) the echelon gets each vector v and i*v as real vectors with
+    interleaved (real, imaginary) parts: their span is the realified
+    complex span, whose RREF is each complex RREF row R followed by i*R.
+    """
+    if gaussian:
+        added = [_realify([m * x for x in v]) for v in vectors
+                 for m in (GaussRational(1), GaussRational(0, 1))]
+        v = _realify(probe)
+    else:
+        added = [list(u) for u in vectors]
+        v = list(probe)
+    width = len(v)
+    echelon = elimination.Echelon(width, added)
+    rows, pivots = rref(vectors) if vectors else ([], [])
+    expected = []
+    for r in rows[:len(pivots)]:
+        if gaussian:
+            expected += [_realify(r), _realify([GaussRational(0, 1) * x for x in r])]
+        else:
+            expected.append(r)
+    assert echelon.basis == expected
+    assert echelon.rank == len(expected)
+
+    residual = echelon.reduce(v)
+    naive = list(v)
+    for row in expected:
+        p = next(c for c, x in enumerate(row) if x)
+        naive = [a - naive[p] * b for a, b in zip(naive, row)]
+    assert residual == naive
+    lead_cols = [next(c for c, x in enumerate(row) if x) for row in expected]
+    assert all(residual[p] == 0 for p in lead_cols)
+    assert echelon.contains([a - b for a, b in zip(v, residual)])
+    assert echelon.contains(v) == (not any(residual))
+
+    def combination(coords):
+        out = [Q(0)] * width
+        for c, u in zip(coords, added):
+            out = [a + c * b for a, b in zip(out, u)]
+        return out
+
+    coords = echelon.coords(v)
+    if any(residual):
+        assert coords is None
+    else:
+        assert combination(coords) == v
+    # a member built from the added vectors is rebuilt from its coordinates
+    member = combination([Q(k + 1) for k in range(len(added))])
+    assert combination(echelon.coords(member)) == member
+
+
+@given(spans(gaussian=False))
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_oracle_rational(case):
+    _check_against_oracle(*case, gaussian=False)
+
+
+@given(spans(gaussian=True))
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_oracle_gaussian(case):
+    _check_against_oracle(*case, gaussian=True)
+
+
+def test_echelon_unique_coords_and_add_flags():
+    e = elimination.Echelon(3)
+    assert e.add([Q(1), Q(2), Q(0)])
+    assert e.add([Q(0), Q(1), Q(1)])
+    assert not e.add([Q(1), Q(3), Q(1)])  # first + second
+    assert e.coords([Q(2), Q(5), Q(1)]) == [Q(2), Q(1), Q(0)]
+    assert e.coords([Q(0), Q(0), Q(1)]) is None
+    assert e.basis == [[Q(1), Q(0), Q(-2)], [Q(0), Q(1), Q(1)]]

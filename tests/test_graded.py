@@ -302,3 +302,17 @@ def test_levi_correction_keeps_zero_defects_zero():
     dec = a.change_basis(p).levi_decomposition()
     assert dec.s.dim == 16
     assert dec.r.dim == 54
+
+
+def test_span_certificates_raise():
+    g = sl2()
+    h, e, f = ([Q(int(i == j)) for j in range(3)] for i in range(3))
+    with pytest.raises(ValueError, match="not bracket-closed"):
+        g.subalgebra([e, f])  # [e, f] = h
+    assert g.subalgebra([h, e])[0].dim == 2
+    with pytest.raises(AssertionError, match="is not an ideal"):
+        g._verify_ideal(Subspace(g, [e]), "span of e")
+    g._verify_ideal(Subspace(g, [h, e, f]), "sl2")
+    singular = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+    with pytest.raises(ValueError, match="singular"):
+        g.change_basis(singular)
