@@ -86,7 +86,7 @@ def span_basis(vectors):
 def _basis_coordinates(vectors, ncols):
     """Echelon with coordinates on a basis of Q^ncols; ValueError if singular."""
     ech = elimination.Echelon(ncols, vectors)
-    if len(vectors) != ncols or ech.rank != ncols:
+    if ech.rank != ncols:
         raise ValueError("matrix is singular")
     return ech
 

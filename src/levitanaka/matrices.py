@@ -252,7 +252,7 @@ class ExactMatrix:
         if len(b) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         if self.is_gaussian() or any(isinstance(x, GaussRational) for x in b):
-            rhs = [part for x in b for part in (_as_gauss(x).re, _as_gauss(x).im)]
+            rhs = [part for x in map(_as_gauss, b) for part in (x.re, x.im)]
             x = elimination.solve(self._real_block()._int_rows(augment=rhs),
                                   2 * self.ncols + 1, 2 * self.ncols)
             return None if x is None else _from_real(x)
