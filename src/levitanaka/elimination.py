@@ -84,6 +84,24 @@ def combine(pcols, pvals, rcols, rvals):
     return cols, vals
 
 
+def sparse_int_row(coeffs, rhs=None, rhs_col=None):
+    """A sparse {col: rational} row as an integer (cols, vals) row.
+
+    Zero entries are dropped and the rest scaled by the lcm of their
+    denominators; a nonzero ``rhs`` is scaled with them and appended at
+    column ``rhs_col``, which must lie past every column of ``coeffs``.
+    """
+    items = sorted((c, v) for c, v in coeffs.items() if v)
+    if rhs:
+        items.append((rhs_col, rhs))
+    lcm = 1
+    for _, v in items:
+        d = v.denominator
+        if d != 1:
+            lcm = lcm // gcd(lcm, d) * d
+    return [c for c, _ in items], [v.numerator * (lcm // v.denominator) for _, v in items]
+
+
 def _normalize_row(cols, vals):
     """Divide a fresh row by the gcd of its entries."""
     g = 0

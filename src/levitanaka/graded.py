@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 
 from . import elimination
 from .errors import (
@@ -28,24 +27,6 @@ from .matrices import ExactMatrix
 from .scalars import rat_from_str, rat_to_str
 
 Q = Fraction
-
-
-def _int_sparse_row(coeffs, rhs=None, rhs_col=None):
-    """Scale a {col: Fraction} row (plus optional rhs) to coprime ints."""
-    items = sorted(coeffs.items())
-    lcm = 1
-    for _, v in items:
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    if rhs is not None and rhs != 0:
-        d = rhs.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    cols = [c for c, _ in items]
-    vals = [int(v * lcm) for _, v in items]
-    if rhs is not None and rhs != 0:
-        cols.append(rhs_col)
-        vals.append(int(rhs * lcm))
-    return cols, vals
 
 
 class Subspace:
@@ -138,6 +119,7 @@ class GradedLieAlgebra:
         self.J = J
         self._cols = None
         self._killing = None
+        self._radical = None
 
     # -- basic structure ----------------------------------------------
 
@@ -195,19 +177,6 @@ class GradedLieAlgebra:
                 for k, c in comp.items():
                     out[k] += coef * c
         return out
-
-    def ad_vector(self, x):
-        """Dense matrix of ad(x) acting on coordinate vectors."""
-        n = self.dim
-        cols = self._columns()
-        mat = [[Q(0)] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, comp in cols[i].items():
-                for k, c in comp.items():
-                    mat[k][j] += xi * c
-        return ExactMatrix.from_rows(mat)
 
     # -- validation -----------------------------------------------------
 
@@ -326,21 +295,22 @@ class GradedLieAlgebra:
         return out
 
     def radical(self) -> Subspace:
-        """Solvable radical: Killing-orthogonal of the derived algebra."""
+        """Solvable radical: Killing-orthogonal of the derived algebra.
+
+        Computed once per algebra, like the Killing form; every caller
+        gets the same Subspace.
+        """
+        if self._radical is not None:
+            return self._radical
         derived = self.derived_subalgebra_basis()
         if not derived:
             units = [[Q(int(i == j)) for j in range(self.dim)]
                      for i in range(self.dim)]
-            return Subspace(self, self.graded_components(units))
+            self._radical = Subspace(self, self.graded_components(units))
+            return self._radical
         killing = self.killing_form()
-        rows = []
-        for d in derived:
-            coeffs = {}
-            kd = killing.apply(d)
-            for j, val in enumerate(kd):
-                if val:
-                    coeffs[j] = val
-            rows.append(_int_sparse_row(coeffs))
+        rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(d))))
+                for d in derived]
         basis = elimination.kernel_basis(rows, self.dim)
         vectors = self.graded_components([[Q(x) for x in v] for v in basis])
         rad = Subspace(self, vectors)
@@ -348,6 +318,7 @@ class GradedLieAlgebra:
         series = self.derived_series(rad)
         if series and series[-1].dim != 0:
             raise AssertionError("radical candidate is not solvable (bug)")
+        self._radical = rad
         return rad
 
     def _verify_ideal(self, sub: Subspace, label: str):
@@ -420,7 +391,7 @@ class GradedLieAlgebra:
                 if s:
                     coeffs[t] = s
             if coeffs:
-                rows.append(_int_sparse_row(coeffs))
+                rows.append(elimination.sparse_int_row(coeffs))
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
         vectors = []
         for cv in coeff_basis:
@@ -466,7 +437,7 @@ class GradedLieAlgebra:
                 coeffs = per_k.get(k, {})
                 rhs = rhs_deg if k == j else Q(0)
                 if coeffs or rhs:
-                    rows.append(_int_sparse_row(coeffs, rhs, bcol))
+                    rows.append(elimination.sparse_int_row(coeffs, rhs, bcol))
         if nun == 0:
             if any(self.degrees):
                 raise NoCharacteristicElementError("degree-0 part is zero")
@@ -501,7 +472,7 @@ class GradedLieAlgebra:
                 for k, c in comp.items():
                     per.setdefault((j, k), {})[i] = c
         for key in sorted(per):
-            rows.append(_int_sparse_row(per[key]))
+            rows.append(elimination.sparse_int_row(per[key]))
         basis = elimination.kernel_basis(rows, self.dim)
         return Subspace(self, [[Q(x) for x in v] for v in basis])
 
@@ -673,7 +644,7 @@ class GradedLieAlgebra:
                     coeffs = {s: v for s, v in per_coord.get(t, {}).items() if v}
                     rhs = rhs_red[t]
                     if coeffs or rhs:
-                        rows.append(_int_sparse_row(coeffs, rhs, bcol))
+                        rows.append(elimination.sparse_int_row(coeffs, rhs, bcol))
             sol = elimination.solve(rows, bcol + 1, bcol)
             if sol is None:
                 raise LiftFailedError(f"correction system inconsistent at stage {stage}")
@@ -719,14 +690,8 @@ class GradedLieAlgebra:
             di = len(ideal)
             if di == d:
                 continue
-            rows = []
-            for v in ideal:
-                coeffs = {}
-                kv = killing.apply(v)
-                for j, val in enumerate(kv):
-                    if val:
-                        coeffs[j] = val
-                rows.append(_int_sparse_row(coeffs))
+            rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(v))))
+                    for v in ideal]
             comp = elimination.kernel_basis(rows, d)
             assert len(comp) + di == d, "Killing complement has wrong dimension"
             to_parent = lambda cv: [

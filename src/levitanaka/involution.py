@@ -88,7 +88,7 @@ def orthogonal_word(d: FactorDescriptor) -> OrthogonalWord:
     family, rank = _diagram_of(d)
     rs = root_system(family, rank)
     roots = _word_roots(family, rank)
-    positives = {tuple(v) for v in rs.root_vectors()}
+    positives = rs.positive_root_set()
     for v in roots:
         if tuple(v) not in positives:
             raise WordInvalidError(f"{v} is not a positive root")

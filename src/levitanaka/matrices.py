@@ -12,7 +12,6 @@ canonical kernel vectors and free-unknowns-zero solutions carry over.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from . import elimination
 from .scalars import GaussRational
@@ -192,24 +191,12 @@ class ExactMatrix:
                            [x for r in rows for x in r])
 
     def _int_rows(self, augment=None):
-        """Scale each row to coprime integers; optionally append a column."""
+        """Each nonzero row as an integer row; optionally append a column."""
         rows = []
         for i in range(self.nrows):
-            r = self.row(i)
-            extra = [] if augment is None else [Fraction(augment[i])]
-            lcm = 1
-            for x in list(r) + extra:
-                d = x.denominator
-                lcm = lcm // gcd(lcm, d) * d
-            cols = []
-            vals = []
-            for j, x in enumerate(r):
-                if x:
-                    cols.append(j)
-                    vals.append(int(x * lcm))
-            if extra and extra[0]:
-                cols.append(self.ncols)
-                vals.append(int(extra[0] * lcm))
+            rhs = None if augment is None else Fraction(augment[i])
+            cols, vals = elimination.sparse_int_row(dict(enumerate(self.row(i))),
+                                                    rhs, self.ncols)
             if cols:
                 rows.append((cols, vals))
         return rows

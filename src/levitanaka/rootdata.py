@@ -65,6 +65,7 @@ class RootSystem:
             [int(self.pairing(a, b)) for b in self.simple_roots]
             for a in self.simple_roots]
         self._positive = None
+        self._positive_set = None
         self._fundamental = None
         self._longest = None
 
@@ -148,16 +149,20 @@ class RootSystem:
                for vec, coeffs in seen.items()]
         out.sort(key=lambda rc: (sum(rc[1]), rc[1]))
         self._positive = out
+        self._positive_set = {tuple(vec) for vec, _ in out}
         return out
 
     def root_vectors(self):
         return [vec for vec, _ in self.positive_roots()]
 
+    def positive_root_set(self):
+        """The positive roots as a set of tuples, for membership tests."""
+        self.positive_roots()
+        return self._positive_set
+
     def is_root(self, v) -> bool:
-        key1 = tuple(Q(x) for x in v)
-        key2 = tuple(-Q(x) for x in v)
-        vecs = {tuple(vec) for vec, _ in self.positive_roots()}
-        return key1 in vecs or key2 in vecs
+        vecs = self.positive_root_set()
+        return tuple(Q(x) for x in v) in vecs or tuple(-Q(x) for x in v) in vecs
 
     def highest_root(self):
         """(vector, simple-root coefficients) of the maximal positive root."""

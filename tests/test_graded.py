@@ -165,6 +165,14 @@ def test_radical_reductive():
     assert rad.vectors[0][3] != 0
 
 
+def test_radical_is_computed_once():
+    g = sl2_plus_center()
+    rad = g.radical()
+    g.nilradical()
+    g.levi_decomposition()
+    assert g.radical() is rad
+
+
 def test_lower_central_series():
     h = heisenberg3()
     whole = Subspace(h, [[Q(int(i == j)) for j in range(3)] for i in range(3)])

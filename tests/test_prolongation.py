@@ -184,3 +184,37 @@ def test_result_serialization():
     blob = r.to_json()
     assert blob["degree_dims"] == [[-2, 1], [-1, 2], [0, 2], [1, 2], [2, 1]]
     assert GradedLieAlgebra.from_json(blob["algebra"]).validate().ok
+
+
+def _relisted(m, order):
+    """m with its basis listed as m's basis vectors order[0], order[1], ..."""
+    new = {old: i for i, old in enumerate(order)}
+    table = {(new[i], new[j]): {new[k]: c for k, c in comp.items()}
+             for (i, j), comp in m.table.items()}
+    pos = {old: t for t, old in enumerate(m.degree_indices(-1))}
+    block = [old for old in order if m.degrees[old] == -1]
+    jm = ExactMatrix.from_rows([[m.J.entry(pos[a], pos[b]) for b in block]
+                                for a in block])
+    return GradedLieAlgebra([m.names[o] for o in order],
+                            [m.degrees[o] for o in order], table, jm)
+
+
+@pytest.mark.parametrize("form, order", [
+    # g_-2 first, then the e/Je pairs side by side in reverse
+    (lambda: diagonal_form([1, -1]), [4, 3, 1, 2, 0]),
+    # n=2, k=2: degrees interleaved, g_-2 vectors swapped
+    (lambda: HermitianFormSystem(2, 2, [
+        ExactMatrix.from_rows([[GaussRational(1), GaussRational(0)],
+                               [GaussRational(0), GaussRational(-1)]]),
+        ExactMatrix.from_rows([[GaussRational(0), GaussRational(0, 1)],
+                               [GaussRational(0, -1), GaussRational(0)]])]),
+     [5, 2, 4, 0, 3, 1]),
+], ids=["heisenberg_pm", "k2_quadric"])
+def test_prolongation_independent_of_basis_listing(form, order):
+    m = form().build_m_minus()
+    relisted = _relisted(m, order)
+    assert relisted.validate().ok
+    result = prolong(relisted)
+    assert result.degree_dims == prolong(m).degree_dims
+    assert result.algebra.validate().ok
+    assert transitivity_check(result).ok

@@ -88,6 +88,15 @@ def test_coroot_pairing_d5_spin_example():
     assert rs.coroot_pairing(e12, omega4) == 1
 
 
+def test_is_root_on_roots_negatives_and_non_roots():
+    rs = RootSystem("D", 4)
+    for v, _ in rs.positive_roots():
+        assert rs.is_root(v) and rs.is_root([-x for x in v])
+        assert not rs.is_root([2 * x for x in v])
+    assert not rs.is_root([Q(0)] * rs.ambient)
+    assert rs.positive_root_set() == {tuple(v) for v in rs.root_vectors()}
+
+
 def test_fundamental_weights_e6_all_pairs():
     rs = RootSystem("E6", 6)
     weights = rs.fundamental_weights()
