@@ -172,9 +172,12 @@ class FactorDescriptor:
                     queue.append(nb)
         return None
 
+    def root_system(self):
+        """Root system of one diagram copy."""
+        return root_system(self.family, self.rank)
+
     def highest_root_coeff(self, name) -> int:
-        rs = root_system("E6" if self.family == "E6" else self.family, self.rank)
-        _, coeffs = rs.highest_root()
+        _, coeffs = self.root_system().highest_root()
         return coeffs[node_index(name) - 1]
 
     # -- serialization -------------------------------------------------------
@@ -211,8 +214,13 @@ class GradingData:
         self.e_coords = e_coords
         self.kind = kind
 
-    def support_indices(self):
-        return sorted({node_index(n) for n, v in self.e_coords.items() if v})
+    def support_indices(self) -> set:
+        """Single-diagram indices where the grading element evaluates to 1.
+
+        For complex factors both copies carry the same index set (one from
+        phi, one from its mirror), so one set describes either copy.
+        """
+        return {node_index(n) for n, v in self.e_coords.items() if v}
 
     def __repr__(self):
         return f"GradingData(kind={self.kind})"
@@ -272,18 +280,6 @@ def grading_data(d: FactorDescriptor) -> GradingData:
     return GradingData(e_coords, kind)
 
 
-def support_indices(d: FactorDescriptor) -> set:
-    """Single-diagram indices where the grading element evaluates to 1.
-
-    For complex factors both copies carry the same index set (one from
-    phi, one from its mirror), so one set describes either copy.
-    """
-    if d.is_complex:
-        return {node_index(n) for n in d.phi}
-    eps = d.epsilon()
-    return {node_index(n) for n in set(d.phi) | {eps[n] for n in d.phi}}
-
-
 def w0_reverses_E(d: FactorDescriptor) -> bool:
     """Oracle: does the longest Weyl element send E to -E?
 
@@ -291,10 +287,8 @@ def w0_reverses_E(d: FactorDescriptor) -> bool:
     diagonally on the two copies, so the single-copy w_0 must negate the
     common support indicator.
     """
-    grading_data(d)  # admissibility gate
-    rs = root_system("E6" if d.family == "E6" else d.family, d.rank)
-    rows = rs.w0_on_simple_coeffs()
-    support = support_indices(d)
+    support = grading_data(d).support_indices()  # also the admissibility gate
+    rows = d.root_system().w0_on_simple_coeffs()
     c = [1 if (i + 1) in support else 0 for i in range(d.rank)]
     for i in range(d.rank):
         value = sum(rows[i][k] * c[k] for k in range(d.rank))

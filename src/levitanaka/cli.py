@@ -76,6 +76,8 @@ def _report(command, input_echo, checks, degree_dims=None, verdicts=None):
 
 
 def cmd_analyze_quadric(args) -> int:
+    if args.max_degree < 0:
+        return _fail_input("--max-degree must be non-negative")
     try:
         with open(args.path) as fh:
             blob = json.load(fh)
@@ -129,6 +131,8 @@ def cmd_analyze_quadric(args) -> int:
 
 
 def cmd_prolong(args) -> int:
+    if args.max_degree < 0:
+        return _fail_input("--max-degree must be non-negative")
     try:
         with open(args.path) as fh:
             algebra = GradedLieAlgebra.from_json(json.load(fh))

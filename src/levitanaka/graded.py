@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations, product
 
 from . import elimination
 from .errors import (
@@ -62,6 +63,17 @@ def span_basis(vectors):
     if not vectors:
         return []
     return elimination.Echelon(len(vectors[0]), vectors).basis
+
+
+def _combination(coeffs, vectors, n):
+    """Dense sum of c * vectors[t] over the (t, c) pairs of ``coeffs``."""
+    out = [Q(0)] * n
+    for t, c in coeffs:
+        if c:
+            for k, x in enumerate(vectors[t]):
+                if x:
+                    out[k] += c * x
+    return out
 
 
 def _basis_coordinates(vectors, ncols):
@@ -156,6 +168,16 @@ class GradedLieAlgebra:
                 cols[j][i] = {k: -c for k, c in comp.items()}
             self._cols = cols
         return self._cols
+
+    def ad(self, i, v):
+        """[e_i, v] for a dense coordinate vector v, from the ad-columns."""
+        out = [Q(0)] * self.dim
+        for j, comp in self._columns()[i].items():
+            x = v[j]
+            if x:
+                for k, c in comp.items():
+                    out[k] += x * c
+        return out
 
     def bracket(self, x, y):
         """Bilinear extension of the table to dense coordinate vectors."""
@@ -321,47 +343,36 @@ class GradedLieAlgebra:
         self._radical = rad
         return rad
 
-    def _verify_ideal(self, sub: Subspace, label: str):
+    def _ad_maps_into(self, source: Subspace, target: Subspace) -> bool:
+        """Certificate: [e_i, v] lies in target for every e_i and v in source."""
         for i in range(self.dim):
-            cols = self._columns()[i]
-            for v in sub.vectors:
-                w = [Q(0)] * self.dim
-                for j, comp in cols.items():
-                    if v[j]:
-                        for k, c in comp.items():
-                            w[k] += v[j] * c
-                if any(w) and not sub.contains(w):
-                    raise AssertionError(f"{label} is not an ideal (bug)")
+            for v in source.vectors:
+                w = self.ad(i, v)
+                if any(w) and not target.contains(w):
+                    return False
+        return True
+
+    def _verify_ideal(self, sub: Subspace, label: str):
+        if not self._ad_maps_into(sub, sub):
+            raise AssertionError(f"{label} is not an ideal (bug)")
 
     def derived_series(self, sub: Subspace):
         """sub, [sub,sub], ... down to 0 (strictly decreasing, 0 included)."""
-        series = [sub]
-        current = sub
-        while current.dim:
-            brackets = []
-            for a in range(current.dim):
-                for b in range(a + 1, current.dim):
-                    w = self.bracket(current.vectors[a], current.vectors[b])
-                    if any(w):
-                        brackets.append(w)
-            nxt = Subspace(self, span_basis(brackets))
-            if nxt.dim >= current.dim:
-                break
-            series.append(nxt)
-            current = nxt
-        return series
+        return self._bracket_series(
+            sub, lambda current: combinations(current.vectors, 2))
 
     def lower_central_series(self, sub: Subspace):
         """sub, [sub,sub], [[sub,sub],sub], ... strictly decreasing prefix."""
+        return self._bracket_series(
+            sub, lambda current: product(current.vectors, sub.vectors))
+
+    def _bracket_series(self, sub: Subspace, pairs):
+        """sub, then the span of [x, y] over pairs(current), while it shrinks."""
         series = [sub]
         current = sub
         while current.dim:
-            brackets = []
-            for a in range(current.dim):
-                for b in range(sub.dim):
-                    w = self.bracket(current.vectors[a], sub.vectors[b])
-                    if any(w):
-                        brackets.append(w)
+            brackets = [w for x, y in pairs(current)
+                        for w in (self.bracket(x, y),) if any(w)]
             nxt = Subspace(self, span_basis(brackets))
             if nxt.dim >= current.dim:
                 break
@@ -393,14 +404,8 @@ class GradedLieAlgebra:
             if coeffs:
                 rows.append(elimination.sparse_int_row(coeffs))
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
-        vectors = []
-        for cv in coeff_basis:
-            w = [Q(0)] * self.dim
-            for t, c in enumerate(cv):
-                if c:
-                    for i, x in enumerate(rad.vectors[t]):
-                        w[i] += c * x
-            vectors.append(w)
+        vectors = [_combination(enumerate(cv), rad.vectors, self.dim)
+                   for cv in coeff_basis]
         nil = Subspace(self, self.graded_components(vectors))
         try:
             self._verify_ideal(nil, "nilradical")
@@ -409,12 +414,9 @@ class GradedLieAlgebra:
         lcs = self.lower_central_series(nil)
         if nil.dim and (not lcs or lcs[-1].dim != 0):
             raise NilradicalUnsupportedError("candidate is not nilpotent")
-        for i in range(self.dim):
-            for v in rad.vectors:
-                w = self.bracket([Q(int(t == i)) for t in range(self.dim)], v)
-                if any(w) and not nil.contains(w):
-                    raise NilradicalUnsupportedError(
-                        "[g, radical] is not inside the candidate")
+        if not self._ad_maps_into(rad, nil):
+            raise NilradicalUnsupportedError(
+                "[g, radical] is not inside the candidate")
         return nil
 
     # -- characteristic element -----------------------------------------
@@ -458,9 +460,9 @@ class GradedLieAlgebra:
         for pos, i in enumerate(zero_idx):
             e[i] = sol[pos]
         for j in range(self.dim):
-            w = self.bracket(e, [Q(int(t == j)) for t in range(self.dim)])
-            expect = [Q(self.degrees[j]) if t == j else Q(0) for t in range(self.dim)]
-            assert w == expect, "characteristic element verification failed"
+            # [e_j, E] = -p e_j on degree p
+            expect = [Q(-self.degrees[j]) if t == j else Q(0) for t in range(self.dim)]
+            assert self.ad(j, e) == expect, "characteristic element verification failed"
         return e
 
     def center(self) -> Subspace:
@@ -537,35 +539,23 @@ class GradedLieAlgebra:
 
         q_deg = [self.degrees[i] for i in complement_idx]
         sigma = [[Q(int(t == i)) for t in range(n)] for i in complement_idx]
+        # the factor: g / radical on the complement units
         q_table = {}
-        for a in range(nq):
+        for a, i in enumerate(complement_idx):
             for b in range(a + 1, nq):
-                w = self.bracket(sigma[a], sigma[b])
-                comp = {k: c for k, c in enumerate(q_coords(w)) if c}
+                comp = {k: c for k, c in enumerate(q_coords(self.ad(i, sigma[b])))
+                        if c}
                 if comp:
                     q_table[(a, b)] = comp
-
-        def q_bracket_coords(a, b):
-            if a == b:
-                return {}
-            if a < b:
-                return q_table.get((a, b), {})
-            return {k: -c for k, c in q_table.get((b, a), {}).items()}
-
-        def sigma_of_coords(coords):
-            out = [Q(0)] * n
-            for c, val in coords.items():
-                if val:
-                    for t, x in enumerate(sigma[c]):
-                        out[t] += val * x
-            return out
+        s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)], q_deg, q_table)
 
         def defects():
             out = {}
             for a in range(nq):
                 for b in range(a + 1, nq):
                     w = self.bracket(sigma[a], sigma[b])
-                    target = sigma_of_coords(q_bracket_coords(a, b))
+                    target = _combination(s_alg.bracket_elements(a, b).items(),
+                                          sigma, n)
                     delta = [x - y for x, y in zip(w, target)]
                     if any(delta):
                         out[(a, b)] = delta
@@ -622,8 +612,7 @@ class GradedLieAlgebra:
                         d = per_coord.setdefault(t, {})
                         d[slot] = d.get(slot, Q(0)) + sign * x
 
-                qc = q_bracket_coords(a, b)
-                for c, val in qc.items():
+                for c, val in s_alg.bracket_elements(a, b).items():
                     for m in range(level.dim):
                         slot = slot_index.get((c, m))
                         if slot is not None and level_red[m]:
@@ -656,16 +645,12 @@ class GradedLieAlgebra:
             delta = defects()
 
         s_sub = Subspace(self, sigma)
-        s_alg = GradedLieAlgebra(
-            [f"s{a}" for a in range(nq)], q_deg,
-            {k: dict(v) for k, v in q_table.items()})
         killing_s = s_alg.killing_form()
         if killing_s.rank() != nq:
             raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
         try:
             e = self.characteristic_element()
-            e_q = q_coords(e)
-            e_s = sigma_of_coords({k: c for k, c in enumerate(e_q) if c})
+            e_s = _combination(enumerate(q_coords(e)), sigma, n)
             e_r = [x - y for x, y in zip(e, e_s)]
             assert rad.contains(e_r)
         except (NoCharacteristicElementError, NotUniqueCharacteristicElementError):
@@ -694,11 +679,9 @@ class GradedLieAlgebra:
                     for v in ideal]
             comp = elimination.kernel_basis(rows, d)
             assert len(comp) + di == d, "Killing complement has wrong dimension"
-            to_parent = lambda cv: [
-                sum((Q(c) * vecs[i][tt] for i, c in enumerate(cv) if c), Q(0))
-                for tt in range(self.dim)]
-            self._split_simple([to_parent(v) for v in ideal], out)
-            self._split_simple([to_parent([Q(x) for x in v]) for v in comp], out)
+            for part in (ideal, comp):
+                self._split_simple([_combination(enumerate(cv), vecs, self.dim)
+                                    for cv in part], out)
             return
         out.append(vecs)
 
@@ -805,18 +788,13 @@ def _ideal_closure(alg: GradedLieAlgebra, t: int):
     with the basis, and the search stops once the span is everything.
     """
     n = alg.dim
-    cols = alg._columns()
     span = elimination.Echelon(n)
     work = [[Q(int(i == t)) for i in range(n)]]
     span.add(work[0])
     while work and span.rank < n:
         v = work.pop()
         for i in range(n):
-            w = [Q(0)] * n
-            for j, comp in cols[i].items():
-                if v[j]:
-                    for k, c in comp.items():
-                        w[k] += v[j] * c
+            w = alg.ad(i, v)
             if any(w) and span.add(w):
                 work.append(w)
     return span.basis

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classify import FactorDescriptor, grading_data, support_indices
+from .classify import FactorDescriptor, grading_data
 from .errors import KindError, NonIntegralPairingError, PreconditionError, WordInvalidError
 from .matrices import ExactMatrix
-from .rootdata import _dot, root_system
+from .rootdata import _dot
 
 Q = Fraction
 
@@ -48,14 +48,9 @@ class OrthogonalWord:
         return f"OrthogonalWord({self.family}{self.rank}, {len(self.roots)} roots)"
 
 
-def _diagram_of(d: FactorDescriptor):
-    return ("E6" if d.family == "E6" else d.family), d.rank
-
-
-def _word_roots(family, rank):
-    rs = root_system(family, rank)
-    l = rank
-    if family == "A":
+def _word_roots(rs):
+    l = rs.rank
+    if rs.family == "A":
         dim = l + 1
         roots = []
         for j in range(1, (l + 1) // 2 + 1):
@@ -64,7 +59,7 @@ def _word_roots(family, rank):
             v[l + 1 - j] = Q(-1)  # e_j - e_{l+2-j}, 1-based
             roots.append(v)
         return roots
-    if family == "D":
+    if rs.family == "D":
         roots = []
         for i in range(1, l // 2 + 1):
             for sign in (1, -1):
@@ -85,9 +80,8 @@ def _word_roots(family, rank):
 
 def orthogonal_word(d: FactorDescriptor) -> OrthogonalWord:
     """The stored word for the descriptor's diagram, fully verified."""
-    family, rank = _diagram_of(d)
-    rs = root_system(family, rank)
-    roots = _word_roots(family, rank)
+    rs = d.root_system()
+    roots = _word_roots(rs)
     positives = rs.positive_root_set()
     for v in roots:
         if tuple(v) not in positives:
@@ -108,16 +102,18 @@ def orthogonal_word(d: FactorDescriptor) -> OrthogonalWord:
         product = product * m
     if product != rs.longest_element().matrix:
         raise WordInvalidError("word product is not the longest element")
-    return OrthogonalWord(roots, d, family, rank)
+    return OrthogonalWord(roots, d, d.family, d.rank)
 
 
 def grading_vector(d: FactorDescriptor):
-    """Realization vector of the grading element on one diagram copy."""
-    family, rank = _diagram_of(d)
-    rs = root_system(family, rank)
+    """Realization vector of the grading element on one diagram copy.
+
+    Raises AdmissibilityError when d is not admissible.
+    """
+    rs = d.root_system()
     weights = rs.fundamental_weights()
     e = [Q(0)] * rs.ambient
-    for i in support_indices(d):
+    for i in grading_data(d).support_indices():
         e = [x + y for x, y in zip(e, weights[i - 1])]
     return e
 
@@ -129,7 +125,7 @@ def parity_table(w: OrthogonalWord, d: FactorDescriptor):
     2 omega_j(E) mod 2, and whether the two agree (the lifted product
     squares to the required central sign on V^{omega_j}).
     """
-    rs = root_system(w.family, w.rank)
+    rs = w.descriptor.root_system()
     weights = rs.fundamental_weights()
     e = grading_vector(d)
     rows = []
@@ -187,8 +183,7 @@ def gamma_case(d: FactorDescriptor) -> str:
         return BOTH
     if l % 2 == 1:
         return BOTH
-    support = support_indices(d)
-    if support == {l - 1, l}:
+    if g.support_indices() == {l - 1, l}:
         return BOTH if l % 4 == 2 else GAMMA_PRIME_ONLY
     return GAMMA_PRIME_ONLY
 
@@ -237,9 +232,8 @@ def certificate_report(d: FactorDescriptor) -> dict:
     coefficient vectors, the parity table, and the certificate case.
     """
     w = orthogonal_word(d)
-    rs = root_system(w.family, w.rank)
-    coeff_by_vec = {tuple(vec): coeffs for vec, coeffs in rs.positive_roots()}
-    word_coeffs = [coeff_by_vec[tuple(beta)] for beta in w.roots]
+    coeffs = d.root_system().positive_root_coeffs()
+    word_coeffs = [coeffs[tuple(beta)] for beta in w.roots]
     rows = parity_table(w, d)
     return {
         "descriptor": d.to_json(),

@@ -114,6 +114,8 @@ def _check_preconditions(m: GradedLieAlgebra):
 
 def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
     """Full Tanaka prolongation of (m, J); see module docstring."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     block1, block2 = _check_preconditions(m)
     sources = block1 + block2
     names = list(m.names)

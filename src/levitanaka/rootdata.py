@@ -65,7 +65,7 @@ class RootSystem:
             [int(self.pairing(a, b)) for b in self.simple_roots]
             for a in self.simple_roots]
         self._positive = None
-        self._positive_set = None
+        self._coeffs = None
         self._fundamental = None
         self._longest = None
 
@@ -149,16 +149,20 @@ class RootSystem:
                for vec, coeffs in seen.items()]
         out.sort(key=lambda rc: (sum(rc[1]), rc[1]))
         self._positive = out
-        self._positive_set = {tuple(vec) for vec, _ in out}
+        self._coeffs = {tuple(vec): coeffs for vec, coeffs in out}
         return out
 
     def root_vectors(self):
         return [vec for vec, _ in self.positive_roots()]
 
+    def positive_root_coeffs(self):
+        """Map from each positive root, as a tuple, to its simple-root coefficients."""
+        self.positive_roots()
+        return self._coeffs
+
     def positive_root_set(self):
         """The positive roots as a set of tuples, for membership tests."""
-        self.positive_roots()
-        return self._positive_set
+        return self.positive_root_coeffs().keys()
 
     def is_root(self, v) -> bool:
         vecs = self.positive_root_set()
@@ -226,15 +230,18 @@ class RootSystem:
         return w0
 
     def w0_on_simple_coeffs(self):
-        """Row i: coefficients of w_0(alpha_i) on the simple roots."""
+        """Row i: coefficients of w_0(alpha_i) on the simple roots.
+
+        Read as minus the coefficients of the positive root -w_0(alpha_i);
+        the lookup certifies that w_0 sends each simple root to a negative root.
+        """
         w0 = self.longest_element()
-        basis = [list(a) for a in self.simple_roots]
+        coeffs = self.positive_root_coeffs()
         out = []
         for a in self.simple_roots:
-            img = w0.apply(a)
-            coeffs = _in_span_coeffs(basis, img)
-            assert coeffs is not None, "w0 image left the root span"
-            out.append(coeffs)
+            row = coeffs.get(tuple(-x for x in w0.apply(a)))
+            assert row is not None, "w0 image is not a negative root"
+            out.append([-c for c in row])
         return out
 
     def diagram_involution(self):
@@ -249,8 +256,3 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.family}, {self.rank})"
-
-
-def _in_span_coeffs(basis, v):
-    m = ExactMatrix.from_rows(basis).transpose()
-    return m.solve(list(v))

@@ -21,7 +21,11 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse "p/q" (or a number); ValueError on malformed text or q == 0."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 class GaussRational:

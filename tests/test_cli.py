@@ -55,6 +55,11 @@ def test_analyze_quadric_malformed(capsys, tmp_path):
     assert main(["analyze-quadric", str(path)]) == 2
     path2 = tmp_path / "missing.json"
     assert main(["analyze-quadric", str(path2)]) == 2
+    path.write_text(json.dumps(
+        {"n": 1, "k": 1, "components": [[{"re": "1/0", "im": "0"}]]}))
+    assert main(["analyze-quadric", str(path)]) == 2
+    diagonal_form([1]).dump(path)
+    assert main(["analyze-quadric", str(path), "--max-degree", "-1"]) == 2
 
 
 def test_prolong_roundtrip(capsys, tmp_path, heisenberg_file):
@@ -66,6 +71,16 @@ def test_prolong_roundtrip(capsys, tmp_path, heisenberg_file):
     report = json.loads(out)
     assert report["degree_dims"] == [[-2, 1], [-1, 2], [0, 2], [1, 2], [2, 1]]
     assert report["algebra"]["basis"][:3] == ["e1", "Je1", "t1"]
+
+
+def test_prolong_input_errors(capsys, tmp_path):
+    m = diagonal_form([1]).build_m_minus().to_json()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m))
+    assert main(["prolong", str(path), "--max-degree", "-1"]) == 2
+    m["brackets"][0][3] = "1/0"
+    path.write_text(json.dumps(m))
+    assert main(["prolong", str(path)]) == 2
 
 
 def test_classify_e6(capsys, tmp_path):

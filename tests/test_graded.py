@@ -135,6 +135,14 @@ def test_bracket_bilinear():
     assert g.bracket(x, z) == [Q(0)] * 3
 
 
+def test_ad_is_bracket_with_a_basis_vector():
+    for g in (sl2_sl2(), sl2_semidirect_adjoint(shear=True)):
+        v = [Q(3, 2), Q(0), Q(-2), Q(5, 7), Q(1), Q(-1, 3)]
+        for i in range(g.dim):
+            unit = [Q(int(t == i)) for t in range(g.dim)]
+            assert g.ad(i, v) == g.bracket(unit, v)
+
+
 def test_killing_sl2_hand_oracle():
     k = sl2().killing_form()
     assert k.entry(0, 0) == Q(8)
