@@ -139,14 +139,16 @@ def test_simple_ideal_vectors_of_sheared_sl2_sl2():
          ["0", "0", "0", "0", "1", "0"]]]
 
 
+ALGEBRA_A_MOVES = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
+                   [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
+                   [67, 23, -1], [68, 65, -1]]
+
+
 def test_change_basis_of_algebra_a_bytes():
-    moves = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
-             [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
-             [67, 23, -1], [68, 65, -1]]
     a = corpus.example_algebra_a().payload
     n = a.dim
     p = ExactMatrix.identity(n)
-    for i, j, c in moves:
+    for i, j, c in ALGEBRA_A_MOVES:
         for r in range(n):
             p.entries[r * n + j] += c * p.entries[r * n + i]
     text = json.dumps(a.change_basis(p).to_json(), sort_keys=True)
@@ -175,3 +177,43 @@ def test_fundamental_weight_strings():
         ["0", "0", "1", "1", "1", "-1", "-1", "1"],
         ["0", "0", "0", "1", "1", "-2/3", "-2/3", "2/3"],
         ["0", "0", "0", "0", "1", "-1/3", "-1/3", "1/3"]]
+
+
+def test_analyze_quadric_counterexample_report_bytes(capsys, tmp_path):
+    code, out = _cli_bytes(capsys, tmp_path,
+                           corpus.counterexample_quadric().payload.dump,
+                           "analyze-quadric")
+    assert code == 0
+    assert _sha(out) == "cdc09307ad1b64f594c7933a2f11b42588dae16cf40626932189b053257f01c7"
+
+
+def _levi_strings(g):
+    dec = g.levi_decomposition()
+    e_s = None if dec.E_s is None else [str(x) for x in dec.E_s]
+    return _sha(json.dumps([_strs(dec.s.vectors), _strs(dec.r.vectors)])), e_s
+
+
+def test_levi_vectors_of_algebra_a():
+    # the grading of algebra A is not inner, so there is no E_s
+    assert _levi_strings(corpus.example_algebra_a().payload) == (
+        "fa9b67c31bb8bbdff8befcb43df818a7b5234ddb5af2a0ff06653ba84c960933", None)
+
+
+def test_levi_vectors_of_a_basis_change_with_denominators():
+    # the transvections of test_change_basis_of_algebra_a_bytes, then every
+    # 7th column scaled by 2 or 3: 181 of the 967 structure constants get a
+    # denominator, and the Levi section picks up halves
+    a = corpus.example_algebra_a().payload
+    n = a.dim
+    p = ExactMatrix.identity(n)
+    for i, j, c in ALGEBRA_A_MOVES:
+        for r in range(n):
+            p.entries[r * n + j] += c * p.entries[r * n + i]
+    for j in range(0, n, 7):
+        for r in range(n):
+            p.entries[r * n + j] *= 2 + j % 2
+    g = a.change_basis(p)
+    assert sum(1 for comp in g.table.values() for c in comp.values()
+               if Q(c).denominator != 1) == 181
+    assert _levi_strings(g) == (
+        "df55a31126efaa59317869584d5864712de2fee565598f4d3d49ea9a931dc404", None)
