@@ -13,6 +13,11 @@ staying exact.  In ``row_echelon`` columns are processed left to right;
 within a column the pivot is the candidate whose leading value has the
 smallest bit length, ties broken by arrival order.  Everything is
 deterministic.
+
+Scalars handed back (solutions, residuals, coordinates, RREF rows) are
+Python ints, and a ``Fraction`` only where a division leaves a remainder
+(``ratio``); input vectors may mix the two.  Kernel vectors are read off
+one fraction-free back-elimination of the echelon rows.
 """
 
 from __future__ import annotations
@@ -181,16 +186,29 @@ def rank(rows, ncols) -> int:
     return len(pivots)
 
 
-def _back_substitute(pivots, pivot_rows, assignment):
-    """Fill pivot coordinates of ``assignment`` (dict col -> Fraction)."""
-    for i in range(len(pivots) - 1, -1, -1):
-        cols, vals = pivot_rows[i]
-        s = Fraction(0)
-        for c, v in zip(cols[1:], vals[1:]):
-            x = assignment.get(c)
-            if x:
-                s += v * x
-        assignment[pivots[i]] = -s / vals[0]
+def ratio(num, den):
+    """num/den as an int when den divides num, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _back_eliminate(pivots, pivot_rows):
+    """Clear every pivot column above its pivot, fraction-free.
+
+    Returns the rows of ``row_echelon`` with each row zero at every pivot
+    column but its own: row i leads at ``pivots[i]`` and its other
+    entries lie in non-pivot columns.
+    """
+    rows = list(pivot_rows)
+    row_of = {c: i for i, c in enumerate(pivots)}
+    # rows below are reduced first, so clearing one pivot column of a row
+    # never reintroduces another
+    for i in range(len(rows) - 1, -1, -1):
+        cols, vals = rows[i]
+        for c in [c for c in cols[1:] if c in row_of]:
+            cols, vals = combine(*rows[row_of[c]], cols, vals)
+        rows[i] = (cols, vals)
+    return rows
 
 
 def kernel_basis(rows, ncols):
@@ -200,25 +218,29 @@ def kernel_basis(rows, ncols):
     is scaled to coprime integers with positive entry at its free column.
     """
     pivots, pivot_rows, _ = row_echelon(rows, ncols)
+    # free column f -> (pivot, lead, entry) of every reduced row touching it
+    touching = {}
+    for p, (cols, vals) in zip(pivots, _back_eliminate(pivots, pivot_rows)):
+        for c, v in zip(cols[1:], vals[1:]):
+            touching.setdefault(c, []).append((p, vals[0], v))
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        assignment = {f: Fraction(1)}
-        _back_substitute(pivots, pivot_rows, assignment)
-        vec = [assignment.get(c, Fraction(0)) for c in range(ncols)]
-        lcm = 1
-        for x in vec:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [int(x * lcm) for x in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        basis.append(ints)
+        # x_f = 1 gives x_p = -v/lead; scale by the lcm m of the reduced
+        # denominators.  For each prime the row with the highest power
+        # in m leaves an entry prime to it, so the vector is primitive.
+        terms = touching.get(f, ())
+        m = 1
+        for _, lead, v in terms:
+            d = abs(lead) // gcd(lead, v)
+            m = m // gcd(m, d) * d
+        vec = [0] * ncols
+        vec[f] = m
+        for p, lead, v in terms:
+            vec[p] = -v * m // lead
+        basis.append(vec)
     return basis
 
 
@@ -227,15 +249,18 @@ def solve(rows, ncols_total, bcol):
 
     ``rows`` span [A | b] with the right-hand side in column ``bcol``;
     all other columns are unknowns.  Free unknowns are set to zero.
-    Returns a list of Fractions of length ``bcol`` or None when the
-    system is inconsistent.
+    Returns a list of length ``bcol`` of ints and Fractions (see
+    ``ratio``), or None when the system is inconsistent.
     """
     pivots, pivot_rows, residual = row_echelon(rows, ncols_total, max_pivot_col=bcol)
     if residual:
         return None
-    assignment = {bcol: Fraction(-1)}
-    _back_substitute(pivots, pivot_rows, assignment)
-    return [assignment.get(c, Fraction(0)) for c in range(bcol)]
+    out = [0] * bcol
+    for p, (cols, vals) in zip(pivots, _back_eliminate(pivots, pivot_rows)):
+        # lead*x_p + (free unknowns, all zero) + b*x_bcol = 0 with x_bcol = -1
+        if cols[-1] == bcol:
+            out[p] = ratio(vals[-1], vals[0])
+    return out
 
 
 class Echelon:
@@ -309,11 +334,11 @@ class Echelon:
         n = self.ncols
         cols, vals = self._reduce(*self._int_row(vector, [n]))
         m = vals[bisect_left(cols, n)]
-        out = [Fraction(0)] * n
+        out = [0] * n
         for c, x in zip(cols, vals):
             if c >= n:
                 break
-            out[c] = Fraction(x, m)
+            out[c] = ratio(x, m)
         return out
 
     def contains(self, vector) -> bool:
@@ -327,23 +352,23 @@ class Echelon:
         if cols[0] < n:
             return None
         m = vals[0]
-        out = [Fraction(0)] * self._added
+        out = [0] * self._added
         for c, x in zip(cols[1:], vals[1:]):
-            out[c - n - 1] = Fraction(-x, m)
+            out[c - n - 1] = ratio(-x, m)
         return out
 
     @property
     def basis(self):
-        """The RREF rows of the span, as dense Fraction lists."""
+        """The RREF rows of the span, as dense lists."""
         n = self.ncols
         out = []
         for p in sorted(self._rows):
             cols, vals = self._rows[p]
             lead = vals[0]
-            row = [Fraction(0)] * n
+            row = [0] * n
             for c, x in zip(cols, vals):
                 if c >= n:
                     break
-                row[c] = Fraction(x, lead)
+                row[c] = ratio(x, lead)
             out.append(row)
         return out

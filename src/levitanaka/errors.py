@@ -72,3 +72,11 @@ class WordInvalidError(LeviTanakaError):
 
 class NonIntegralPairingError(LeviTanakaError):
     """Coroot pairing was requested for a vector outside the weight lattice."""
+
+
+class InternalConsistencyError(LeviTanakaError, AssertionError):
+    """A certificate of a computed result failed (a bug, exit 3).
+
+    Raised instead of ``assert`` so that ``python -O`` keeps the check;
+    it is an AssertionError too, for callers that catch those.
+    """

@@ -7,8 +7,14 @@ Killing form, solvable radical, nilpotency series, grading element, a
 graded Levi-Malcev decomposition computed by correcting a section along
 the derived series of the radical, and the split into simple ideals.
 
-Everything is exact; every structural claim an operation returns is
-re-verified by membership and rank tests before it is handed back.
+Everything is exact.  The scalars are Python ints, and ``Fraction``s
+only where some division left a remainder: the table stores integral
+constants as ints, vectors start as ``[0] * n``, and the results of
+``elimination`` come through its ``ratio`` (an ``ExactMatrix``, such as
+the Killing form, holds Fractions).  Every structural claim an operation
+returns is re-verified by membership and rank tests before it is handed
+back; a failed certificate raises ``InternalConsistencyError``, which
+``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from itertools import combinations, product
 
 from . import elimination
 from .errors import (
+    InternalConsistencyError,
     LiftFailedError,
     NilradicalUnsupportedError,
     NoCharacteristicElementError,
@@ -67,7 +74,7 @@ def span_basis(vectors):
 
 def _combination(coeffs, vectors, n):
     """Dense sum of c * vectors[t] over the (t, c) pairs of ``coeffs``."""
-    out = [Q(0)] * n
+    out = [0] * n
     for t, c in coeffs:
         if c:
             for k, x in enumerate(vectors[t]):
@@ -82,6 +89,12 @@ def _basis_coordinates(vectors, ncols):
     if ech.rank != ncols:
         raise ValueError("matrix is singular")
     return ech
+
+
+def _exact(c):
+    """A rational as an int when it is integral, else as a Fraction."""
+    c = Q(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class ValidationReport:
@@ -116,14 +129,19 @@ class GradedLieAlgebra:
         self.names = list(names)
         self.degrees = list(degrees)
         self.table = {}
+        n = len(self.names)
         for (i, j), comp in table.items():
+            for x in (i, j, *comp):
+                if type(x) is not int or not 0 <= x < n:
+                    raise ValueError(f"bracket index {x!r} outside the basis "
+                                     f"of dimension {n}")
             if i == j:
                 if any(comp.values()):
                     raise ValueError("nonzero [x,x] entry")
                 continue
             if i > j:
                 i, j, comp = j, i, {k: -c for k, c in comp.items()}
-            clean = {k: Q(c) for k, c in comp.items() if c}
+            clean = {k: _exact(c) for k, c in comp.items() if c}
             if clean:
                 if (i, j) in self.table:
                     raise ValueError(f"duplicate bracket entry ({i},{j})")
@@ -132,6 +150,7 @@ class GradedLieAlgebra:
         self._cols = None
         self._killing = None
         self._radical = None
+        self._radical_series = None
 
     # -- basic structure ----------------------------------------------
 
@@ -171,7 +190,7 @@ class GradedLieAlgebra:
 
     def ad(self, i, v):
         """[e_i, v] for a dense coordinate vector v, from the ad-columns."""
-        out = [Q(0)] * self.dim
+        out = [0] * self.dim
         for j, comp in self._columns()[i].items():
             x = v[j]
             if x:
@@ -184,7 +203,7 @@ class GradedLieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector dimension mismatch")
         cols = self._columns()
-        out = [Q(0)] * self.dim
+        out = [0] * self.dim
         supp_y = [j for j, v in enumerate(y) if v]
         for i, xi in enumerate(x):
             if not xi:
@@ -226,16 +245,16 @@ class GradedLieAlgebra:
                     if cjk:
                         for m, c in cjk.items():
                             for t, c2 in ci.get(m, {}).items():
-                                acc[t] = acc.get(t, Q(0)) + c * c2
+                                acc[t] = acc.get(t, 0) + c * c2
                     cik = ci.get(k)
                     if cik:
                         for m, c in cik.items():
                             for t, c2 in cj.get(m, {}).items():
-                                acc[t] = acc.get(t, Q(0)) - c * c2
+                                acc[t] = acc.get(t, 0) - c * c2
                     if cij:
                         for m, c in cij.items():
                             for t, c2 in cols[k].get(m, {}).items():
-                                acc[t] = acc.get(t, Q(0)) + c * c2
+                                acc[t] = acc.get(t, 0) + c * c2
                     if any(acc.values()):
                         report.add("jacobi",
                                    f"Jacobi fails on ({self.names[i]},"
@@ -262,12 +281,12 @@ class GradedLieAlgebra:
             return self._killing
         n = self.dim
         cols = self._columns()
-        mat = [[Q(0)] * n for _ in range(n)]
+        mat = [[0] * n for _ in range(n)]
         for i in range(n):
             ci = cols[i]
             for j in range(i, n):
                 cj = cols[j]
-                s = Q(0)
+                s = 0
                 for l, col in cj.items():
                     # contribution sum_k ad_i[l, k] ad_j[k, l]
                     for k, c in col.items():
@@ -283,7 +302,7 @@ class GradedLieAlgebra:
         """Echelon basis of [g, g]."""
         vecs = []
         for comp in self.table.values():
-            v = [Q(0)] * self.dim
+            v = [0] * self.dim
             for k, c in comp.items():
                 v[k] = c
             vecs.append(v)
@@ -304,43 +323,45 @@ class GradedLieAlgebra:
             idxs = self.degree_indices(p)
             projections = []
             for v in vectors:
-                proj = [Q(0)] * self.dim
+                proj = [0] * self.dim
                 nonzero = False
                 for i in idxs:
                     if v[i]:
-                        proj[i] = Q(v[i])
+                        proj[i] = v[i]
                         nonzero = True
                 if nonzero:
                     projections.append(proj)
             out.extend(span_basis(projections))
-        assert len(out) == total, "subspace is not graded"
+        if len(out) != total:
+            raise InternalConsistencyError("subspace is not graded")
         return out
 
     def radical(self) -> Subspace:
         """Solvable radical: Killing-orthogonal of the derived algebra.
 
         Computed once per algebra, like the Killing form; every caller
-        gets the same Subspace.
+        gets the same Subspace.  Its derived series, the solvability
+        certificate, is kept for ``levi_decomposition``.
         """
         if self._radical is not None:
             return self._radical
         derived = self.derived_subalgebra_basis()
-        if not derived:
-            units = [[Q(int(i == j)) for j in range(self.dim)]
+        if derived:
+            killing = self.killing_form()
+            rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(d))))
+                    for d in derived]
+            basis = elimination.kernel_basis(rows, self.dim)
+            rad = Subspace(self, self.graded_components(basis))
+            self._verify_ideal(rad, "radical")
+        else:
+            units = [[int(i == j) for j in range(self.dim)]
                      for i in range(self.dim)]
-            self._radical = Subspace(self, self.graded_components(units))
-            return self._radical
-        killing = self.killing_form()
-        rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(d))))
-                for d in derived]
-        basis = elimination.kernel_basis(rows, self.dim)
-        vectors = self.graded_components([[Q(x) for x in v] for v in basis])
-        rad = Subspace(self, vectors)
-        self._verify_ideal(rad, "radical")
+            rad = Subspace(self, self.graded_components(units))
         series = self.derived_series(rad)
-        if series and series[-1].dim != 0:
-            raise AssertionError("radical candidate is not solvable (bug)")
+        if series[-1].dim != 0:
+            raise InternalConsistencyError("radical candidate is not solvable (bug)")
         self._radical = rad
+        self._radical_series = series
         return rad
 
     def _ad_maps_into(self, source: Subspace, target: Subspace) -> bool:
@@ -354,7 +375,7 @@ class GradedLieAlgebra:
 
     def _verify_ideal(self, sub: Subspace, label: str):
         if not self._ad_maps_into(sub, sub):
-            raise AssertionError(f"{label} is not an ideal (bug)")
+            raise InternalConsistencyError(f"{label} is not an ideal (bug)")
 
     def derived_series(self, sub: Subspace):
         """sub, [sub,sub], ... down to 0 (strictly decreasing, 0 included)."""
@@ -395,7 +416,7 @@ class GradedLieAlgebra:
         for j in range(self.dim):
             coeffs = {}
             for t, v in enumerate(rad.vectors):
-                s = Q(0)
+                s = 0
                 for i, x in enumerate(v):
                     if x:
                         s += x * killing.entry(i, j)
@@ -433,17 +454,17 @@ class GradedLieAlgebra:
             for pos, i in enumerate(zero_idx):
                 for k, c in cols[i].get(j, {}).items():
                     per_k.setdefault(k, {})[pos] = c
-            rhs_deg = Q(self.degrees[j])
+            rhs_deg = self.degrees[j]
             touched = set(per_k) | ({j} if rhs_deg else set())
             for k in sorted(touched):
                 coeffs = per_k.get(k, {})
-                rhs = rhs_deg if k == j else Q(0)
+                rhs = rhs_deg if k == j else 0
                 if coeffs or rhs:
                     rows.append(elimination.sparse_int_row(coeffs, rhs, bcol))
         if nun == 0:
             if any(self.degrees):
                 raise NoCharacteristicElementError("degree-0 part is zero")
-            return [Q(0)] * self.dim
+            return [0] * self.dim
         sol = elimination.solve(rows, nun + 1, nun)
         if sol is None:
             raise NoCharacteristicElementError("grading is not inner")
@@ -456,13 +477,15 @@ class GradedLieAlgebra:
         ambiguity = elimination.kernel_basis(hom_rows, nun)
         if ambiguity:
             raise NotUniqueCharacteristicElementError(len(ambiguity))
-        e = [Q(0)] * self.dim
+        e = [0] * self.dim
         for pos, i in enumerate(zero_idx):
             e[i] = sol[pos]
         for j in range(self.dim):
             # [e_j, E] = -p e_j on degree p
-            expect = [Q(-self.degrees[j]) if t == j else Q(0) for t in range(self.dim)]
-            assert self.ad(j, e) == expect, "characteristic element verification failed"
+            expect = [-self.degrees[j] if t == j else 0 for t in range(self.dim)]
+            if self.ad(j, e) != expect:
+                raise InternalConsistencyError(
+                    "characteristic element verification failed")
         return e
 
     def center(self) -> Subspace:
@@ -476,7 +499,7 @@ class GradedLieAlgebra:
         for key in sorted(per):
             rows.append(elimination.sparse_int_row(per[key]))
         basis = elimination.kernel_basis(rows, self.dim)
-        return Subspace(self, [[Q(x) for x in v] for v in basis])
+        return Subspace(self, basis)
 
     # -- subalgebra extraction ------------------------------------------
 
@@ -527,18 +550,19 @@ class GradedLieAlgebra:
         basis = elimination.Echelon(n, rad.vectors)
         for slot, i in enumerate(sorted(range(n), key=lambda i: self.degrees[i]),
                                  rad.dim):
-            if basis.add([Q(int(t == i)) for t in range(n)]):
+            if basis.add([int(t == i) for t in range(n)]):
                 complement_idx.append(i)
                 q_slots.append(slot)
         nq = len(complement_idx)
-        assert nq + rad.dim == n
+        if nq + rad.dim != n:
+            raise InternalConsistencyError("complement units do not complete the radical")
 
         def q_coords(vec):
             full = basis.coords(vec)
             return [full[slot] for slot in q_slots]
 
         q_deg = [self.degrees[i] for i in complement_idx]
-        sigma = [[Q(int(t == i)) for t in range(n)] for i in complement_idx]
+        sigma = [[int(t == i) for t in range(n)] for i in complement_idx]
         # the factor: g / radical on the complement units
         q_table = {}
         for a, i in enumerate(complement_idx):
@@ -561,8 +585,7 @@ class GradedLieAlgebra:
                         out[(a, b)] = delta
             return out
 
-        chain = self.derived_series(rad)
-        chain.append(Subspace(self, []))
+        chain = self._radical_series + [Subspace(self, [])]
         stage = 0
         delta = defects()
         while delta:
@@ -571,14 +594,17 @@ class GradedLieAlgebra:
             level = chain[stage]
             nxt = chain[stage + 1]
             for d in delta.values():
-                assert level.contains(d), "defect escaped the expected ideal"
+                if not level.contains(d):
+                    raise InternalConsistencyError("defect escaped the expected ideal")
             # unknown phi maps q-basis a into the degree-matching part of level
             slots = []
             slot_index = {}
             level_degree = []
             for m, w in enumerate(level.vectors):
                 wd = {self.degrees[i] for i, x in enumerate(w) if x}
-                assert len(wd) == 1, "radical layer vector is not homogeneous"
+                if len(wd) != 1:
+                    raise InternalConsistencyError(
+                        "radical layer vector is not homogeneous")
                 level_degree.append(wd.pop())
             for a in range(nq):
                 for m in range(level.dim):
@@ -610,7 +636,7 @@ class GradedLieAlgebra:
                 def accumulate(slot, sparse_vec, sign):
                     for t, x in sparse_vec.items():
                         d = per_coord.setdefault(t, {})
-                        d[slot] = d.get(slot, Q(0)) + sign * x
+                        d[slot] = d.get(slot, 0) + sign * x
 
                 for c, val in s_alg.bracket_elements(a, b).items():
                     for m in range(level.dim):
@@ -618,16 +644,16 @@ class GradedLieAlgebra:
                         if slot is not None and level_red[m]:
                             accumulate(slot, {t: val * x
                                               for t, x in level_red[m].items()},
-                                       Q(1))
+                                       1)
                 for m in range(level.dim):
                     slot = slot_index.get((b, m))
                     if slot is not None and (a, m) in sig_red:
-                        accumulate(slot, sig_red[(a, m)], Q(-1))
+                        accumulate(slot, sig_red[(a, m)], -1)
                     slot = slot_index.get((a, m))
                     if slot is not None and (b, m) in sig_red:
-                        accumulate(slot, sig_red[(b, m)], Q(1))
+                        accumulate(slot, sig_red[(b, m)], 1)
                 dvec = delta.get((a, b))
-                rhs_red = nxt.reduce(dvec) if dvec else [Q(0)] * n
+                rhs_red = nxt.reduce(dvec) if dvec else [0] * n
                 touched = set(per_coord) | {t for t, x in enumerate(rhs_red) if x}
                 for t in sorted(touched):
                     coeffs = {s: v for s, v in per_coord.get(t, {}).items() if v}
@@ -652,7 +678,8 @@ class GradedLieAlgebra:
             e = self.characteristic_element()
             e_s = _combination(enumerate(q_coords(e)), sigma, n)
             e_r = [x - y for x, y in zip(e, e_s)]
-            assert rad.contains(e_r)
+            if not rad.contains(e_r):
+                raise InternalConsistencyError("E_r is not in the radical")
         except (NoCharacteristicElementError, NotUniqueCharacteristicElementError):
             e_s = None
             e_r = None
@@ -678,7 +705,8 @@ class GradedLieAlgebra:
             rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(v))))
                     for v in ideal]
             comp = elimination.kernel_basis(rows, d)
-            assert len(comp) + di == d, "Killing complement has wrong dimension"
+            if len(comp) + di != d:
+                raise InternalConsistencyError("Killing complement has wrong dimension")
             for part in (ideal, comp):
                 self._split_simple([_combination(enumerate(cv), vecs, self.dim)
                                     for cv in part], out)
@@ -789,7 +817,7 @@ def _ideal_closure(alg: GradedLieAlgebra, t: int):
     """
     n = alg.dim
     span = elimination.Echelon(n)
-    work = [[Q(int(i == t)) for i in range(n)]]
+    work = [[int(i == t) for i in range(n)]]
     span.add(work[0])
     while work and span.rank < n:
         v = work.pop()

@@ -81,6 +81,12 @@ def test_prolong_input_errors(capsys, tmp_path):
     m["brackets"][0][3] = "1/0"
     path.write_text(json.dumps(m))
     assert main(["prolong", str(path)]) == 2
+    # bracket indices outside the 3-dim basis
+    for entry in ([0, 7, 2, "1"], [0, 1, 3, "1"], [-1, 1, 2, "1"]):
+        m["brackets"] = [entry]
+        path.write_text(json.dumps(m))
+        assert main(["prolong", str(path)]) == 2
+        assert "outside the basis" in capsys.readouterr().err
 
 
 def test_classify_e6(capsys, tmp_path):
@@ -211,3 +217,17 @@ def test_corpus_deep_tier_single_entry(capsys):
     names = {c["name"] for c in report["checks"][0]["checks"]}
     assert "prolong_dims" in names and "transitivity" in names
     assert report["verdicts"]["all_pass"] is True
+
+
+def test_failed_certificate_exits_3(capsys, tmp_path, monkeypatch):
+    from levitanaka import cli
+    from levitanaka.errors import InternalConsistencyError
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("subspace is not graded")
+
+    monkeypatch.setattr(cli, "prolong", broken)
+    path = tmp_path / "m.json"
+    diagonal_form([1]).build_m_minus().dump(path)
+    assert main(["prolong", str(path)]) == 3
+    assert "subspace is not graded" in capsys.readouterr().err

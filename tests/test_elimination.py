@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from levitanaka import elimination
 from levitanaka.scalars import GaussRational
 
-from naive_oracle import rref
+from naive_oracle import kernel, rref
 
 Q = Fraction
 
@@ -70,6 +71,70 @@ def test_growth_stays_controlled():
     _, pivot_rows, _ = elimination.row_echelon(rows, 30)
     worst = max(abs(v).bit_length() for _, vals in pivot_rows for v in vals)
     assert worst < 512
+
+
+# -- kernel_basis and solve against the brute-force oracle ----------------
+
+def _exact_scalar(x):
+    """An int, or a Fraction that is not an integer: the scalar convention."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, ncols): sparse integer rows, about half their entries zero."""
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    rows = [([c for c, x in enumerate(r) if x], [x for x in r if x]) for r in dense]
+    return rows, ncols
+
+
+def _dense(rows, ncols):
+    """Fraction rows for the oracle, whose x / lead on two ints is a float."""
+    out = []
+    for cols, vals in rows:
+        r = [Q(0)] * ncols
+        for c, v in zip(cols, vals):
+            r[c] = Q(v)
+        out.append(r)
+    return out
+
+
+def _primitive(vec):
+    """Oracle kernel vector (free entry 1) as coprime integers."""
+    m = 1
+    for x in vec:
+        m = m * x.denominator // gcd(m, x.denominator)
+    ints = [int(x * m) for x in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_matches_oracle(case):
+    rows, ncols = case
+    basis = elimination.kernel_basis(rows, ncols)
+    assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
+    assert all(type(x) is int for v in basis for x in v)
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_oracle(case):
+    rows, ncols = case
+    bcol = ncols - 1  # the last column is the right-hand side
+    sol = elimination.solve(rows, ncols, bcol)
+    ref, pivots = rref(_dense(rows, ncols))
+    if bcol in pivots:
+        assert sol is None
+        return
+    expected = [Q(0)] * bcol
+    for r, p in enumerate(pivots):
+        expected[p] = ref[r][bcol]  # free unknowns zero
+    assert sol == expected
+    assert all(_exact_scalar(x) for x in sol)
 
 
 # -- the incremental echelon against the brute-force oracle ---------------
@@ -171,3 +236,10 @@ def test_echelon_unique_coords_and_add_flags():
     assert e.coords([Q(2), Q(5), Q(1)]) == [Q(2), Q(1), Q(0)]
     assert e.coords([Q(0), Q(0), Q(1)]) is None
     assert e.basis == [[Q(1), Q(0), Q(-2)], [Q(0), Q(1), Q(1)]]
+    half = elimination.Echelon(3, [[2, 4, 0], [0, Q(3, 2), 3]])
+    for out in (e.coords([2, 5, 1]), *e.basis, half.reduce([1, 1, 1]),
+                half.coords([1, Q(7, 2), 3]), *half.basis):
+        assert all(_exact_scalar(x) for x in out)
+    assert half.coords([1, Q(7, 2), 3]) == [Q(1, 2), 1]
+    assert elimination.ratio(6, -3) == -2 and type(elimination.ratio(6, -3)) is int
+    assert elimination.ratio(3, -6) == Q(-1, 2)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import levitanaka
+from levitanaka import elimination
 from levitanaka.errors import (
+    InternalConsistencyError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
 )
@@ -332,3 +339,59 @@ def test_span_certificates_raise():
     singular = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
     with pytest.raises(ValueError, match="singular"):
         g.change_basis(singular)
+
+
+def _scaled_semidirect():
+    """sl2 + adjoint module in a basis with halves and thirds in its table."""
+    p = ExactMatrix.identity(6)
+    p.entries[1 * 6 + 1] = Q(2)
+    p.entries[4 * 6 + 1] = Q(1)
+    p.entries[5 * 6 + 5] = Q(3)
+    return sl2_semidirect_adjoint().change_basis(p)
+
+
+def test_results_hold_ints_and_fractions_only():
+    from levitanaka.prolongation import prolong
+    from levitanaka.quadric import diagonal_form
+
+    def exact(values):
+        values = list(values)
+        assert values and all(type(x) in (int, Fraction) for x in values)
+
+    g = _scaled_semidirect()
+    assert any(type(c) is Fraction for comp in g.table.values() for c in comp.values())
+    exact(x for v in g.radical().vectors for x in v)
+    exact(x for v in g.nilradical().vectors for x in v)
+    exact(g.characteristic_element())
+    dec = g.levi_decomposition()
+    exact(x for sub in (dec.s, dec.r) for v in sub.vectors for x in v)
+    exact(dec.E_s + dec.E_r)
+    exact(c for comp in dec.s_algebra.table.values() for c in comp.values())
+    table = prolong(diagonal_form([1, -1]).build_m_minus()).algebra.table
+    exact(c for comp in table.values() for c in comp.values())
+    exact(elimination.Echelon(6, dec.s.vectors).coords(dec.s.vectors[-1]))
+
+
+def test_certificates_survive_python_O():
+    # under -O a bare assert is stripped; the certificates must still raise
+    script = textwrap.dedent("""
+        from levitanaka.errors import InternalConsistencyError
+        from levitanaka.graded import GradedLieAlgebra, Subspace
+        g = GradedLieAlgebra(["h", "e", "f"], [0, 1, -1],
+                             {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+        for check in (lambda: g._verify_ideal(Subspace(g, [[0, 1, 0]]), "span of e"),
+                      lambda: g.graded_components([[1, 1, 0]])):
+            try:
+                check()
+            except InternalConsistencyError as exc:
+                print(exc)
+            else:
+                print("not raised")
+    """)
+    src = os.path.dirname(os.path.dirname(levitanaka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["span of e is not an ideal (bug)",
+                                "subspace is not graded"]
+    assert issubclass(InternalConsistencyError, AssertionError)
