@@ -9,7 +9,6 @@ import pytest
 import levitanaka
 from levitanaka import elimination
 from levitanaka.errors import (
-    InternalConsistencyError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
 )
@@ -394,4 +393,3 @@ def test_certificates_survive_python_O():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["span of e is not an ideal (bug)",
                                 "subspace is not graded"]
-    assert issubclass(InternalConsistencyError, AssertionError)
