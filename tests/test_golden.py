@@ -16,8 +16,11 @@ from fractions import Fraction
 import pytest
 
 from levitanaka import corpus
+from levitanaka.classify import enumerate_descriptors, in_kind2_list
 from levitanaka.cli import main
+from levitanaka.errors import NonIntegralPairingError
 from levitanaka.graded import Subspace
+from levitanaka.involution import certificate_report
 from levitanaka.matrices import ExactMatrix
 from levitanaka.quadric import HermitianFormSystem, diagonal_form
 from levitanaka.rootdata import RootSystem
@@ -177,6 +180,30 @@ def test_fundamental_weight_strings():
         ["0", "0", "1", "1", "1", "-1", "-1", "1"],
         ["0", "0", "0", "1", "1", "-2/3", "-2/3", "2/3"],
         ["0", "0", "0", "0", "1", "-1/3", "-1/3", "1/3"]]
+
+
+def test_tables_rank8_report_bytes(capsys):
+    assert main(["tables", "--max-rank", "8"]) == 0
+    assert _sha(capsys.readouterr().out) == \
+        "ebb2c6b76ee1da3c56296de56fee35f6323efd4bc9276de11840a1bb6541721c"
+
+
+def test_certificate_reports_rank8():
+    # every listed kind-2 descriptor up to rank 8, and the kind-1 ones whose
+    # 2 omega_j(E) are integers; the other 76 kind-1 ones raise
+    reports = []
+    rejected = 0
+    for d, kind in enumerate_descriptors(8):
+        if kind == 2 and not in_kind2_list(d):
+            continue
+        try:
+            reports.append(json.dumps(certificate_report(d), sort_keys=True))
+        except NonIntegralPairingError:
+            assert kind == 1, d
+            rejected += 1
+    assert (len(reports), rejected) == (176, 76)
+    assert _sha("\n".join(reports)) == \
+        "51284713a88044d52a2fb7e5bcf068532e83c6e4f18ec4b2925202446bb58654"
 
 
 def test_analyze_quadric_counterexample_report_bytes(capsys, tmp_path):
