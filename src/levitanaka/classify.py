@@ -20,8 +20,13 @@ from __future__ import annotations
 
 import json
 
-from .errors import AdmissibilityError, IncompleteFactorsError, KindError
-from .rootdata import root_system
+from .errors import (
+    AdmissibilityError,
+    IncompleteFactorsError,
+    InternalConsistencyError,
+    KindError,
+)
+from .rootdata import dynkin_edges, root_system
 
 REAL_FORMS = ("A III", "A IV", "D Ib", "D IIIb", "E II", "E III")
 ALL_FORMS = REAL_FORMS + ("COMPLEX",)
@@ -37,19 +42,6 @@ def node_index(name: str) -> int:
 
 def node_primed(name: str) -> bool:
     return name.endswith("'")
-
-
-def dynkin_edges(family: str, rank: int):
-    """1-based edges of one diagram copy."""
-    if family in ("A", "D"):
-        edges = [(i, i + 1) for i in range(1, rank)]
-        if family == "D":
-            edges[-1] = (rank - 2, rank)
-            edges.append((rank - 2, rank - 1))
-        return sorted(edges)
-    if family == "E6":
-        return [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
-    raise ValueError(f"unsupported family {family}")
 
 
 class FactorDescriptor:
@@ -177,8 +169,7 @@ class FactorDescriptor:
         return root_system(self.family, self.rank)
 
     def highest_root_coeff(self, name) -> int:
-        _, coeffs = self.root_system().highest_root()
-        return coeffs[node_index(name) - 1]
+        return self.root_system().highest_root()[node_index(name) - 1]
 
     # -- serialization -------------------------------------------------------
 
@@ -273,7 +264,8 @@ def grading_data(d: FactorDescriptor) -> GradingData:
             total = sum(d.highest_root_coeff(n) for n in support
                         if node_primed(n) == primed)
             per_copy.append(total)
-        assert per_copy[0] == per_copy[1], "copies disagree on the kind"
+        if per_copy[0] != per_copy[1]:
+            raise InternalConsistencyError("copies disagree on the kind")
         kind = per_copy[0]
     else:
         kind = sum(d.highest_root_coeff(n) for n in support)

@@ -10,8 +10,10 @@ the derived series of the radical, and the split into simple ideals.
 Everything is exact.  The scalars are Python ints, and ``Fraction``s
 only where some division left a remainder: the table stores integral
 constants as ints, vectors start as ``[0] * n``, and the results of
-``elimination`` come through its ``ratio`` (an ``ExactMatrix``, such as
-the Killing form, holds Fractions).  Every structural claim an operation
+``elimination`` come through its ``ratio``.  The Killing form is kept
+as sparse rows of such scalars, which the radical, nilradical and simple
+ideals read; only ``killing_form()``, an ``ExactMatrix``, holds
+Fractions.  Every structural claim an operation
 returns is re-verified by membership and rank tests before it is handed
 back; a failed certificate raises ``InternalConsistencyError``, which
 ``python -O`` keeps.
@@ -148,6 +150,7 @@ class GradedLieAlgebra:
                 self.table[(i, j)] = clean
         self.J = J
         self._cols = None
+        self._killing_rows = None
         self._killing = None
         self._radical = None
         self._radical_series = None
@@ -275,28 +278,45 @@ class GradedLieAlgebra:
 
     # -- Killing form and radical ----------------------------------------
 
-    def killing_form(self) -> ExactMatrix:
-        """Symmetric matrix of trace(ad x_i ad x_j)."""
-        if self._killing is not None:
-            return self._killing
+    def killing_rows(self):
+        """Sparse rows {j: trace(ad x_i ad x_j)} of the Killing form."""
+        if self._killing_rows is not None:
+            return self._killing_rows
         n = self.dim
         cols = self._columns()
-        mat = [[0] * n for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for i in range(n):
             ci = cols[i]
             for j in range(i, n):
-                cj = cols[j]
                 s = 0
-                for l, col in cj.items():
+                for l, col in cols[j].items():
                     # contribution sum_k ad_i[l, k] ad_j[k, l]
                     for k, c in col.items():
                         c2 = ci.get(k, {}).get(l)
                         if c2:
                             s += c * c2
-                mat[i][j] = s
-                mat[j][i] = s
-        self._killing = ExactMatrix.from_rows(mat)
+                if s:
+                    rows[i][j] = rows[j][i] = _exact(s)
+        self._killing_rows = rows
+        return rows
+
+    def killing_form(self) -> ExactMatrix:
+        """Symmetric matrix of trace(ad x_i ad x_j)."""
+        if self._killing is None:
+            n = self.dim
+            self._killing = ExactMatrix.from_rows(
+                [[row.get(j, 0) for j in range(n)] for row in self.killing_rows()])
         return self._killing
+
+    def _killing_apply(self, v):
+        """K v as a sparse {j: value} dict (K is symmetric)."""
+        rows = self.killing_rows()
+        out = {}
+        for i, x in enumerate(v):
+            if x:
+                for j, k in rows[i].items():
+                    out[j] = out.get(j, 0) + x * k
+        return out
 
     def derived_subalgebra_basis(self):
         """Echelon basis of [g, g]."""
@@ -347,8 +367,7 @@ class GradedLieAlgebra:
             return self._radical
         derived = self.derived_subalgebra_basis()
         if derived:
-            killing = self.killing_form()
-            rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(d))))
+            rows = [elimination.sparse_int_row(self._killing_apply(d))
                     for d in derived]
             basis = elimination.kernel_basis(rows, self.dim)
             rad = Subspace(self, self.graded_components(basis))
@@ -411,19 +430,13 @@ class GradedLieAlgebra:
         rad = self.radical()
         if rad.dim == 0:
             return rad
-        killing = self.killing_form()
-        rows = []
-        for j in range(self.dim):
-            coeffs = {}
-            for t, v in enumerate(rad.vectors):
-                s = 0
-                for i, x in enumerate(v):
-                    if x:
-                        s += x * killing.entry(i, j)
+        # row j: the coefficients t of (K v_t)_j over the radical basis v_t
+        per_col = {}
+        for t, v in enumerate(rad.vectors):
+            for j, s in self._killing_apply(v).items():
                 if s:
-                    coeffs[t] = s
-            if coeffs:
-                rows.append(elimination.sparse_int_row(coeffs))
+                    per_col.setdefault(j, {})[t] = s
+        rows = [elimination.sparse_int_row(per_col[j]) for j in sorted(per_col)]
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
         vectors = [_combination(enumerate(cv), rad.vectors, self.dim)
                    for cv in coeff_basis]
@@ -696,13 +709,12 @@ class GradedLieAlgebra:
         d = alg.dim
         if d == 0:
             return
-        killing = alg.killing_form()
         for t in range(d):
             ideal = _ideal_closure(alg, t)
             di = len(ideal)
             if di == d:
                 continue
-            rows = [elimination.sparse_int_row(dict(enumerate(killing.apply(v))))
+            rows = [elimination.sparse_int_row(alg._killing_apply(v))
                     for v in ideal]
             comp = elimination.kernel_basis(rows, d)
             if len(comp) + di != d:

@@ -5,8 +5,9 @@ orthogonal roots whose reflections multiply to the longest Weyl element;
 squares of the lifted reflections act on a highest-weight space V^lambda
 by (-1)^{<beta^vee, lambda>}, so parities of coroot pairings against the
 fundamental weights decide whether the lifted product is involutive with
-the right central sign.  Everything is certified at the weight-lattice
-and matrix level; no group elements are constructed.
+the right central sign.  Everything is certified on integer simple-root
+coefficients (see ``rootdata``); no group elements are constructed, and
+the ambient realization appears only in what is handed back.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import FactorDescriptor, grading_data
-from .errors import KindError, NonIntegralPairingError, PreconditionError, WordInvalidError
+from .errors import (
+    InternalConsistencyError,
+    KindError,
+    NonIntegralPairingError,
+    PreconditionError,
+    WordInvalidError,
+)
 from .matrices import ExactMatrix
-from .rootdata import _dot
 
 Q = Fraction
 
@@ -28,81 +34,101 @@ KIND1_NONE = "KIND1_NONE"
 
 # the four strongly orthogonal roots for E6, as simple-root coefficients
 _E6_WORD_COEFFS = [
-    [1, 0, 1, 1, 1, 1],
-    [1, 2, 2, 3, 2, 1],
-    [0, 0, 0, 1, 0, 0],
-    [0, 0, 1, 1, 1, 0],
+    (1, 0, 1, 1, 1, 1),
+    (1, 2, 2, 3, 2, 1),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 1, 1, 1, 0),
 ]
 
 
 class OrthogonalWord:
-    """Strongly orthogonal positive roots multiplying to w_0."""
+    """Strongly orthogonal positive roots multiplying to w_0.
 
-    def __init__(self, roots, descriptor, family, rank):
-        self.roots = roots
+    ``coeffs`` holds the roots as simple-root coefficient tuples; ``roots``
+    gives them as ambient vectors.
+    """
+
+    def __init__(self, coeffs, descriptor, family, rank):
+        self.coeffs = coeffs
         self.descriptor = descriptor
         self.family = family
         self.rank = rank
 
+    @property
+    def roots(self):
+        rs = self.descriptor.root_system()
+        return [rs.to_ambient(b) for b in self.coeffs]
+
     def __repr__(self):
-        return f"OrthogonalWord({self.family}{self.rank}, {len(self.roots)} roots)"
+        return f"OrthogonalWord({self.family}{self.rank}, {len(self.coeffs)} roots)"
 
 
-def _word_roots(rs):
-    l = rs.rank
-    if rs.family == "A":
-        dim = l + 1
-        roots = []
-        for j in range(1, (l + 1) // 2 + 1):
-            v = [Q(0)] * dim
-            v[j - 1] = Q(1)
-            v[l + 1 - j] = Q(-1)  # e_j - e_{l+2-j}, 1-based
-            roots.append(v)
-        return roots
-    if rs.family == "D":
+def _word_coeffs(family, l):
+    """The stored word of one diagram, as simple-root coefficient tuples."""
+    nodes = range(1, l + 1)
+    if family == "A":
+        # e_j - e_{l+2-j} = alpha_j + ... + alpha_{l+1-j}
+        return [tuple(int(j <= k <= l + 1 - j) for k in nodes)
+                for j in range(1, (l + 1) // 2 + 1)]
+    if family == "D":
         roots = []
         for i in range(1, l // 2 + 1):
-            for sign in (1, -1):
-                v = [Q(0)] * l
-                v[2 * i - 2] = Q(1)
-                v[2 * i - 1] = Q(sign)
-                roots.append(v)
+            a = 2 * i - 1
+            if a == l - 1:
+                plus = tuple(int(k == l) for k in nodes)  # alpha_l
+            else:
+                # e_a + e_{a+1} = alpha_a + 2(alpha_{a+1} + ... +
+                # alpha_{l-2}) + alpha_{l-1} + alpha_l
+                plus = tuple(0 if k < a else 1 if k == a or k >= l - 1 else 2
+                             for k in nodes)
+            roots.append(plus)
+            roots.append(tuple(int(k == a) for k in nodes))  # e_a - e_{a+1}
         return roots
-    roots = []
-    for coeffs in _E6_WORD_COEFFS:
-        v = [Q(0)] * rs.ambient
-        for k, c in enumerate(coeffs):
-            if c:
-                v = [x + c * a for x, a in zip(v, rs.simple_roots[k])]
-        roots.append(v)
-    return roots
+    return list(_E6_WORD_COEFFS)
+
+
+def _matmul(x, y):
+    return [[sum(a * y[k][j] for k, a in enumerate(row)) for j in range(len(y[0]))]
+            for row in x]
 
 
 def orthogonal_word(d: FactorDescriptor) -> OrthogonalWord:
     """The stored word for the descriptor's diagram, fully verified."""
     rs = d.root_system()
-    roots = _word_roots(rs)
-    positives = rs.positive_root_set()
-    for v in roots:
-        if tuple(v) not in positives:
-            raise WordInvalidError(f"{v} is not a positive root")
-    for i, a in enumerate(roots):
-        for b in roots[i + 1:]:
-            s = [x + y for x, y in zip(a, b)]
-            t = [x - y for x, y in zip(a, b)]
-            if rs.is_root(s) or rs.is_root(t):
+    word = _word_coeffs(rs.family, rs.rank)
+    for b in word:
+        if not rs.is_positive_root(b):
+            raise WordInvalidError(f"{list(b)} is not a positive root")
+    for i, b in enumerate(word):
+        for c in word[i + 1:]:
+            if rs.is_root([x + y for x, y in zip(b, c)]) or \
+                    rs.is_root([x - y for x, y in zip(b, c)]):
                 raise WordInvalidError("word is not strongly orthogonal")
-    mats = [rs.reflection_matrix(v) for v in roots]
+    mats = [rs.reflection(b) for b in word]
     for i, ma in enumerate(mats):
         for mb in mats[i + 1:]:
-            if ma * mb != mb * ma:
+            if _matmul(ma, mb) != _matmul(mb, ma):
                 raise WordInvalidError("word reflections do not commute")
-    product = ExactMatrix.identity(rs.ambient)
-    for m in mats:
-        product = product * m
-    if product != rs.longest_element().matrix:
+    # the reflections commute, so the order of the product does not matter
+    product = mats[0]
+    for m in mats[1:]:
+        product = _matmul(product, m)
+    if product != rs.w0_on_simple_coeffs():
         raise WordInvalidError("word product is not the longest element")
-    return OrthogonalWord(roots, d, d.family, d.rank)
+    return OrthogonalWord(word, d, d.family, d.rank)
+
+
+def _grading_coeffs(d: FactorDescriptor):
+    """The grading element on the simple roots: the sum of omega_i over the
+    support.  Since (omega_j, alpha_k) = delta_jk, omega_j(E) is entry j.
+
+    Raises AdmissibilityError when d is not admissible.
+    """
+    weights = d.root_system().fundamental_weight_coeffs()
+    e = [0] * d.rank
+    for i in grading_data(d).support_indices():
+        e = [x + y for x, y in zip(e, weights[i - 1])]
+    return e
 
 
 def grading_vector(d: FactorDescriptor):
@@ -110,12 +136,7 @@ def grading_vector(d: FactorDescriptor):
 
     Raises AdmissibilityError when d is not admissible.
     """
-    rs = d.root_system()
-    weights = rs.fundamental_weights()
-    e = [Q(0)] * rs.ambient
-    for i in grading_data(d).support_indices():
-        e = [x + y for x, y in zip(e, weights[i - 1])]
-    return e
+    return d.root_system().to_ambient(_grading_coeffs(d))
 
 
 def parity_table(w: OrthogonalWord, d: FactorDescriptor):
@@ -123,20 +144,19 @@ def parity_table(w: OrthogonalWord, d: FactorDescriptor):
 
     Row j: parity = sum_i <beta_i^vee, omega_j> mod 2, expected =
     2 omega_j(E) mod 2, and whether the two agree (the lifted product
-    squares to the required central sign on V^{omega_j}).
+    squares to the required central sign on V^{omega_j}).  The pairing
+    <beta^vee, omega_j> is the j-th simple-root coefficient of beta.
     """
-    rs = w.descriptor.root_system()
-    weights = rs.fundamental_weights()
-    e = grading_vector(d)
+    e = _grading_coeffs(d)
     rows = []
-    for j, omega in enumerate(weights, start=1):
-        parity = sum(rs.coroot_pairing(beta, omega) for beta in w.roots) % 2
-        two_omega_e = 2 * _dot(omega, e)
+    for j in range(w.rank):
+        parity = sum(b[j] for b in w.coeffs) % 2
+        two_omega_e = Q(2 * e[j])
         if two_omega_e.denominator != 1:
             raise NonIntegralPairingError(
-                f"2 omega_{j}(E) = {two_omega_e} is not an integer")
+                f"2 omega_{j + 1}(E) = {two_omega_e} is not an integer")
         expected = int(two_omega_e) % 2
-        rows.append({"weight": j, "parity": parity,
+        rows.append({"weight": j + 1, "parity": parity,
                      "expected": expected, "match": parity == expected})
     return rows
 
@@ -145,20 +165,21 @@ def kind1_degree_one_subword(d: FactorDescriptor):
     """Degree-1 roots of the word, for kind-1 factors in the hermitian list.
 
     Verifies the defining identity: the grading vector equals half the
-    sum of the degree-1 coroots (simply laced: roots).
+    sum of the degree-1 coroots (simply laced: roots).  Returns them as
+    ambient vectors.
     """
     g = grading_data(d)
     if g.kind != 1:
         raise KindError("degree-one subword is a kind-1 construction")
     w = orthogonal_word(d)
-    e = grading_vector(d)
-    sub = [beta for beta in w.roots if _dot(beta, e) == 1]
-    half_sum = [Q(0)] * len(e)
-    for beta in sub:
-        half_sum = [x + y / 2 for x, y in zip(half_sum, beta)]
-    if half_sum != e:
+    support = g.support_indices()
+    # beta(E) is the sum of beta's coefficients on the support
+    sub = [b for b in w.coeffs if sum(b[i - 1] for i in support) == 1]
+    half_sum = [Q(sum(b[k] for b in sub), 2) for k in range(d.rank)]
+    if half_sum != _grading_coeffs(d):
         raise WordInvalidError("degree-1 subword does not rebuild the grading")
-    return sub
+    rs = d.root_system()
+    return [rs.to_ambient(b) for b in sub]
 
 
 def gamma_case(d: FactorDescriptor) -> str:
@@ -217,11 +238,13 @@ def a_type_gamma(l: int, i: int) -> ExactMatrix:
     e = ExactMatrix.from_rows(
         [[Q(int(r == c)) * (1 if r < i else (-1 if r >= n - i else 0))
           for c in range(n)] for r in range(n)])
-    assert gamma.det() == 1, "determinant normalization failed"
-    ginv = gamma  # gamma^2 = Id for every middle block, so gamma^-1 = gamma
-    assert gamma * gamma == ExactMatrix.identity(n)
-    conj = gamma * e * ginv
-    assert conj == e.scale(Q(-1)), "conjugation does not reverse the grading"
+    if gamma.det() != 1:
+        raise InternalConsistencyError("determinant normalization failed")
+    # gamma^2 = Id for every middle block, so gamma^-1 = gamma
+    if gamma * gamma != ExactMatrix.identity(n):
+        raise InternalConsistencyError("gamma does not square to the identity")
+    if gamma * e * gamma != e.scale(Q(-1)):
+        raise InternalConsistencyError("conjugation does not reverse the grading")
     return gamma
 
 
@@ -232,12 +255,10 @@ def certificate_report(d: FactorDescriptor) -> dict:
     coefficient vectors, the parity table, and the certificate case.
     """
     w = orthogonal_word(d)
-    coeffs = d.root_system().positive_root_coeffs()
-    word_coeffs = [coeffs[tuple(beta)] for beta in w.roots]
     rows = parity_table(w, d)
     return {
         "descriptor": d.to_json(),
-        "word": word_coeffs,
+        "word": [list(b) for b in w.coeffs],
         "parity_table": {str(r["weight"]): {"parity": r["parity"],
                                             "expected": r["expected"],
                                             "match": r["match"]}

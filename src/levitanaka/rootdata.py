@@ -1,20 +1,29 @@
-"""Exact root systems for the A, D and E6 families.
+"""Exact root systems for the A, D and E6 families, in simple-root coordinates.
 
-Coordinate realizations follow the standard conventions: A_l lives in
-the sum-zero hyperplane of Q^{l+1} with alpha_i = e_i - e_{i+1}; D_l in
-Q^l with alpha_l = e_{l-1} + e_l; E6 in the 8-dimensional realization
-with its half-integral first simple root.  Node numbering matches the
-usual tables.  All pairings are realization-independent integers.
+A root system is integer data.  The Cartan matrix C is read off the
+Dynkin diagram.  The positive roots are int tuples of coefficients on the
+simple roots, found by closing the simple roots under the simple
+reflections s_i(c) = c - (Cc)_i e_i.  The families are simply laced, so
+every root has (beta, beta) = 2 and <beta^vee, gamma> = (beta, gamma) =
+b^T C c is an integer; in particular <beta^vee, omega_j> is the j-th
+coefficient of beta.  The longest Weyl element w_0 is a word found by
+the rho descent in fundamental-weight coordinates, and an integer matrix
+on the simple-root coefficients.  Only C^-1, the fundamental weights on
+the simple roots, is rational.  Node numbering matches the usual tables.
+
+The ambient realization is an output map, built only when asked for:
+A_l lives in the sum-zero hyperplane of Q^{l+1} with alpha_i = e_i -
+e_{i+1}; D_l in Q^l with alpha_l = e_{l-1} + e_l; E6 in the
+8-dimensional realization with its half-integral first simple root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import elimination
-from .errors import NonIntegralPairingError
-from .matrices import ExactMatrix
+from .errors import InternalConsistencyError, NonIntegralPairingError
 
 Q = Fraction
 
@@ -27,26 +36,25 @@ def root_system(family: str, rank: int) -> "RootSystem":
     return RootSystem(family, rank)
 
 
+def dynkin_edges(family: str, rank: int):
+    """1-based edges of one diagram copy."""
+    if family in ("A", "D"):
+        edges = [(i, i + 1) for i in range(1, rank)]
+        if family == "D":
+            edges[-1] = (rank - 2, rank)
+            edges.append((rank - 2, rank - 1))
+        return sorted(edges)
+    if family == "E6":
+        return [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
+    raise ValueError(f"unsupported family {family}")
+
+
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
-class WeylElement:
-    """Word in simple reflections together with its orthogonal matrix."""
-
-    def __init__(self, word, matrix):
-        self.word = list(word)
-        self.matrix = matrix
-
-    def apply(self, v):
-        return self.matrix.apply_sparse(list(v))
-
-    def __repr__(self):
-        return f"WeylElement(length={len(self.word)})"
-
-
 class RootSystem:
-    """Simple roots, Cartan matrix and Weyl combinatorics for one family."""
+    """Cartan matrix, positive roots and longest element of one diagram."""
 
     def __init__(self, family: str, rank: int):
         if family not in FAMILIES:
@@ -59,17 +67,146 @@ class RootSystem:
             raise ValueError("E6 has rank 6")
         self.family = family
         self.rank = rank
-        self.simple_roots = self._simple_roots()
-        self.ambient = len(self.simple_roots[0])
-        self.cartan_matrix = [
-            [int(self.pairing(a, b)) for b in self.simple_roots]
-            for a in self.simple_roots]
-        self._positive = None
-        self._coeffs = None
+        cartan = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+        for i, j in dynkin_edges(family, rank):
+            cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+        self.cartan_matrix = cartan
+        self._positive = self._close_simple_roots()
+        self._positive_set = frozenset(self._positive)
+        self._highest = None
         self._fundamental = None
-        self._longest = None
+        self._w0 = None
 
-    def _simple_roots(self):
+    # -- positive roots ----------------------------------------------------
+
+    def reflect(self, i, c):
+        """s_i(c) = c - (Cc)_i e_i on simple-root coefficients."""
+        out = list(c)
+        out[i] -= sum(a * x for a, x in zip(self.cartan_matrix[i], c))
+        return tuple(out)
+
+    def reflection(self, b):
+        """Integer matrix of s_beta on the simple-root coefficients.
+
+        Row i is s_beta(alpha_i) = alpha_i - (Cb)_i beta, so the matrix
+        acts on coefficient rows from the right.
+        """
+        cb = [sum(a * x for a, x in zip(row, b)) for row in self.cartan_matrix]
+        return [[int(i == j) - cb[i] * b[j] for j in range(self.rank)]
+                for i in range(self.rank)]
+
+    def _close_simple_roots(self):
+        l = self.rank
+        frontier = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+        seen = set(frontier)
+        while frontier:
+            new_frontier = []
+            for c in frontier:
+                for i in range(l):
+                    r = self.reflect(i, c)
+                    if min(r) >= 0 and r not in seen:
+                        seen.add(r)
+                        new_frontier.append(r)
+            frontier = new_frontier
+        return sorted(seen, key=lambda c: (sum(c), c))
+
+    def positive_roots(self):
+        """The positive roots as coefficient tuples, in (height, coeffs) order."""
+        return self._positive
+
+    def is_positive_root(self, c) -> bool:
+        return tuple(c) in self._positive_set
+
+    def is_root(self, c) -> bool:
+        return self.is_positive_root(c) or self.is_positive_root(-x for x in c)
+
+    def highest_root(self):
+        """Simple-root coefficients of the maximal positive root.
+
+        Its maximality is certified on the first call: adding any simple
+        root leaves the system.
+        """
+        if self._highest is None:
+            top = self._positive[-1]
+            for i in range(self.rank):
+                up = list(top)
+                up[i] += 1
+                if self.is_root(up):
+                    raise InternalConsistencyError(
+                        "highest root candidate not maximal")
+            self._highest = top
+        return self._highest
+
+    # -- fundamental weights ------------------------------------------------
+
+    def fundamental_weight_coeffs(self):
+        """omega_j on the simple roots: row j of C^-1, rational."""
+        if self._fundamental is not None:
+            return self._fundamental
+        l = self.rank
+        # omega_j = sum_k x_k alpha_k with C x = e_j: coordinates of e_j
+        # on the columns of the Cartan matrix C
+        cartan = elimination.Echelon(
+            l, [[row[k] for row in self.cartan_matrix] for k in range(l)])
+        if cartan.rank != l:
+            raise ValueError("matrix is singular")
+        self._fundamental = [cartan.coords([int(t == j) for t in range(l)])
+                             for j in range(l)]
+        return self._fundamental
+
+    # -- longest element -----------------------------------------------------
+
+    def _longest(self):
+        """(word, rows) of w_0, both certified once per root system."""
+        if self._w0 is not None:
+            return self._w0
+        # the rho descent: rho = (1, ..., 1) in fundamental-weight
+        # coordinates, and s_i(lam) = lam - lam_i alpha_i, where alpha_i
+        # has the coordinates of row i of C
+        lam = [1] * self.rank
+        word = []
+        while True:
+            i = next((i for i, x in enumerate(lam) if x > 0), None)
+            if i is None:
+                break
+            lam = [y - lam[i] * a for y, a in zip(lam, self.cartan_matrix[i])]
+            word.append(i)
+        if len(word) != len(self._positive):
+            raise InternalConsistencyError(
+                "w0 word length is not the number of positive roots")
+        rows = []
+        for i in range(self.rank):
+            c = tuple(int(j == i) for j in range(self.rank))
+            for j in word:
+                c = self.reflect(j, c)
+            if not self.is_positive_root(-x for x in c):
+                raise InternalConsistencyError("w0 image is not a negative root")
+            rows.append(c)
+        self._w0 = (word, rows)
+        return self._w0
+
+    def w0_on_simple_coeffs(self):
+        """Row i: coefficients of w_0(alpha_i) on the simple roots.
+
+        Each row is certified to be a negative root.
+        """
+        return [list(row) for row in self._longest()[1]]
+
+    def diagram_involution(self):
+        """The permutation eps with w_0(alpha_i) = -alpha_{eps(i)}."""
+        eps = {}
+        for i, row in enumerate(self.w0_on_simple_coeffs()):
+            nz = [(j, c) for j, c in enumerate(row) if c]
+            if len(nz) != 1 or nz[0][1] != -1:
+                raise InternalConsistencyError("w0 is not -(involution)")
+            eps[i] = nz[0][0]
+        return eps
+
+    # -- ambient realization (output only) ------------------------------------
+
+    @cached_property
+    def simple_roots(self):
+        """The simple roots as ambient Fraction vectors."""
         l = self.rank
         if self.family == "A":
             dim = l + 1
@@ -88,171 +225,29 @@ class RootSystem:
                 for i in range(1, 5)]
         return [a1, a2] + rest
 
-    # -- pairings ---------------------------------------------------------
+    @property
+    def ambient(self) -> int:
+        return len(self.simple_roots[0])
 
-    def pairing(self, alpha, beta) -> Q:
-        """<alpha^vee, beta> = 2(alpha, beta)/(alpha, alpha)."""
-        return 2 * _dot(alpha, beta) / _dot(alpha, alpha)
+    def to_ambient(self, coeffs):
+        """The ambient vector sum_k coeffs[k] alpha_k."""
+        v = [Q(0)] * self.ambient
+        for c, a in zip(coeffs, self.simple_roots):
+            if c:
+                v = [x + c * y for x, y in zip(v, a)]
+        return v
+
+    def fundamental_weights(self):
+        """omega_j with <alpha_i^vee, omega_j> = delta_ij, as ambient vectors."""
+        return [self.to_ambient(w) for w in self.fundamental_weight_coeffs()]
 
     def coroot_pairing(self, alpha, lam) -> int:
-        """Integer pairing of a coroot with a weight-lattice vector."""
-        value = self.pairing(alpha, lam)
+        """<alpha^vee, lam> = 2(alpha, lam)/(alpha, alpha) of ambient vectors,
+        for lam in the weight lattice."""
+        value = 2 * _dot(alpha, lam) / _dot(alpha, alpha)
         if value.denominator != 1:
             raise NonIntegralPairingError(f"pairing {value} is not an integer")
         return int(value)
-
-    def reflect(self, alpha, v):
-        c = 2 * _dot(alpha, v) / _dot(alpha, alpha)
-        return [x - c * a for x, a in zip(v, alpha)]
-
-    def reflection_matrix(self, alpha) -> ExactMatrix:
-        n = self.ambient
-        cols = []
-        for j in range(n):
-            unit = [Q(int(t == j)) for t in range(n)]
-            cols.append(self.reflect(alpha, unit))
-        return ExactMatrix.from_rows(
-            [[cols[j][i] for j in range(n)] for i in range(n)])
-
-    # -- positive roots ----------------------------------------------------
-
-    def positive_roots(self):
-        """All positive roots with their simple-root coefficient vectors.
-
-        Returned as a list of (vector, coeffs) generated by closing the
-        simple roots under simple reflections; sorted by (height, coeffs).
-        """
-        if self._positive is not None:
-            return self._positive
-        simple = self.simple_roots
-        seen = {}
-        frontier = []
-        for i, a in enumerate(simple):
-            coeffs = tuple(int(j == i) for j in range(self.rank))
-            seen[tuple(a)] = coeffs
-            frontier.append((a, coeffs))
-        while frontier:
-            new_frontier = []
-            for vec, coeffs in frontier:
-                for i, a in enumerate(simple):
-                    w = self.reflect(a, vec)
-                    c = 2 * _dot(a, vec) / _dot(a, a)
-                    nc = list(coeffs)
-                    nc[i] -= int(c)
-                    if all(x >= 0 for x in nc) and any(nc):
-                        key = tuple(w)
-                        if key not in seen:
-                            seen[key] = tuple(nc)
-                            new_frontier.append((w, tuple(nc)))
-            frontier = new_frontier
-        out = [([Q(x) for x in vec], list(coeffs))
-               for vec, coeffs in seen.items()]
-        out.sort(key=lambda rc: (sum(rc[1]), rc[1]))
-        self._positive = out
-        self._coeffs = {tuple(vec): coeffs for vec, coeffs in out}
-        return out
-
-    def root_vectors(self):
-        return [vec for vec, _ in self.positive_roots()]
-
-    def positive_root_coeffs(self):
-        """Map from each positive root, as a tuple, to its simple-root coefficients."""
-        self.positive_roots()
-        return self._coeffs
-
-    def positive_root_set(self):
-        """The positive roots as a set of tuples, for membership tests."""
-        return self.positive_root_coeffs().keys()
-
-    def is_root(self, v) -> bool:
-        vecs = self.positive_root_set()
-        return tuple(Q(x) for x in v) in vecs or tuple(-Q(x) for x in v) in vecs
-
-    def highest_root(self):
-        """(vector, simple-root coefficients) of the maximal positive root."""
-        pos = self.positive_roots()
-        vec, coeffs = pos[-1]
-        # maximality certificate: adding any simple root leaves the system
-        for a in self.simple_roots:
-            w = [x + y for x, y in zip(vec, a)]
-            assert not self.is_root(w), "highest root candidate not maximal"
-        return vec, coeffs
-
-    # -- fundamental weights ------------------------------------------------
-
-    def fundamental_weights(self):
-        """omega_j with <alpha_i^vee, omega_j> = delta_ij, in the root span."""
-        if self._fundamental is not None:
-            return self._fundamental
-        l = self.rank
-        # omega_j = sum_k x_k alpha_k with C x = e_j: coordinates of e_j
-        # on the columns of the Cartan matrix C
-        cartan = elimination.Echelon(
-            l, [[row[k] for row in self.cartan_matrix] for k in range(l)])
-        if cartan.rank != l:
-            raise ValueError("matrix is singular")
-        weights = []
-        for j in range(l):
-            coeffs = cartan.coords([Q(int(t == j)) for t in range(l)])
-            w = [Q(0)] * self.ambient
-            for k in range(l):
-                c = coeffs[k]
-                if c:
-                    w = [x + c * a for x, a in zip(w, self.simple_roots[k])]
-            weights.append(w)
-        self._fundamental = weights
-        return weights
-
-    # -- longest element -----------------------------------------------------
-
-    def longest_element(self) -> WeylElement:
-        """w_0 via the dominant-to-antidominant descent on rho."""
-        if self._longest is not None:
-            return self._longest
-        rho = [Q(0)] * self.ambient
-        for w in self.fundamental_weights():
-            rho = [x + y for x, y in zip(rho, w)]
-        word = []
-        v = rho
-        while True:
-            i = next((i for i, a in enumerate(self.simple_roots)
-                      if _dot(a, v) > 0), None)
-            if i is None:
-                break
-            v = self.reflect(self.simple_roots[i], v)
-            word.append(i)
-        assert len(word) == len(self.positive_roots())
-        mat = ExactMatrix.identity(self.ambient)
-        for i in word:
-            mat = self.reflection_matrix(self.simple_roots[i]) * mat
-        w0 = WeylElement(word, mat)
-        self._longest = w0
-        return w0
-
-    def w0_on_simple_coeffs(self):
-        """Row i: coefficients of w_0(alpha_i) on the simple roots.
-
-        Read as minus the coefficients of the positive root -w_0(alpha_i);
-        the lookup certifies that w_0 sends each simple root to a negative root.
-        """
-        w0 = self.longest_element()
-        coeffs = self.positive_root_coeffs()
-        out = []
-        for a in self.simple_roots:
-            row = coeffs.get(tuple(-x for x in w0.apply(a)))
-            assert row is not None, "w0 image is not a negative root"
-            out.append([-c for c in row])
-        return out
-
-    def diagram_involution(self):
-        """The permutation eps with w_0(alpha_i) = -alpha_{eps(i)}."""
-        rows = self.w0_on_simple_coeffs()
-        eps = {}
-        for i, row in enumerate(rows):
-            nz = [(j, c) for j, c in enumerate(row) if c]
-            assert len(nz) == 1 and nz[0][1] == -1, "w0 is not -(involution)"
-            eps[i] = nz[0][0]
-        return eps
 
     def __repr__(self):
         return f"RootSystem({self.family}, {self.rank})"

@@ -376,10 +376,34 @@ def test_certificates_survive_python_O():
     script = textwrap.dedent("""
         from levitanaka.errors import InternalConsistencyError
         from levitanaka.graded import GradedLieAlgebra, Subspace
+        from levitanaka.rootdata import RootSystem
         g = GradedLieAlgebra(["h", "e", "f"], [0, 1, -1],
                              {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+
+        def highest_not_last():
+            rs = RootSystem("D", 5)
+            rs._positive[-2:] = rs._positive[:-3:-1]
+            return rs.highest_root()
+
+        def word_too_short():
+            rs = RootSystem("A", 3)
+            rs._positive.append(rs._positive[0])
+            return rs.w0_on_simple_coeffs()
+
+        def simple_roots_dropped():
+            rs = RootSystem("A", 3)
+            rs._positive_set = frozenset(rs._positive[3:])
+            return rs.w0_on_simple_coeffs()
+
+        def w0_row_tampered():
+            rs = RootSystem("A", 3)
+            rs._longest()[1][0] = (-1, -1, -1)
+            return rs.diagram_involution()
+
         for check in (lambda: g._verify_ideal(Subspace(g, [[0, 1, 0]]), "span of e"),
-                      lambda: g.graded_components([[1, 1, 0]])):
+                      lambda: g.graded_components([[1, 1, 0]]),
+                      highest_not_last, word_too_short, simple_roots_dropped,
+                      w0_row_tampered):
             try:
                 check()
             except InternalConsistencyError as exc:
@@ -392,4 +416,8 @@ def test_certificates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["span of e is not an ideal (bug)",
-                                "subspace is not graded"]
+                                "subspace is not graded",
+                                "highest root candidate not maximal",
+                                "w0 word length is not the number of positive roots",
+                                "w0 image is not a negative root",
+                                "w0 is not -(involution)"]

@@ -52,9 +52,9 @@ def test_word_e6_contains_quoted_roots():
     coeff_sets = []
     for beta in w.roots:
         coeffs = None
-        for vec, c in rs.positive_roots():
-            if vec == beta:
-                coeffs = c
+        for c in rs.positive_roots():
+            if rs.to_ambient(c) == beta:
+                coeffs = list(c)
         coeff_sets.append(coeffs)
     assert [1, 0, 1, 1, 1, 1] in coeff_sets
     assert [1, 2, 2, 3, 2, 1] in coeff_sets
@@ -71,10 +71,13 @@ def test_word_e6_contains_quoted_roots():
 def test_word_verification_passes(d):
     w = orthogonal_word(d)
     rs = root_system(w.family, w.rank)
-    prod = ExactMatrix.identity(rs.ambient)
-    for beta in w.roots:
-        prod = prod * rs.reflection_matrix(beta)
-    assert prod == rs.longest_element().matrix
+    assert [rs.to_ambient(b) for b in w.coeffs] == w.roots
+    prod = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+    for b in w.coeffs:
+        m = rs.reflection(b)
+        prod = [[sum(x * m[k][j] for k, x in enumerate(row)) for j in range(rs.rank)]
+                for row in prod]
+    assert prod == rs.w0_on_simple_coeffs()
 
 
 def kminus(l):

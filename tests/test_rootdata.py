@@ -3,10 +3,91 @@ from fractions import Fraction
 import pytest
 
 from levitanaka.errors import NonIntegralPairingError
-from levitanaka.matrices import ExactMatrix
 from levitanaka.rootdata import RootSystem, _dot
 
 Q = Fraction
+
+# every diagram that ``tables --max-rank 8`` builds
+TABLES_RANK8 = ([("A", l) for l in range(1, 9)] + [("D", l) for l in range(4, 9)]
+                + [("E6", 6)])
+
+
+def _matmul(x, y):
+    return [[sum(a * y[k][j] for k, a in enumerate(row)) for j in range(len(y[0]))]
+            for row in x]
+
+
+def _transpose(x):
+    return [list(col) for col in zip(*x)]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _ambient_reflect(a, v):
+    c = 2 * _dot(a, v) / _dot(a, a)
+    return [x - c * y for x, y in zip(v, a)]
+
+
+def _ambient_closure(simple):
+    """Oracle: {positive root vector: coefficients}, by closing the ambient
+    simple roots under the simple reflections over Fractions."""
+    rank = len(simple)
+    seen = {}
+    frontier = []
+    for i, a in enumerate(simple):
+        coeffs = tuple(int(j == i) for j in range(rank))
+        seen[tuple(a)] = coeffs
+        frontier.append((a, coeffs))
+    while frontier:
+        new_frontier = []
+        for vec, coeffs in frontier:
+            for i, a in enumerate(simple):
+                w = _ambient_reflect(a, vec)
+                nc = list(coeffs)
+                nc[i] -= int(2 * _dot(a, vec) / _dot(a, a))
+                if all(x >= 0 for x in nc) and any(nc) and tuple(w) not in seen:
+                    seen[tuple(w)] = tuple(nc)
+                    new_frontier.append((w, tuple(nc)))
+        frontier = new_frontier
+    return seen
+
+
+@pytest.mark.parametrize("family,rank", TABLES_RANK8)
+def test_integer_data_matches_ambient_oracle(family, rank):
+    rs = RootSystem(family, rank)
+    simple = rs.simple_roots
+    assert rs.cartan_matrix == [
+        [int(2 * _dot(a, b) / _dot(a, a)) for b in simple] for a in simple]
+    roots = _ambient_closure(simple)
+    assert sorted(roots.values()) == sorted(rs.positive_roots())
+    for vec, coeffs in roots.items():
+        assert rs.to_ambient(coeffs) == list(vec)
+
+    def is_root(v):
+        return tuple(v) in roots or tuple(-x for x in v) in roots
+
+    top = max(roots, key=lambda v: (sum(roots[v]), roots[v]))
+    assert not any(is_root([x + y for x, y in zip(top, a)]) for a in simple)
+    assert rs.highest_root() == roots[top]
+    # w0 by the descent of rho = half the sum of the positive roots
+    v = [sum(xs) / 2 for xs in zip(*roots)]
+    word = []
+    while True:
+        i = next((i for i, a in enumerate(simple) if _dot(a, v) > 0), None)
+        if i is None:
+            break
+        v = _ambient_reflect(simple[i], v)
+        word.append(i)
+    rows = []
+    for a in simple:
+        for i in word:
+            a = _ambient_reflect(simple[i], a)
+        rows.append([-c for c in roots[tuple(-x for x in a)]])
+    assert rs.w0_on_simple_coeffs() == rows
+    assert rs.diagram_involution() == {
+        i: next(j for j, c in enumerate(row) if c) for i, row in enumerate(rows)}
 
 
 @pytest.mark.parametrize("family,rank,count", [
@@ -27,8 +108,7 @@ def test_positive_root_counts(family, rank, count):
 ])
 def test_highest_root_coefficients(family, rank, coeffs):
     rs = RootSystem(family, rank)
-    _, got = rs.highest_root()
-    assert got == coeffs
+    assert list(rs.highest_root()) == coeffs
 
 
 def test_cartan_matrix_shape():
@@ -43,21 +123,27 @@ def test_cartan_matrix_shape():
 
 
 def test_reflections_orthogonal():
+    # rows act on coefficient rows from the right, so the form (x, y) =
+    # x C y^T is invariant exactly when W C W^T = C
     rs = RootSystem("D", 4)
-    for alpha in rs.simple_roots:
-        m = rs.reflection_matrix(alpha)
-        assert m.transpose() * m == ExactMatrix.identity(rs.ambient)
+    cartan = rs.cartan_matrix
+    for b in rs.positive_roots():
+        m = rs.reflection(b)
+        assert _matmul(_matmul(m, cartan), _transpose(m)) == cartan
+        assert _matmul(m, m) == _identity(rs.rank)
 
 
 @pytest.mark.parametrize("family,rank", [
     ("A", 1), ("A", 2), ("A", 4), ("D", 4), ("D", 5), ("E6", 6)])
 def test_longest_element_involution_and_negativity(family, rank):
     rs = RootSystem(family, rank)
-    w0 = rs.longest_element()
-    assert w0.matrix * w0.matrix == ExactMatrix.identity(rs.ambient)
-    positives = {tuple(v) for v in rs.root_vectors()}
-    for v in rs.root_vectors():
-        img = tuple(-x for x in w0.apply(v))
+    w0 = rs.w0_on_simple_coeffs()
+    cartan = rs.cartan_matrix
+    assert _matmul(w0, w0) == _identity(rank)
+    assert _matmul(_matmul(w0, cartan), _transpose(w0)) == cartan
+    positives = set(rs.positive_roots())
+    for c in rs.positive_roots():
+        img = tuple(-x for x in _matmul([list(c)], w0)[0])
         assert img in positives
 
 
@@ -72,7 +158,8 @@ def test_diagram_involutions():
 
 def test_coroot_pairing_basics():
     rs = RootSystem("D", 5)
-    for v, _ in rs.positive_roots():
+    for c in rs.positive_roots():
+        v = rs.to_ambient(c)
         assert rs.coroot_pairing(v, v) == 2
     weights = rs.fundamental_weights()
     for i, a in enumerate(rs.simple_roots):
@@ -83,18 +170,20 @@ def test_coroot_pairing_basics():
 def test_coroot_pairing_d5_spin_example():
     rs = RootSystem("D", 5)
     e12 = [Q(1), Q(1), Q(0), Q(0), Q(0)]
-    assert rs.is_root(e12)
+    coeffs = (1, 2, 2, 1, 1)
+    assert rs.to_ambient(coeffs) == e12
+    assert rs.is_root(coeffs)
     omega4 = rs.fundamental_weights()[3]
-    assert rs.coroot_pairing(e12, omega4) == 1
+    assert rs.coroot_pairing(e12, omega4) == 1 == coeffs[3]
 
 
 def test_is_root_on_roots_negatives_and_non_roots():
     rs = RootSystem("D", 4)
-    for v, _ in rs.positive_roots():
-        assert rs.is_root(v) and rs.is_root([-x for x in v])
-        assert not rs.is_root([2 * x for x in v])
-    assert not rs.is_root([Q(0)] * rs.ambient)
-    assert rs.positive_root_set() == {tuple(v) for v in rs.root_vectors()}
+    for c in rs.positive_roots():
+        assert rs.is_root(c) and rs.is_root([-x for x in c])
+        assert not rs.is_root([2 * x for x in c])
+        assert rs.is_positive_root(c) and not rs.is_positive_root([-x for x in c])
+    assert not rs.is_root([0] * rs.rank)
 
 
 def test_fundamental_weights_e6_all_pairs():
@@ -136,12 +225,10 @@ def test_unsupported_families_rejected():
 def test_positive_roots_have_positive_height_order():
     rs = RootSystem("E6", 6)
     pos = rs.positive_roots()
-    heights = [sum(c) for _, c in pos]
+    heights = [sum(c) for c in pos]
     assert heights == sorted(heights)
     assert heights[0] == 1 and heights[-1] == 11
-    for v, c in pos:
-        rebuilt = [Q(0)] * rs.ambient
-        for k, ck in enumerate(c):
-            rebuilt = [x + ck * a for x, a in zip(rebuilt, rs.simple_roots[k])]
-        assert rebuilt == v
+    for c in pos:
+        v = rs.to_ambient(c)
         assert _dot(v, v) == 2
+        assert _matmul([list(c)], _matmul(rs.cartan_matrix, [[x] for x in c])) == [[2]]
