@@ -156,41 +156,37 @@ class RootSystem:
 
     # -- longest element -----------------------------------------------------
 
-    def _longest(self):
-        """(word, rows) of w_0, both certified once per root system."""
-        if self._w0 is not None:
-            return self._w0
-        # the rho descent: rho = (1, ..., 1) in fundamental-weight
-        # coordinates, and s_i(lam) = lam - lam_i alpha_i, where alpha_i
-        # has the coordinates of row i of C
-        lam = [1] * self.rank
-        word = []
-        while True:
-            i = next((i for i, x in enumerate(lam) if x > 0), None)
-            if i is None:
-                break
-            lam = [y - lam[i] * a for y, a in zip(lam, self.cartan_matrix[i])]
-            word.append(i)
-        if len(word) != len(self._positive):
-            raise InternalConsistencyError(
-                "w0 word length is not the number of positive roots")
-        rows = []
-        for i in range(self.rank):
-            c = tuple(int(j == i) for j in range(self.rank))
-            for j in word:
-                c = self.reflect(j, c)
-            if not self.is_positive_root(-x for x in c):
-                raise InternalConsistencyError("w0 image is not a negative root")
-            rows.append(c)
-        self._w0 = (word, rows)
-        return self._w0
-
     def w0_on_simple_coeffs(self):
         """Row i: coefficients of w_0(alpha_i) on the simple roots.
 
-        Each row is certified to be a negative root.
+        On the first call the w_0 word comes from the rho descent: rho =
+        (1, ..., 1) in fundamental-weight coordinates, and s_i(lam) = lam
+        - lam_i alpha_i, where alpha_i has the coordinates of row i of C.
+        Its length is certified to be the number of positive roots, and
+        each row to be a negative root.
         """
-        return [list(row) for row in self._longest()[1]]
+        if self._w0 is None:
+            lam = [1] * self.rank
+            word = []
+            while True:
+                i = next((i for i, x in enumerate(lam) if x > 0), None)
+                if i is None:
+                    break
+                lam = [y - lam[i] * a for y, a in zip(lam, self.cartan_matrix[i])]
+                word.append(i)
+            if len(word) != len(self._positive):
+                raise InternalConsistencyError(
+                    "w0 word length is not the number of positive roots")
+            rows = []
+            for i in range(self.rank):
+                c = tuple(int(j == i) for j in range(self.rank))
+                for j in word:
+                    c = self.reflect(j, c)
+                if not self.is_positive_root(-x for x in c):
+                    raise InternalConsistencyError("w0 image is not a negative root")
+                rows.append(c)
+            self._w0 = rows
+        return [list(row) for row in self._w0]
 
     def diagram_involution(self):
         """The permutation eps with w_0(alpha_i) = -alpha_{eps(i)}."""

@@ -397,7 +397,8 @@ def test_certificates_survive_python_O():
 
         def w0_row_tampered():
             rs = RootSystem("A", 3)
-            rs._longest()[1][0] = (-1, -1, -1)
+            rs.w0_on_simple_coeffs()
+            rs._w0[0] = (-1, -1, -1)
             return rs.diagram_involution()
 
         for check in (lambda: g._verify_ideal(Subspace(g, [[0, 1, 0]]), "span of e"),
