@@ -83,6 +83,10 @@ class FactorDescriptor:
         nodes = self.nodes()
         if not self.phi or not self.phi <= nodes:
             raise ValueError("phi must be a nonempty subset of the nodes")
+        # a descriptor never changes: its admissibility and grading data
+        # are worked out once (phi_is_admissible, grading_data)
+        self._admissible = None
+        self._grading = None
 
     # -- diagram data ------------------------------------------------------
 
@@ -226,8 +230,14 @@ def phi_is_admissible(d: FactorDescriptor) -> bool:
     sitting at a coefficient-1 node is the one-sided hermitian pattern:
     its grading pairs the node with its mirror copy, so condition (3)
     is waived for it (such factors have kind 1 and no compatibility
-    constraint to protect).
+    constraint to protect).  Decided once per descriptor.
     """
+    if d._admissible is None:
+        d._admissible = _phi_conditions_hold(d)
+    return d._admissible
+
+
+def _phi_conditions_hold(d: FactorDescriptor) -> bool:
     eps = d.epsilon()
     eps_phi = {eps[n] for n in d.phi}
     if d.phi & d.compact_nodes():
@@ -253,6 +263,9 @@ def phi_is_admissible(d: FactorDescriptor) -> bool:
 
 
 def grading_data(d: FactorDescriptor) -> GradingData:
+    """Grading data of an admissible descriptor, computed once and shared."""
+    if d._grading is not None:
+        return d._grading
     if not phi_is_admissible(d):
         raise AdmissibilityError(f"{d!r} is not admissible")
     eps = d.epsilon()
@@ -269,7 +282,8 @@ def grading_data(d: FactorDescriptor) -> GradingData:
         kind = per_copy[0]
     else:
         kind = sum(d.highest_root_coeff(n) for n in support)
-    return GradingData(e_coords, kind)
+    d._grading = GradingData(e_coords, kind)
+    return d._grading
 
 
 def w0_reverses_E(d: FactorDescriptor) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import FactorDescriptor
+from .errors import InternalConsistencyError
 from .graded import GradedLieAlgebra
 from .matrices import ExactMatrix
 from .quadric import HermitianFormSystem, diagonal_form, extract_components
@@ -118,7 +119,7 @@ class ComplexAlgebraBuilder:
                 i, j = j, i
                 comp = {k: -c for k, c in comp.items()}
             if (i, j) in table:
-                raise AssertionError("duplicate realified entry")
+                raise InternalConsistencyError("duplicate realified entry")
             table[(i, j)] = comp
 
         for (i, j), comp in self.brackets.items():

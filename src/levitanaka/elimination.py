@@ -11,8 +11,12 @@ fraction-free: ``combine`` forms ``a*row - b*pivot_row`` and divides the
 result by the gcd of its entries, which keeps growth under control while
 staying exact.  In ``row_echelon`` columns are processed left to right;
 within a column the pivot is the candidate whose leading value has the
-smallest bit length, ties broken by arrival order.  Everything is
-deterministic.
+smallest bit length, then the one with the fewest entries (Markowitz's
+rule restricted to one column: a sparse pivot row fills in the fewest
+entries of the rows it clears), ties broken by arrival order.  The pivot
+choice never changes a result that is read off the reduced row echelon
+form (RREF), which is unique: the pivot columns, ``kernel_basis`` and
+``solve``.  Everything is deterministic.
 
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
@@ -164,12 +168,10 @@ def row_echelon(rows, ncols, max_pivot_col=None):
             residual.extend(bucket)
             continue
         best = 0
-        best_key = (abs(bucket[0][2][0]).bit_length(), bucket[0][0])
-        for idx in range(1, len(bucket)):
-            key = (abs(bucket[idx][2][0]).bit_length(), bucket[idx][0])
-            if key < best_key:
-                best_key = key
-                best = idx
+        if len(bucket) > 1:
+            keys = [(abs(vals[0]).bit_length(), len(cols), order)
+                    for order, cols, vals in bucket]
+            best = keys.index(min(keys))
         _, pcols, pvals = bucket.pop(best)
         pivots.append(c)
         pivot_rows.append((pcols, pvals))
@@ -216,6 +218,10 @@ def kernel_basis(rows, ncols):
 
     One vector per free column, in increasing column order; each vector
     is scaled to coprime integers with positive entry at its free column.
+    A vector is zero at every other free column, and its free column is
+    its last nonzero entry (the pivots it touches lie to the left), so
+    the coordinates of a member of the span are its entries at the free
+    columns divided by those of the vectors.
     """
     pivots, pivot_rows, _ = row_echelon(rows, ncols)
     # free column f -> (pivot, lead, entry) of every reduced row touching it

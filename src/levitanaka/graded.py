@@ -13,10 +13,15 @@ constants as ints, vectors start as ``[0] * n``, and the results of
 ``elimination`` come through its ``ratio``.  The Killing form is kept
 as sparse rows of such scalars, which the radical, nilradical and simple
 ideals read; only ``killing_form()``, an ``ExactMatrix``, holds
-Fractions.  Every structural claim an operation
-returns is re-verified by membership and rank tests before it is handed
-back; a failed certificate raises ``InternalConsistencyError``, which
-``python -O`` keeps.
+Fractions.  The Killing form is degree-paired: trace(ad x_i ad x_j) is
+summed only where d_i + d_j = 0, since ad x_i ad x_j shifts every degree
+by d_i + d_j and so has no diagonal otherwise.  That rests on degree
+additivity, which is checked once per algebra; a table that fails it
+raises rather than getting a wrong Killing form.  ``validate`` checks
+Jacobi on every triple, one pass over the ad-columns per pair.  Every
+structural claim an operation returns is re-verified by membership and
+rank tests before it is handed back; a failed certificate raises
+``InternalConsistencyError``, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ class GradedLieAlgebra:
                 self.table[(i, j)] = clean
         self.J = J
         self._cols = None
+        self._bad_degrees = None
         self._killing_rows = None
         self._killing = None
         self._radical = None
@@ -228,42 +234,19 @@ class GradedLieAlgebra:
         """Check degree additivity, Jacobi on all triples, and J^2 = -Id."""
         report = ValidationReport()
         deg = self.degrees
-        for (i, j), comp in self.table.items():
-            for k, c in comp.items():
-                if deg[k] != deg[i] + deg[j]:
-                    report.add("degree_additivity",
-                               f"[{self.names[i]},{self.names[j]}] hits degree "
-                               f"{deg[k]} != {deg[i]}+{deg[j]}",
-                               triple=(i, j, k))
-        cols = self._columns()
-        n = self.dim
-        for i in range(n):
-            ci = cols[i]
-            for j in range(i + 1, n):
-                cij = ci.get(j)
-                cj = cols[j]
-                for k in range(j + 1, n):
-                    acc = {}
-                    cjk = cj.get(k)
-                    if cjk:
-                        for m, c in cjk.items():
-                            for t, c2 in ci.get(m, {}).items():
-                                acc[t] = acc.get(t, 0) + c * c2
-                    cik = ci.get(k)
-                    if cik:
-                        for m, c in cik.items():
-                            for t, c2 in cj.get(m, {}).items():
-                                acc[t] = acc.get(t, 0) - c * c2
-                    if cij:
-                        for m, c in cij.items():
-                            for t, c2 in cols[k].get(m, {}).items():
-                                acc[t] = acc.get(t, 0) + c * c2
-                    if any(acc.values()):
-                        report.add("jacobi",
-                                   f"Jacobi fails on ({self.names[i]},"
-                                   f"{self.names[j]},{self.names[k]})",
-                                   triple=(i, j, k))
-                        return report
+        for i, j, k in self._degree_violations():
+            report.add("degree_additivity",
+                       f"[{self.names[i]},{self.names[j]}] hits degree "
+                       f"{deg[k]} != {deg[i]}+{deg[j]}",
+                       triple=(i, j, k))
+        triple = self._jacobi_failure()
+        if triple is not None:
+            i, j, k = triple
+            report.add("jacobi",
+                       f"Jacobi fails on ({self.names[i]},"
+                       f"{self.names[j]},{self.names[k]})",
+                       triple=triple)
+            return report
         if self.J is not None:
             block = self.degree_indices(-1)
             d = len(block)
@@ -276,18 +259,86 @@ class GradedLieAlgebra:
                     report.add("J_square", "J^2 != -Id on the degree -1 block")
         return report
 
+    def _degree_violations(self):
+        """Table entries (i, j, k) with deg k != deg i + deg j, found once."""
+        if self._bad_degrees is None:
+            deg = self.degrees
+            self._bad_degrees = [(i, j, k) for (i, j), comp in self.table.items()
+                                 for k in comp if deg[k] != deg[i] + deg[j]]
+        return self._bad_degrees
+
+    def _jacobi_failure(self):
+        """The first triple i < j < k, in lexicographic order, failing Jacobi.
+
+        One pass per pair (i, j) sums the three terms of the Jacobi sum
+        [e_i, [e_j, e_k]] - [e_j, [e_i, e_k]] - [[e_i, e_j], e_k] for every
+        k > j at once, keyed by k * dim + t for the coefficient of e_t;
+        the smallest failing k of the first failing pair is reported.
+        """
+        cols = self._columns()
+        n = self.dim
+        for i in range(n):
+            ci = cols[i]
+            for j in range(i + 1, n):
+                cj = cols[j]
+                acc = {}
+                for k, cjk in cj.items():
+                    if k > j:
+                        base = k * n
+                        for m, c in cjk.items():
+                            cim = ci.get(m)
+                            if cim:
+                                for t, c2 in cim.items():
+                                    acc[base + t] = acc.get(base + t, 0) + c * c2
+                for k, cik in ci.items():
+                    if k > j:
+                        base = k * n
+                        for m, c in cik.items():
+                            cjm = cj.get(m)
+                            if cjm:
+                                for t, c2 in cjm.items():
+                                    acc[base + t] = acc.get(base + t, 0) - c * c2
+                cij = ci.get(j)
+                if cij:
+                    for m, c in cij.items():
+                        for k, cmk in cols[m].items():
+                            if k > j:
+                                base = k * n
+                                for t, c2 in cmk.items():
+                                    acc[base + t] = acc.get(base + t, 0) - c * c2
+                failing = [key for key, v in acc.items() if v]
+                if failing:
+                    return i, j, min(failing) // n
+        return None
+
     # -- Killing form and radical ----------------------------------------
 
     def killing_rows(self):
-        """Sparse rows {j: trace(ad x_i ad x_j)} of the Killing form."""
+        """Sparse rows {j: trace(ad x_i ad x_j)} of the Killing form.
+
+        ad x_i ad x_j raises degrees by d_i + d_j, so its trace vanishes
+        unless d_i + d_j = 0, and only those degree-paired entries are
+        summed.  That rests on degree additivity: a table that is not
+        degree-additive raises ``InternalConsistencyError``.
+        """
         if self._killing_rows is not None:
             return self._killing_rows
+        bad = self._degree_violations()
+        if bad:
+            i, j, k = bad[0]
+            raise InternalConsistencyError(
+                f"Killing form of a table that is not degree-additive: "
+                f"[{self.names[i]},{self.names[j]}] hits {self.names[k]}")
         n = self.dim
+        deg = self.degrees
         cols = self._columns()
+        partners = {d: self.degree_indices(-d) for d in set(deg)}
         rows = [{} for _ in range(n)]
         for i in range(n):
             ci = cols[i]
-            for j in range(i, n):
+            for j in partners[deg[i]]:
+                if j < i:
+                    continue
                 s = 0
                 for l, col in cols[j].items():
                     # contribution sum_k ad_i[l, k] ad_j[k, l]

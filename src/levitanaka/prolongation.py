@@ -18,13 +18,19 @@ target, then by source.  ``kernel_basis`` returns one primitive vector
 per free column, so it is canonical for a fixed column order: this order
 fixes the layer bases, and with them every byte of the reports.
 
-A solved layer writes its [u, x] into the table at once.  Brackets
-between layers follow by increasing total degree from
-[[u, v], x] = [u, [v, x]] - [v, [u, x]], expressed in coordinates on the
-target layer's kernel vectors, which share its column layout (unique by
-transitivity).  Iteration stops at the first vanishing layer; the
-assembled algebra is re-validated in full and its grading element
-computed.
+A solved layer writes its [u, x] into the table at once, and into an
+ad-column map that every later bracket lookup reads.  Iteration stops at
+the first vanishing layer.  Brackets between layers follow by increasing
+total degree from [[u, v], x] = [u, [v, x]] - [v, [u, x]], read at free
+columns: each kernel vector of a layer ends at its own free column, where
+every other vector of that layer is zero, so the coordinate of [u, v] on
+it is the action at that one column divided by the vector's entry there.
+Only those columns are computed.  The reading is certified, not assumed:
+the assembled algebra is re-validated in full, and Jacobi on (u, v, x)
+for every x in m is exactly the statement that [u, v] acts on m as
+computed (which fixes [u, v], by transitivity), including [u, v] = 0 past
+the top degree.  A failed re-validation raises
+``InternalConsistencyError``.  The grading element is computed last.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import elimination
-from .errors import CapReachedError, PreconditionError
+from .errors import CapReachedError, InternalConsistencyError, PreconditionError
 from .graded import GradedLieAlgebra
 from .matrices import ExactMatrix
 
@@ -120,15 +126,17 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
     sources = block1 + block2
     names = list(m.names)
     degrees = list(m.degrees)
-    table = {key: dict(comp) for key, comp in m.table.items()}  # (i, j), i < j
+    table = {}  # (i, j), i < j
+    ad = [{} for _ in names]  # ad[i][j] = [e_i, e_j], both orders
     by_degree = {-1: block1, -2: block2}
-    layouts = []  # layouts[p][x, k]: column of the coefficient of k in [u, x]
-    spans = []  # spans[p]: Echelon on layer p's kernel vectors
+    free = []  # free[p]: (x, k, entry) at the free column of each layer-p vector
 
-    def br(i, j):
-        if i < j:
-            return table.get((i, j), {})
-        return {k: -c for k, c in table.get((j, i), {}).items()}
+    def put(i, j, comp):
+        table[i, j] = ad[i][j] = comp
+        ad[j][i] = {k: -c for k, c in comp.items()}
+
+    for (i, j), comp in m.table.items():
+        put(i, j, dict(comp))
 
     def layout(p):
         cols = {}
@@ -142,14 +150,15 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
         rows = []
         # [u, [x, y]] - [[u, x], y] - [x, [u, y]] = 0, one row per target k
         for a, x in enumerate(block1):
+            adx = ad[x]
             for y in sources[a + 1:]:
                 eqs = {}
-                terms = [(k, (w, k), c) for w, c in br(x, y).items()
+                terms = [(k, (w, k), c) for w, c in adx.get(y, {}).items()
                          for k in by_degree.get(degrees[w] + p, ())]
                 terms += [(k, (x, t), -c) for t in by_degree.get(degrees[x] + p, ())
-                          for k, c in br(t, y).items()]
+                          for k, c in ad[t].get(y, {}).items()]
                 terms += [(k, (y, s), -c) for s in by_degree.get(degrees[y] + p, ())
-                          for k, c in br(x, s).items()]
+                          for k, c in adx.get(s, {}).items()]
                 for k, key, c in terms:
                     eq = eqs.setdefault(k, {})
                     eq[cols[key]] = eq.get(cols[key], 0) + c
@@ -178,53 +187,51 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
         by_degree[p] = list(range(len(names), len(names) + len(basis)))
         names += [f"d{p}_{i}" for i in range(len(basis))]
         degrees += [p] * len(basis)
+        ad += [{} for _ in basis]
         for g, v in zip(by_degree[p], basis):
             for x in sources:
                 comp = {k: -v[cols[x, k]] for k in by_degree.get(degrees[x] + p, ())
                         if v[cols[x, k]]}
                 if comp:
-                    table[x, g] = comp
-        layouts.append(cols)
-        spans.append(elimination.Echelon(len(cols), basis))
+                    put(x, g, comp)
+        key_of = list(cols)
+        last = [max(c for c, x in enumerate(v) if x) for v in basis]
+        free.append([(*key_of[f], v[f]) for f, v in zip(last, basis)])
     if terminated_at == 0:
-        raise AssertionError("degree 0 lost the grading derivation (bug)")
+        raise InternalConsistencyError("degree 0 lost the grading derivation (bug)")
     # all higher layers vanish: check one extra degree
     if solve_layer(terminated_at + 1, layout(terminated_at + 1)):
-        raise AssertionError("prolongation did not stabilize after a zero layer")
+        raise InternalConsistencyError(
+            "prolongation did not stabilize after a zero layer")
 
-    # brackets between layers by increasing total degree, from
-    # [[u, v], x] = [u, [v, x]] - [v, [u, x]] in layer coordinates
-    top = len(spans)
-    for p, q in sorted(((p, q) for p in range(top) for q in range(p, top)), key=sum):
+    # brackets between layers, read at free columns (module docstring);
+    # none is stored at or past the top degree, and the re-validation
+    # below certifies every one
+    top = len(free)
+    for p, q in sorted(((p, q) for p in range(top) for q in range(p, top)
+                        if p + q < top), key=sum):
+        targets = list(zip(by_degree[p + q], free[p + q]))
         for a, gu in enumerate(by_degree[p]):
+            adu = ad[gu]
             for gv in by_degree[q][a + 1 if p == q else 0:]:
-                act = {}
-                for x in sources:
-                    for t, c in br(gv, x).items():
-                        for k, c2 in br(gu, t).items():
-                            act[x, k] = act.get((x, k), 0) + c * c2
-                    for t, c in br(gu, x).items():
-                        for k, c2 in br(gv, t).items():
-                            act[x, k] = act.get((x, k), 0) - c * c2
-                if p + q >= top:
-                    if any(act.values()):
-                        raise AssertionError(
-                            "bracket lands beyond the last layer (maximality bug)")
-                    continue
-                vec = [0] * len(layouts[p + q])
-                for key, c in act.items():
-                    vec[layouts[p + q][key]] = c
-                coeffs = spans[p + q].coords(vec)
-                if coeffs is None:
-                    raise AssertionError("bracket left the computed layer (bug)")
-                comp = {k: c for k, c in zip(by_degree[p + q], coeffs) if c}
+                adv = ad[gv]
+                comp = {}
+                for g, (x, k, scale) in targets:
+                    c = 0
+                    for t, c1 in adv.get(x, {}).items():
+                        c += c1 * adu.get(t, {}).get(k, 0)
+                    for t, c1 in adu.get(x, {}).items():
+                        c -= c1 * adv.get(t, {}).get(k, 0)
+                    if c:
+                        comp[g] = elimination.ratio(c, scale)
                 if comp:
-                    table[gu, gv] = comp
+                    put(gu, gv, comp)
 
     algebra = GradedLieAlgebra(names, degrees, table, m.J)
     rep = algebra.validate()
     if not rep.ok:
-        raise AssertionError(f"assembled prolongation invalid: {rep.violations[0]}")
+        raise InternalConsistencyError(
+            f"assembled prolongation invalid: {rep.violations[0]}")
     e = algebra.characteristic_element()
     return ProlongationResult(algebra, algebra.degree_dims(), e, terminated_at)
 

@@ -209,6 +209,51 @@ class NaiveProlongation:
         return [-A1[t][a] for t in range(len(A1))]
 
 
+def ad_columns(table, n):
+    """cols[i][j] = [e_i, e_j] as {k: c}, from a table on pairs i < j."""
+    cols = [{} for _ in range(n)]
+    for (i, j), comp in table.items():
+        cols[i][j] = dict(comp)
+        cols[j][i] = {k: -c for k, c in comp.items()}
+    return cols
+
+
+def jacobi_first_failure(table, n):
+    """First triple i < j < k, in loop order, whose Jacobi sum is nonzero.
+
+    One dict per triple, all triples: the straight-line loop that
+    ``GradedLieAlgebra.validate`` replaces with one pass per pair.
+    """
+    cols = ad_columns(table, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in cols[b].get(c, {}).items():
+                        for t, y in cols[a].get(m, {}).items():
+                            acc[t] = acc.get(t, 0) + x * y
+                if any(acc.values()):
+                    return i, j, k
+    return None
+
+
+def killing_matrix(table, n):
+    """Dense trace(ad e_i ad e_j) over every pair, degrees ignored."""
+    cols = ad_columns(table, n)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s = 0
+            # sum over l, k of ad_i[l, k] ad_j[k, l]
+            for l in range(n):
+                for k, c in cols[j].get(l, {}).items():
+                    s += cols[i].get(k, {}).get(l, 0) * c
+            out[i][j] = s
+    return out
+
+
 def heisenberg_m(n, signature):
     """Fundamental pair of the diagonal-form quadric with k = 1."""
     n1 = 2 * n

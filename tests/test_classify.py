@@ -1,5 +1,6 @@
 import pytest
 
+from levitanaka import classify
 from levitanaka.classify import (
     FactorDescriptor,
     enumerate_descriptors,
@@ -209,3 +210,23 @@ def test_descriptor_validation():
         D("D", 6, "D IIIb", ["a6"])  # D IIIb needs odd rank
     with pytest.raises(ValueError):
         D("D", 6, "D Ib", ["a9"])  # node outside the diagram
+
+
+def test_grading_data_worked_out_once_per_descriptor(monkeypatch):
+    # regenerate_tables asks three times per descriptor (enumeration,
+    # grading data, w0 oracle); the diagram conditions run once
+    checked = []
+    conditions = classify._phi_conditions_hold
+
+    def counted(d):
+        checked.append(d)
+        return conditions(d)
+
+    monkeypatch.setattr(classify, "_phi_conditions_hold", counted)
+    tables = regenerate_tables(6)
+    assert len({id(d) for d in checked}) == len(checked)
+    assert len(tables["kind_1"]) + len(tables["kind_2"]) < len(checked)
+    d = D("D", 6, "D Ib", ["a6"])
+    assert grading_data(d) is grading_data(d)
+    with pytest.raises(AdmissibilityError):
+        grading_data(D("A", 5, "A III", ["a3"], 2, 4))

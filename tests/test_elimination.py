@@ -137,6 +137,42 @@ def test_solve_matches_oracle(case):
     assert all(_exact_scalar(x) for x in sol)
 
 
+@st.composite
+def rearranged_systems(draw):
+    """(rows, variant, ncols): variant shuffles, duplicates and rescales rows."""
+    rows, ncols = draw(sparse_systems())
+    scale = st.sampled_from([1, -1, 2, -3, 4, -6])
+    variant = []
+    for cols, vals in rows:
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(scale)
+            variant.append((list(cols), [k * v for v in vals]))
+    return rows, draw(st.permutations(variant)), ncols
+
+
+@given(rearranged_systems())
+@settings(max_examples=300, deadline=None)
+def test_kernel_and_solve_are_canonical(case):
+    # the pivot rule (bit length, entries, arrival) only picks which row
+    # clears a column; every result read off the RREF must not move
+    rows, variant, ncols = case
+    basis = elimination.kernel_basis(rows, ncols)
+    assert elimination.kernel_basis(variant, ncols) == basis
+    assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
+    bcol = ncols - 1
+    assert elimination.solve(variant, ncols, bcol) == elimination.solve(rows, ncols, bcol)
+    assert elimination.row_echelon(variant, ncols)[0] == \
+        elimination.row_echelon(rows, ncols)[0]
+
+
+def test_pivot_rule_prefers_fewer_entries_on_equal_bits():
+    # both candidates lead column 0 with bit length 2; the shorter row wins
+    rows = [([0, 1, 2], [3, 1, 1]), ([0, 2], [-2, 5])]
+    pivots, pivot_rows, _ = elimination.row_echelon(rows, 3)
+    assert pivots[0] == 0
+    assert pivot_rows[0] == ([0, 2], [-2, 5])
+
+
 # -- the incremental echelon against the brute-force oracle ---------------
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)

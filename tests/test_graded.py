@@ -3,17 +3,25 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levitanaka
-from levitanaka import elimination
+from levitanaka import corpus, elimination
 from levitanaka.errors import (
+    InternalConsistencyError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
 )
 from levitanaka.graded import GradedLieAlgebra, Subspace
 from levitanaka.matrices import ExactMatrix
+from levitanaka.prolongation import prolong
+from levitanaka.quadric import diagonal_form
+
+from naive_oracle import jacobi_first_failure, killing_matrix
 
 Q = Fraction
 
@@ -128,6 +136,61 @@ def test_validate_j_block_mismatch():
     rep = g.validate()
     assert not rep.ok
     assert rep.violations[0]["check"] == "J_block"
+
+
+@lru_cache(maxsize=None)
+def _oracle_algebra(name):
+    if name == "sl2_sl2":
+        return sl2_sl2()
+    if name == "algebra_a":
+        return corpus.example_algebra_a().payload
+    return prolong(diagonal_form([1, -1]).build_m_minus()).algebra
+
+
+@given(st.sampled_from(["sl2_sl2", "algebra_a", "heisenberg_pm"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_reports_the_oracle_first_jacobi_violation(name, data):
+    # one structure constant moved by a nonzero amount (possibly to zero);
+    # its target keeps its degree, so only Jacobi can fail
+    g = _oracle_algebra(name)
+    i, j, k = data.draw(st.sampled_from(
+        [(i, j, k) for (i, j), comp in sorted(g.table.items()) for k in sorted(comp)]))
+    table = {key: dict(comp) for key, comp in g.table.items()}
+    table[i, j][k] += data.draw(st.sampled_from([-2, -1, 1, 3]))
+    bad = GradedLieAlgebra(g.names, g.degrees, table, g.J)
+    expected = jacobi_first_failure(bad.table, bad.dim)
+    rep = bad.validate()
+    assert [v["triple"] for v in rep.violations] == \
+        ([] if expected is None else [expected])
+    assert all(v["check"] == "jacobi" for v in rep.violations)
+
+
+def test_killing_rows_match_the_all_pairs_oracle():
+    algebras = [sl2_sl2(), sl2_semidirect_adjoint(shear=True)]
+    for entry in corpus.all_entries():
+        if entry.kind == "quadric":
+            algebras.append(prolong(entry.payload.build_m_minus()).algebra)
+        else:
+            algebras.append(entry.payload)
+    for g in algebras:
+        n = g.dim
+        rows = g.killing_rows()
+        assert [[row.get(j, 0) for j in range(n)] for row in rows] == \
+            killing_matrix(g.table, n)
+        assert all(list(row) == sorted(row) for row in rows)
+
+
+def test_killing_rows_require_degree_additivity():
+    # sl2 with e and f both in degree 1: [e, f] = h hits degree 0, not 2,
+    # and trace(ad e ad f) = 4 sits on a pair whose degrees sum to 2
+    g = GradedLieAlgebra(["h", "e", "f"], [0, 1, 1],
+                         {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    assert killing_matrix(g.table, 3)[1][2] == 4
+    assert [v["check"] for v in g.validate().violations] == ["degree_additivity"]
+    with pytest.raises(InternalConsistencyError, match="not degree-additive"):
+        g.killing_rows()
+    with pytest.raises(InternalConsistencyError, match="not degree-additive"):
+        g.killing_form()
 
 
 def test_bracket_bilinear():
@@ -401,8 +464,12 @@ def test_certificates_survive_python_O():
             rs._w0[0] = (-1, -1, -1)
             return rs.diagram_involution()
 
+        skewed = GradedLieAlgebra(["h", "e", "f"], [0, 1, 1],
+                                  {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+
         for check in (lambda: g._verify_ideal(Subspace(g, [[0, 1, 0]]), "span of e"),
                       lambda: g.graded_components([[1, 1, 0]]),
+                      skewed.killing_rows,
                       highest_not_last, word_too_short, simple_roots_dropped,
                       w0_row_tampered):
             try:
@@ -418,6 +485,8 @@ def test_certificates_survive_python_O():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["span of e is not an ideal (bug)",
                                 "subspace is not graded",
+                                "Killing form of a table that is not "
+                                "degree-additive: [e,f] hits h",
                                 "highest root candidate not maximal",
                                 "w0 word length is not the number of positive roots",
                                 "w0 image is not a negative root",

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import levitanaka
 from levitanaka.errors import CapReachedError, PreconditionError
 from levitanaka.graded import GradedLieAlgebra
 from levitanaka.matrices import ExactMatrix
@@ -218,3 +223,75 @@ def test_prolongation_independent_of_basis_listing(form, order):
     assert result.degree_dims == prolong(m).degree_dims
     assert result.algebra.validate().ok
     assert transitivity_check(result).ok
+
+
+def test_tampered_layer_bracket_is_caught_under_python_O(tmp_path):
+    # brackets between layers are read at free columns and certified only
+    # by the re-validation; change or drop one read and it must fail, as
+    # an InternalConsistencyError (exit 3, no traceback) that -O keeps
+    script = textwrap.dedent("""
+        import sys
+        from levitanaka import elimination, prolongation
+        from levitanaka.cli import main
+        from levitanaka.errors import InternalConsistencyError
+        from levitanaka.quadric import diagonal_form
+
+        class FirstReadTampered:
+            # prolongation's view of elimination; ratio is the coordinate read
+            def __init__(self, mode):
+                self.mode = mode
+                self.reads = 0
+
+            def __getattr__(self, name):
+                return getattr(elimination, name)
+
+            def ratio(self, num, den):
+                self.reads += 1
+                out = elimination.ratio(num, den)
+                if self.reads > 1:
+                    return out
+                return out + 1 if self.mode == "shift" else 0
+
+        print("optimize", sys.flags.optimize)
+        m = diagonal_form([1, -1]).build_m_minus()
+        for mode in ("shift", "drop"):
+            prolongation.elimination = tampered = FirstReadTampered(mode)
+            try:
+                prolongation.prolong(m)
+            except InternalConsistencyError as exc:
+                print(mode, tampered.reads > 0, str(exc).split(":")[0])
+            else:
+                print(mode, "not raised")
+        prolongation.elimination = FirstReadTampered("shift")
+        diagonal_form([1, -1]).dump(sys.argv[1])
+        print("exit", main(["analyze-quadric", sys.argv[1]]))
+    """)
+    src = os.path.dirname(os.path.dirname(levitanaka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path / "q.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "shift True assembled prolongation invalid",
+        "drop True assembled prolongation invalid",
+        "exit 3"]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        "internal consistency failure: assembled prolongation invalid")
+
+
+def test_brackets_past_the_top_layer_are_certified_by_jacobi():
+    # prolong keeps no table entry for [u, v] past the top layer; Jacobi on
+    # (u, v, x) is what says the action [u, [v, x]] - [v, [u, x]] vanishes.
+    # Cut the top layer off a real prolongation: the degree-1 brackets now
+    # land past the top, their action does not vanish, and validation fails
+    alg = prolong(diagonal_form([1, -1]).build_m_minus()).algebra
+    top = max(alg.degrees)
+    n = alg.degrees.index(top)  # the top layer comes last
+    table = {key: comp for key, comp in alg.table.items()
+             if key[1] < n and all(k < n for k in comp)}
+    cut = GradedLieAlgebra(alg.names[:n], alg.degrees[:n], table, alg.J)
+    rep = cut.validate()
+    assert [v["check"] for v in rep.violations] == ["jacobi"]
+    _, mid, high = sorted(alg.degrees[t] for t in rep.violations[0]["triple"])
+    assert mid + high == top
