@@ -22,6 +22,7 @@ from levitanaka.errors import NonIntegralPairingError
 from levitanaka.graded import Subspace
 from levitanaka.involution import certificate_report
 from levitanaka.matrices import ExactMatrix
+from levitanaka.prolongation import prolong
 from levitanaka.quadric import HermitianFormSystem, diagonal_form
 from levitanaka.rootdata import RootSystem
 from levitanaka.scalars import GaussRational
@@ -226,10 +227,9 @@ def test_levi_vectors_of_algebra_a():
         "fa9b67c31bb8bbdff8befcb43df818a7b5234ddb5af2a0ff06653ba84c960933", None)
 
 
-def test_levi_vectors_of_a_basis_change_with_denominators():
-    # the transvections of test_change_basis_of_algebra_a_bytes, then every
-    # 7th column scaled by 2 or 3: 181 of the 967 structure constants get a
-    # denominator, and the Levi section picks up halves
+def _algebra_a_with_denominators():
+    """The transvections of test_change_basis_of_algebra_a_bytes, then every
+    7th column scaled by 2 or 3."""
     a = corpus.example_algebra_a().payload
     n = a.dim
     p = ExactMatrix.identity(n)
@@ -239,8 +239,55 @@ def test_levi_vectors_of_a_basis_change_with_denominators():
     for j in range(0, n, 7):
         for r in range(n):
             p.entries[r * n + j] *= 2 + j % 2
-    g = a.change_basis(p)
+    return a.change_basis(p)
+
+
+def test_levi_vectors_of_a_basis_change_with_denominators():
+    # 181 of the 967 structure constants get a denominator, and the Levi
+    # section picks up halves
+    g = _algebra_a_with_denominators()
     assert sum(1 for comp in g.table.values() for c in comp.values()
                if Q(c).denominator != 1) == 181
     assert _levi_strings(g) == (
         "df55a31126efaa59317869584d5864712de2fee565598f4d3d49ea9a931dc404", None)
+
+
+def test_nilradical_center_and_series_of_a_basis_change_with_denominators():
+    g = _algebra_a_with_denominators()
+    nil = g.nilradical()
+    series = g.lower_central_series(nil)
+    center = g.center()
+    assert (nil.dim, center.dim, [s.dim for s in series]) == (54, 4, [54, 36, 0])
+    text = json.dumps([_strs(nil.vectors), _strs(center.vectors),
+                       [_strs(s.vectors) for s in series]])
+    assert _sha(text) == "cb515ceb33230009ed388e8029933df2c1ac3fff1d036536d8485cc6befec02b"
+
+
+# the transvections of benchmark panel copy 2 of the n=7, k=8 quadric:
+# ["z", i, j, re, im] is z -> P z with P = I + (re + im i) E_ij, each
+# component A becoming P* A P; ["t", a, b, c] is A_a += c A_b
+QUADRIC_COPY_MOVES = [["z", 0, 6, 0, -1], ["z", 1, 4, -1, -1],
+                      ["t", 7, 2, 1], ["t", 3, 4, -1]]
+
+
+def test_levi_vectors_of_a_transvected_counterexample_prolongation():
+    # on this copy the Levi correction runs through 3 stages of the
+    # derived series of the radical
+    form = corpus.counterexample_quadric().payload
+    n = form.n
+    comps = list(form.components)
+    for move in QUADRIC_COPY_MOVES:
+        if move[0] == "z":
+            _, i, j, re, im = move
+            p = ExactMatrix.identity(n)
+            p.entries[i * n + j] = GaussRational(re, im)
+            comps = [p.conj_transpose() * m * p for m in comps]
+        else:
+            _, a, b, c = move
+            comps[a] = comps[a] + comps[b].scale(c)
+    g = prolong(HermitianFormSystem(n, form.k, comps).build_m_minus()).algebra
+    digest, e_s = _levi_strings(g)
+    assert digest == "87c9ef6e160107ff8ed6c137ff2adc60a832c96dbfa98d04891b50b6217cd37b"
+    assert len(e_s) == 76
+    assert {i: x for i, x in enumerate(e_s) if x != "0"} == {
+        23: "-1", 27: "-1", 29: "-2", 32: "2", 35: "-2", 41: "1", 44: "2", 49: "-2"}
