@@ -225,7 +225,8 @@ def example_algebra_a() -> CorpusEntry:
         for y in _SL3_BASIS[i + 1:]:
             comm = _mat_sub(_mat_mul(mats[x], mats[y]), _mat_mul(mats[y], mats[x]))
             coeffs, tr = _sl3_decompose(comm)
-            assert tr == 0
+            if tr != 0:
+                raise InternalConsistencyError(f"sl3 commutator has trace {tr}")
             if coeffs:
                 b.set_bracket(x, y, {z: GaussRational(c) for z, c in coeffs.items()})
                 for k in (1, 2):
@@ -400,7 +401,9 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
     def v_degree(a, beta):
         sl2_weight = Q(1, 2) if beta == 1 else Q(-1, 2)
         deg = scale * (Q(_O8_DIAG[a - 1]) + sl2_weight + v_shift)
-        assert deg.denominator == 1
+        if deg.denominator != 1:
+            raise InternalConsistencyError(
+                f"non-integral degree {deg} on x{a}_{beta}")
         return int(deg)
 
     def v_jvalue(a, beta):
@@ -412,7 +415,8 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
         jsign = None
         if deg == -1:
             jsign = o8_jvalue(name)
-            assert jsign in (1, -1)
+            if jsign not in (1, -1):
+                raise InternalConsistencyError(f"bad J eigenvalue {jsign} on {name}")
         b.add(name, deg, jsign)
     b.add("sl2e", scale * 1)
     b.add("sl2f", scale * -1, -1 if scale == 1 else None)
@@ -423,7 +427,9 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
             jsign = None
             if deg == -1:
                 jv = v_jvalue(a, beta)
-                assert jv in (1, -1), f"bad J eigenvalue {jv}"
+                if jv not in (1, -1):
+                    raise InternalConsistencyError(
+                        f"bad J eigenvalue {jv} on x{a}_{beta}")
                 jsign = int(jv)
             b.add(f"x{a}_{beta}", deg, jsign)
     b.add("T", 0)

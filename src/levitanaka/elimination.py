@@ -272,7 +272,11 @@ def solve(rows, ncols_total, bcol):
 class Echelon:
     """Incremental reduced echelon form of the span of added vectors.
 
-    Vectors are dense lists of ``ncols`` rationals.  Each stored row is a
+    A vector is either a dense list of ``ncols`` rationals or a sparse
+    ``{col: value}`` dict, which may leave out zero entries; both go
+    through one integer-row builder, so they give the same rows, and
+    ``reduce`` hands the residual back in the form it was given.  Each
+    stored row is a
     primitive sparse integer row that leads at its pivot column and is
     zero at every other pivot column, so it is a multiple of the row of
     the reduced row echelon form (RREF) with the same pivot.
@@ -297,15 +301,19 @@ class Echelon:
         return len(self._rows)
 
     def _int_row(self, vector, extra_cols):
-        """Vector scaled to integers, with the scale put in extra_cols."""
+        """Dense or sparse vector scaled to integers, the scale in extra_cols."""
+        if isinstance(vector, dict):
+            cols = sorted(c for c, x in vector.items() if x)
+        else:
+            cols = [c for c, x in enumerate(vector) if x]
+        vals = [vector[c] for c in cols]
         lcm = 1
-        for x in vector:
-            if x:
+        if any(type(x) is not int for x in vals):
+            for x in vals:
                 d = x.denominator
                 if d != 1:
                     lcm = lcm // gcd(lcm, d) * d
-        cols = [c for c, x in enumerate(vector) if x]
-        vals = [vector[c].numerator * (lcm // vector[c].denominator) for c in cols]
+            vals = [x.numerator * (lcm // x.denominator) for x in vals]
         cols.extend(extra_cols)
         vals.extend(lcm for _ in extra_cols)
         return cols, vals
@@ -336,14 +344,18 @@ class Echelon:
         return True
 
     def reduce(self, vector):
-        """Canonical residual: v minus a member of the span, zero on every pivot."""
+        """Canonical residual: v minus a member of the span, zero on every pivot.
+
+        A dict in gives a dict of the nonzero residual entries out.
+        """
         n = self.ncols
         cols, vals = self._reduce(*self._int_row(vector, [n]))
-        m = vals[bisect_left(cols, n)]
+        k = bisect_left(cols, n)
+        m = vals[k]
+        if isinstance(vector, dict):
+            return {c: ratio(x, m) for c, x in zip(cols[:k], vals)}
         out = [0] * n
-        for c, x in zip(cols, vals):
-            if c >= n:
-                break
+        for c, x in zip(cols[:k], vals):
             out[c] = ratio(x, m)
         return out
 
@@ -364,17 +376,24 @@ class Echelon:
         return out
 
     @property
-    def basis(self):
-        """The RREF rows of the span, as dense lists."""
+    def sparse_basis(self):
+        """The RREF rows of the span, as {col: value} dicts of nonzero entries."""
         n = self.ncols
         out = []
         for p in sorted(self._rows):
             cols, vals = self._rows[p]
             lead = vals[0]
-            row = [0] * n
-            for c, x in zip(cols, vals):
-                if c >= n:
-                    break
-                row[c] = ratio(x, lead)
-            out.append(row)
+            out.append({c: ratio(x, lead)
+                        for c, x in zip(cols[:bisect_left(cols, n)], vals)})
+        return out
+
+    @property
+    def basis(self):
+        """The RREF rows of the span, as dense lists."""
+        out = []
+        for row in self.sparse_basis:
+            dense = [0] * self.ncols
+            for c, x in row.items():
+                dense[c] = x
+            out.append(dense)
         return out

@@ -9,16 +9,22 @@ the derived series of the radical, and the split into simple ideals.
 
 Everything is exact.  The scalars are Python ints, and ``Fraction``s
 only where some division left a remainder: the table stores integral
-constants as ints, vectors start as ``[0] * n``, and the results of
-``elimination`` come through its ``ratio``.  The Killing form is kept
-as sparse rows of such scalars, which the radical, nilradical and simple
-ideals read; only ``killing_form()``, an ``ExactMatrix``, holds
+constants as ints, and the results of ``elimination`` come through its
+``ratio``.  Inside, a vector is a sparse ``{index: value}`` dict of its
+nonzero coordinates, so ``bracket``, ``ad`` and the echelon spans cost
+time in proportion to the nonzero entries, not to the dimension.  At
+the boundary vectors are dense lists: ``Subspace.vectors``, the grading
+element and the Levi decomposition's ``E_s`` and ``E_r``, and ``bracket``
+and ``ad`` answer a dense list with a dense list.  The Killing form is
+kept as sparse rows of such scalars, which the radical, nilradical and
+simple ideals read; only ``killing_form()``, an ``ExactMatrix``, holds
 Fractions.  The Killing form is degree-paired: trace(ad x_i ad x_j) is
 summed only where d_i + d_j = 0, since ad x_i ad x_j shifts every degree
 by d_i + d_j and so has no diagonal otherwise.  That rests on degree
 additivity, which is checked once per algebra; a table that fails it
 raises rather than getting a wrong Killing form.  ``validate`` checks
-Jacobi on every triple, one pass over the ad-columns per pair.  Every
+Jacobi on every triple, one pass over the ad-columns per pair, in int
+arithmetic on the table scaled by the lcm of its denominators.  Every
 structural claim an operation returns is re-verified by membership and
 rank tests before it is handed back; a failed certificate raises
 ``InternalConsistencyError``, which ``python -O`` keeps.
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from . import elimination
 from .errors import (
@@ -44,21 +51,47 @@ from .scalars import rat_from_str, rat_to_str
 Q = Fraction
 
 
+def _sparse(v):
+    """A dense or sparse vector as a fresh dict of its nonzero entries."""
+    if isinstance(v, dict):
+        return {k: x for k, x in v.items() if x}
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def _dense(v, n):
+    """A sparse vector as a dense list of length n."""
+    out = [0] * n
+    for k, x in v.items():
+        out[k] = x
+    return out
+
+
 class Subspace:
-    """Span of exact vectors inside a parent algebra's coordinate space."""
+    """Span of exact vectors inside a parent algebra's coordinate space.
+
+    Vectors may be given dense or sparse; ``vectors`` reads them back as
+    dense lists and ``sparse`` as {index: value} dicts.
+    """
 
     def __init__(self, parent, vectors):
         self.parent = parent
-        self.vectors = [list(v) for v in vectors]
+        self.sparse = [_sparse(v) for v in vectors]
+        self._vectors = None
         self._echelon = None
 
     @property
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = [_dense(v, self.parent.dim) for v in self.sparse]
+        return self._vectors
+
+    @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.sparse)
 
     def _span(self):
         if self._echelon is None:
-            self._echelon = elimination.Echelon(self.parent.dim, self.vectors)
+            self._echelon = elimination.Echelon(self.parent.dim, self.sparse)
         return self._echelon
 
     def reduce(self, vector):
@@ -72,22 +105,22 @@ class Subspace:
         return f"Subspace(dim={self.dim})"
 
 
-def span_basis(vectors):
-    """Reduced row echelon basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    return elimination.Echelon(len(vectors[0]), vectors).basis
+def span_basis(vectors, ncols):
+    """Reduced row echelon basis of the span of the given vectors, sparse."""
+    return elimination.Echelon(ncols, vectors).sparse_basis
 
 
-def _combination(coeffs, vectors, n):
-    """Dense sum of c * vectors[t] over the (t, c) pairs of ``coeffs``."""
-    out = [0] * n
-    for t, c in coeffs:
+def _combination(coeffs, vectors, base=None):
+    """base + sum of c * vectors[t] over the coefficient vector ``coeffs``.
+
+    ``coeffs`` is dense or sparse, the vectors and the result sparse.
+    """
+    out = dict(base) if base else {}
+    for t, c in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
         if c:
-            for k, x in enumerate(vectors[t]):
-                if x:
-                    out[k] += c * x
-    return out
+            for k, x in vectors[t].items():
+                out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def _basis_coordinates(vectors, ncols):
@@ -102,6 +135,18 @@ def _exact(c):
     """A rational as an int when it is integral, else as a Fraction."""
     c = Q(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _add_ad(out, ci, coef, y):
+    """out += coef * [e_i, y], for the ad-column ci of e_i and a sparse y.
+
+    The indices are those of both ci and y, found by walking the shorter,
+    so the cost follows the nonzero entries, not the dimension.
+    """
+    for j in ci.keys() & y.keys():
+        c0 = coef * y[j]
+        for k, c in ci[j].items():
+            out[k] = out.get(k, 0) + c0 * c
 
 
 class ValidationReport:
@@ -160,6 +205,7 @@ class GradedLieAlgebra:
         self._killing = None
         self._radical = None
         self._radical_series = None
+        self._char = None
 
     # -- basic structure ----------------------------------------------
 
@@ -198,35 +244,30 @@ class GradedLieAlgebra:
         return self._cols
 
     def ad(self, i, v):
-        """[e_i, v] for a dense coordinate vector v, from the ad-columns."""
-        out = [0] * self.dim
-        for j, comp in self._columns()[i].items():
-            x = v[j]
-            if x:
-                for k, c in comp.items():
-                    out[k] += x * c
-        return out
+        """[e_i, v] from the ad-columns, sparse for a sparse v, else dense."""
+        dense = not isinstance(v, dict)
+        out = {}
+        _add_ad(out, self._columns()[i], 1, _sparse(v) if dense else v)
+        out = {k: x for k, x in out.items() if x}
+        return _dense(out, self.dim) if dense else out
 
     def bracket(self, x, y):
-        """Bilinear extension of the table to dense coordinate vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector dimension mismatch")
+        """Bilinear extension of the table to coordinate vectors.
+
+        x and y are both {index: value} dicts, and so is the result, or
+        both dense lists of length ``dim``, and the result is one too.
+        """
+        dense = not isinstance(x, dict)
+        if dense:
+            if len(x) != self.dim or len(y) != self.dim:
+                raise ValueError("vector dimension mismatch")
+            x, y = _sparse(x), _sparse(y)
         cols = self._columns()
-        out = [0] * self.dim
-        supp_y = [j for j, v in enumerate(y) if v]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ci = cols[i]
-            if len(ci) < len(supp_y):
-                items = ((j, ci[j]) for j in ci if y[j])
-            else:
-                items = ((j, ci[j]) for j in supp_y if j in ci)
-            for j, comp in items:
-                coef = xi * y[j]
-                for k, c in comp.items():
-                    out[k] += coef * c
-        return out
+        out = {}
+        for i, xi in x.items():
+            _add_ad(out, cols[i], xi, y)
+        out = {k: v for k, v in out.items() if v}
+        return _dense(out, self.dim) if dense else out
 
     # -- validation -----------------------------------------------------
 
@@ -274,9 +315,21 @@ class GradedLieAlgebra:
         [e_i, [e_j, e_k]] - [e_j, [e_i, e_k]] - [[e_i, e_j], e_k] for every
         k > j at once, keyed by k * dim + t for the coefficient of e_t;
         the smallest failing k of the first failing pair is reported.
+        The sum is quadratic in the structure constants, so it runs on
+        the constants times the lcm L of their denominators: the sums
+        are L**2 times the true ones, zero at the same places, and ints.
         """
         cols = self._columns()
         n = self.dim
+        lcm = 1
+        for comp in self.table.values():
+            for c in comp.values():
+                if type(c) is not int:
+                    lcm = lcm // gcd(lcm, c.denominator) * c.denominator
+        if lcm != 1:
+            cols = [{j: {k: c.numerator * (lcm // c.denominator)
+                         for k, c in comp.items()}
+                     for j, comp in ci.items()} for ci in cols]
         for i in range(n):
             ci = cols[i]
             for j in range(i + 1, n):
@@ -360,49 +413,40 @@ class GradedLieAlgebra:
         return self._killing
 
     def _killing_apply(self, v):
-        """K v as a sparse {j: value} dict (K is symmetric)."""
+        """K v as a sparse {j: value} dict for a sparse v (K is symmetric)."""
         rows = self.killing_rows()
         out = {}
-        for i, x in enumerate(v):
-            if x:
-                for j, k in rows[i].items():
-                    out[j] = out.get(j, 0) + x * k
+        for i, x in v.items():
+            for j, k in rows[i].items():
+                out[j] = out.get(j, 0) + x * k
         return out
 
     def derived_subalgebra_basis(self):
-        """Echelon basis of [g, g]."""
-        vecs = []
-        for comp in self.table.values():
-            v = [0] * self.dim
-            for k, c in comp.items():
-                v[k] = c
-            vecs.append(v)
-        return span_basis(vecs)
+        """Echelon basis of [g, g], sparse."""
+        return span_basis(list(self.table.values()), self.dim)
 
     def graded_components(self, vectors):
         """Split a graded subspace's spanning set into homogeneous bases.
 
-        Returns vectors sorted by (degree, elimination pivot order);
-        raises AssertionError if the span is not degree-homogeneous.
+        Takes dense or sparse vectors; returns sparse vectors sorted by
+        (degree, elimination pivot order); raises AssertionError if the
+        span is not degree-homogeneous.
         """
         if not vectors:
             return []
-        total = len(span_basis(vectors))
+        vectors = [_sparse(v) for v in vectors]
+        total = elimination.Echelon(self.dim, vectors).rank
+        deg = self.degrees
+        by_degree = {}
+        for v in vectors:
+            parts = {}
+            for i, x in v.items():
+                parts.setdefault(deg[i], {})[i] = x
+            for d, part in parts.items():
+                by_degree.setdefault(d, []).append(part)
         out = []
-        degrees_present = sorted(set(self.degrees))
-        for p in degrees_present:
-            idxs = self.degree_indices(p)
-            projections = []
-            for v in vectors:
-                proj = [0] * self.dim
-                nonzero = False
-                for i in idxs:
-                    if v[i]:
-                        proj[i] = v[i]
-                        nonzero = True
-                if nonzero:
-                    projections.append(proj)
-            out.extend(span_basis(projections))
+        for d in sorted(by_degree):
+            out.extend(span_basis(by_degree[d], self.dim))
         if len(out) != total:
             raise InternalConsistencyError("subspace is not graded")
         return out
@@ -424,9 +468,8 @@ class GradedLieAlgebra:
             rad = Subspace(self, self.graded_components(basis))
             self._verify_ideal(rad, "radical")
         else:
-            units = [[int(i == j) for j in range(self.dim)]
-                     for i in range(self.dim)]
-            rad = Subspace(self, self.graded_components(units))
+            rad = Subspace(self, self.graded_components(
+                [{i: 1} for i in range(self.dim)]))
         series = self.derived_series(rad)
         if series[-1].dim != 0:
             raise InternalConsistencyError("radical candidate is not solvable (bug)")
@@ -437,9 +480,9 @@ class GradedLieAlgebra:
     def _ad_maps_into(self, source: Subspace, target: Subspace) -> bool:
         """Certificate: [e_i, v] lies in target for every e_i and v in source."""
         for i in range(self.dim):
-            for v in source.vectors:
+            for v in source.sparse:
                 w = self.ad(i, v)
-                if any(w) and not target.contains(w):
+                if w and not target.contains(w):
                     return False
         return True
 
@@ -450,12 +493,12 @@ class GradedLieAlgebra:
     def derived_series(self, sub: Subspace):
         """sub, [sub,sub], ... down to 0 (strictly decreasing, 0 included)."""
         return self._bracket_series(
-            sub, lambda current: combinations(current.vectors, 2))
+            sub, lambda current: combinations(current.sparse, 2))
 
     def lower_central_series(self, sub: Subspace):
         """sub, [sub,sub], [[sub,sub],sub], ... strictly decreasing prefix."""
         return self._bracket_series(
-            sub, lambda current: product(current.vectors, sub.vectors))
+            sub, lambda current: product(current.sparse, sub.sparse))
 
     def _bracket_series(self, sub: Subspace, pairs):
         """sub, then the span of [x, y] over pairs(current), while it shrinks."""
@@ -463,8 +506,8 @@ class GradedLieAlgebra:
         current = sub
         while current.dim:
             brackets = [w for x, y in pairs(current)
-                        for w in (self.bracket(x, y),) if any(w)]
-            nxt = Subspace(self, span_basis(brackets))
+                        for w in (self.bracket(x, y),) if w]
+            nxt = Subspace(self, span_basis(brackets, self.dim))
             if nxt.dim >= current.dim:
                 break
             series.append(nxt)
@@ -483,14 +526,13 @@ class GradedLieAlgebra:
             return rad
         # row j: the coefficients t of (K v_t)_j over the radical basis v_t
         per_col = {}
-        for t, v in enumerate(rad.vectors):
+        for t, v in enumerate(rad.sparse):
             for j, s in self._killing_apply(v).items():
                 if s:
                     per_col.setdefault(j, {})[t] = s
         rows = [elimination.sparse_int_row(per_col[j]) for j in sorted(per_col)]
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
-        vectors = [_combination(enumerate(cv), rad.vectors, self.dim)
-                   for cv in coeff_basis]
+        vectors = [_combination(cv, rad.sparse) for cv in coeff_basis]
         nil = Subspace(self, self.graded_components(vectors))
         try:
             self._verify_ideal(nil, "nilradical")
@@ -507,7 +549,22 @@ class GradedLieAlgebra:
     # -- characteristic element -----------------------------------------
 
     def characteristic_element(self):
-        """The unique E in g_0 with [E, x] = p x on each degree-p vector."""
+        """The unique E in g_0 with [E, x] = p x on each degree-p vector.
+
+        Worked out once per algebra, like the radical: every call returns
+        the same dense list, or raises the same error again.
+        """
+        if self._char is None:
+            try:
+                self._char = self._solve_characteristic_element()
+            except (NoCharacteristicElementError,
+                    NotUniqueCharacteristicElementError) as exc:
+                self._char = exc
+        if isinstance(self._char, Exception):
+            raise self._char.with_traceback(None)
+        return self._char
+
+    def _solve_characteristic_element(self):
         zero_idx = self.degree_indices(0)
         nun = len(zero_idx)
         cols = self._columns()
@@ -541,16 +598,13 @@ class GradedLieAlgebra:
         ambiguity = elimination.kernel_basis(hom_rows, nun)
         if ambiguity:
             raise NotUniqueCharacteristicElementError(len(ambiguity))
-        e = [0] * self.dim
-        for pos, i in enumerate(zero_idx):
-            e[i] = sol[pos]
-        for j in range(self.dim):
+        e = {i: sol[pos] for pos, i in enumerate(zero_idx) if sol[pos]}
+        for j, d in enumerate(self.degrees):
             # [e_j, E] = -p e_j on degree p
-            expect = [-self.degrees[j] if t == j else 0 for t in range(self.dim)]
-            if self.ad(j, e) != expect:
+            if self.ad(j, e) != ({j: -d} if d else {}):
                 raise InternalConsistencyError(
                     "characteristic element verification failed")
-        return e
+        return _dense(e, self.dim)
 
     def center(self) -> Subspace:
         rows = []
@@ -571,13 +625,14 @@ class GradedLieAlgebra:
         """Structure constants of a bracket-closed homogeneous span.
 
         Returns (GradedLieAlgebra, vectors); vector i of the result's
-        basis is ``vectors[i]`` in the parent's coordinates.
+        basis is ``vectors[i]`` in the parent's coordinates, as a sparse
+        dict.
         """
-        vecs = [list(v) for v in vectors]
+        vecs = [_sparse(v) for v in vectors]
         d = len(vecs)
         degs = []
         for v in vecs:
-            present = {self.degrees[i] for i, x in enumerate(v) if x}
+            present = {self.degrees[i] for i in v}
             if len(present) != 1:
                 raise ValueError("subalgebra basis vector is not homogeneous")
             degs.append(present.pop())
@@ -588,7 +643,7 @@ class GradedLieAlgebra:
         for a in range(d):
             for b in range(a + 1, d):
                 w = self.bracket(vecs[a], vecs[b])
-                if not any(w):
+                if not w:
                     continue
                 coords = span.coords(w)
                 if coords is None:
@@ -611,10 +666,10 @@ class GradedLieAlgebra:
         # basis (radical, complement) they complete
         complement_idx = []
         q_slots = []
-        basis = elimination.Echelon(n, rad.vectors)
+        basis = elimination.Echelon(n, rad.sparse)
         for slot, i in enumerate(sorted(range(n), key=lambda i: self.degrees[i]),
                                  rad.dim):
-            if basis.add([int(t == i) for t in range(n)]):
+            if basis.add({i: 1}):
                 complement_idx.append(i)
                 q_slots.append(slot)
         nq = len(complement_idx)
@@ -626,7 +681,7 @@ class GradedLieAlgebra:
             return [full[slot] for slot in q_slots]
 
         q_deg = [self.degrees[i] for i in complement_idx]
-        sigma = [[int(t == i) for t in range(n)] for i in complement_idx]
+        sigma = [{i: 1} for i in complement_idx]
         # the factor: g / radical on the complement units
         q_table = {}
         for a, i in enumerate(complement_idx):
@@ -641,11 +696,10 @@ class GradedLieAlgebra:
             out = {}
             for a in range(nq):
                 for b in range(a + 1, nq):
-                    w = self.bracket(sigma[a], sigma[b])
-                    target = _combination(s_alg.bracket_elements(a, b).items(),
-                                          sigma, n)
-                    delta = [x - y for x, y in zip(w, target)]
-                    if any(delta):
+                    delta = _combination(
+                        {c: -x for c, x in s_alg.bracket_elements(a, b).items()},
+                        sigma, self.bracket(sigma[a], sigma[b]))
+                    if delta:
                         out[(a, b)] = delta
             return out
 
@@ -664,8 +718,8 @@ class GradedLieAlgebra:
             slots = []
             slot_index = {}
             level_degree = []
-            for m, w in enumerate(level.vectors):
-                wd = {self.degrees[i] for i, x in enumerate(w) if x}
+            for w in level.sparse:
+                wd = {self.degrees[i] for i in w}
                 if len(wd) != 1:
                     raise InternalConsistencyError(
                         "radical layer vector is not homogeneous")
@@ -677,19 +731,14 @@ class GradedLieAlgebra:
                         slots.append((a, m))
             rows = []
             bcol = len(slots)
-            # reductions mod the next derived ideal, precomputed sparsely
-            level_red = []
-            for w in level.vectors:
-                red = nxt.reduce(w)
-                level_red.append({t: x for t, x in enumerate(red) if x})
+            # reductions mod the next derived ideal
+            level_red = [nxt.reduce(w) for w in level.sparse]
             sig_red = {}
             for a in range(nq):
-                for m in range(level.dim):
-                    br = self.bracket(sigma[a], level.vectors[m])
-                    red = nxt.reduce(br)
-                    sp = {t: x for t, x in enumerate(red) if x}
-                    if sp:
-                        sig_red[(a, m)] = sp
+                for m, w in enumerate(level.sparse):
+                    red = nxt.reduce(self.bracket(sigma[a], w))
+                    if red:
+                        sig_red[(a, m)] = red
 
             # rows for every pair, not only the defective ones: phi must
             # not create a defect where there was none
@@ -717,20 +766,21 @@ class GradedLieAlgebra:
                     if slot is not None and (b, m) in sig_red:
                         accumulate(slot, sig_red[(b, m)], 1)
                 dvec = delta.get((a, b))
-                rhs_red = nxt.reduce(dvec) if dvec else [0] * n
-                touched = set(per_coord) | {t for t, x in enumerate(rhs_red) if x}
-                for t in sorted(touched):
+                rhs_red = nxt.reduce(dvec) if dvec else {}
+                for t in sorted(per_coord.keys() | rhs_red.keys()):
                     coeffs = {s: v for s, v in per_coord.get(t, {}).items() if v}
-                    rhs = rhs_red[t]
+                    rhs = rhs_red.get(t, 0)
                     if coeffs or rhs:
                         rows.append(elimination.sparse_int_row(coeffs, rhs, bcol))
             sol = elimination.solve(rows, bcol + 1, bcol)
             if sol is None:
                 raise LiftFailedError(f"correction system inconsistent at stage {stage}")
+            phi = {}
             for (a, m), slot in slot_index.items():
-                c = sol[slot]
-                if c:
-                    sigma[a] = [x + c * y for x, y in zip(sigma[a], level.vectors[m])]
+                if sol[slot]:
+                    phi.setdefault(a, {})[m] = sol[slot]
+            for a, coeffs in phi.items():
+                sigma[a] = _combination(coeffs, level.sparse, sigma[a])
             stage += 1
             delta = defects()
 
@@ -740,7 +790,7 @@ class GradedLieAlgebra:
             raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
         try:
             e = self.characteristic_element()
-            e_s = _combination(enumerate(q_coords(e)), sigma, n)
+            e_s = _dense(_combination(q_coords(e), sigma), n)
             e_r = [x - y for x, y in zip(e, e_s)]
             if not rad.contains(e_r):
                 raise InternalConsistencyError("E_r is not in the radical")
@@ -752,7 +802,7 @@ class GradedLieAlgebra:
     def simple_ideals(self, sub: Subspace):
         """Split a semisimple subalgebra into its simple ideals."""
         result = []
-        self._split_simple(sub.vectors, result)
+        self._split_simple(sub.sparse, result)
         return [Subspace(self, vecs) for vecs in result]
 
     def _split_simple(self, vectors, out):
@@ -771,8 +821,7 @@ class GradedLieAlgebra:
             if len(comp) + di != d:
                 raise InternalConsistencyError("Killing complement has wrong dimension")
             for part in (ideal, comp):
-                self._split_simple([_combination(enumerate(cv), vecs, self.dim)
-                                    for cv in part], out)
+                self._split_simple([_combination(cv, vecs) for cv in part], out)
             return
         out.append(vecs)
 
@@ -784,11 +833,12 @@ class GradedLieAlgebra:
         n = self.dim
         if p.nrows != n or p.ncols != n:
             raise ValueError("basis change must be square of matching size")
-        cols = [p.col(j) for j in range(n)]
+        cols = [{i: _exact(x) for i, x in enumerate(p.col(j)) if x}
+                for j in range(n)]
         new_basis = _basis_coordinates(cols, n)
         new_deg = []
-        for j, col in enumerate(cols):
-            present = {self.degrees[i] for i, x in enumerate(col) if x}
+        for col in cols:
+            present = {self.degrees[i] for i in col}
             if len(present) != 1:
                 raise ValueError("basis-change column is not degree-homogeneous")
             new_deg.append(present.pop())
@@ -796,7 +846,7 @@ class GradedLieAlgebra:
         for a in range(n):
             for b in range(a + 1, n):
                 w = self.bracket(cols[a], cols[b])
-                if not any(w):
+                if not w:
                     continue
                 coords = new_basis.coords(w)
                 comp = {k: c for k, c in enumerate(coords) if c}
@@ -880,12 +930,12 @@ def _ideal_closure(alg: GradedLieAlgebra, t: int):
     """
     n = alg.dim
     span = elimination.Echelon(n)
-    work = [[int(i == t) for i in range(n)]]
+    work = [{t: 1}]
     span.add(work[0])
     while work and span.rank < n:
         v = work.pop()
         for i in range(n):
             w = alg.ad(i, v)
-            if any(w) and span.add(w):
+            if w and span.add(w):
                 work.append(w)
-    return span.basis
+    return span.sparse_basis

@@ -218,6 +218,17 @@ def ad_columns(table, n):
     return cols
 
 
+def bracket(table, n, x, y):
+    """[x, y] of dense vectors, summed over every pair (i, j) of basis vectors."""
+    cols = ad_columns(table, n)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            for k, c in cols[i].get(j, {}).items():
+                out[k] += x[i] * y[j] * c
+    return out
+
+
 def jacobi_first_failure(table, n):
     """First triple i < j < k, in loop order, whose Jacobi sum is nonzero.
 

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import levitanaka
 from levitanaka.classify import FactorDescriptor, tilde_s_general, tilde_s_semisimple
 from levitanaka.corpus import (
     all_entries,
@@ -218,3 +223,50 @@ def test_provenance_tags_present():
                 k.startswith(f"{key}.") for k in entry.provenance), key
         assert all(v.startswith(("literature", "derived"))
                    for v in entry.provenance.values())
+
+
+def test_corpus_certificates_survive_python_O():
+    # under -O a bare assert is stripped; each tampered builder must raise
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from levitanaka import corpus
+        from levitanaka.errors import InternalConsistencyError
+
+        decompose = corpus._sl3_decompose
+        o8_diag, o8_jdiag = corpus._O8_DIAG, corpus._O8_JDIAG
+
+        def traced_commutator():
+            corpus._sl3_decompose = lambda m: (decompose(m)[0], Fraction(1))
+            return corpus.example_algebra_a()
+
+        def half_degree():
+            corpus._O8_DIAG = (Fraction(1, 2),) + o8_diag[1:]
+            return corpus.o8_sl2_example("minus-half")
+
+        def o8_j_eigenvalue():
+            corpus._O8_JDIAG = (0, 0, 0, 2, -1, 0, 0, 0)
+            return corpus.o8_sl2_example("minus-half")
+
+        def module_j_eigenvalue():
+            corpus._O8_JDIAG = (0, 0, 0, 1, -1, 0, 0, 1)
+            return corpus.o8_sl2_example("double")
+
+        for tamper in (traced_commutator, half_degree, o8_j_eigenvalue,
+                       module_j_eigenvalue):
+            try:
+                tamper()
+            except InternalConsistencyError as exc:
+                print(exc)
+            else:
+                print("not raised")
+            corpus._sl3_decompose = decompose
+            corpus._O8_DIAG, corpus._O8_JDIAG = o8_diag, o8_jdiag
+    """)
+    src = os.path.dirname(os.path.dirname(levitanaka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["sl3 commutator has trace 1",
+                                "non-integral degree 1/2 on x1_1",
+                                "bad J eigenvalue 2 on B4_1",
+                                "bad J eigenvalue 2 on x8_1"]

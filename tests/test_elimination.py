@@ -264,6 +264,35 @@ def test_echelon_matches_oracle_gaussian(case):
     _check_against_oracle(*case, gaussian=True)
 
 
+@given(spans(gaussian=False), st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_reads_dicts_as_the_same_dense_vectors(case, data):
+    # a dict may keep some zero entries and list its columns in any order;
+    # it must reduce to the same rows
+    vectors, probe = case
+    width = len(probe)
+    keep = st.lists(st.booleans(), min_size=width, max_size=width)
+
+    def sparse(v):
+        kept = data.draw(keep)
+        return {c: v[c] for c in data.draw(st.permutations(range(width)))
+                if v[c] or kept[c]}
+
+    dense = elimination.Echelon(width, vectors)
+    echelon = elimination.Echelon(width, [sparse(v) for v in vectors])
+    assert echelon._rows == dense._rows
+    rows, pivots = rref(vectors) if vectors else ([], [])
+    assert echelon.basis == dense.basis == rows[:len(pivots)]
+    assert echelon.sparse_basis == [{c: x for c, x in enumerate(r) if x}
+                                    for r in rows[:len(pivots)]]
+    residual = echelon.reduce(sparse(probe))
+    assert residual == {c: x for c, x in enumerate(dense.reduce(probe)) if x}
+    assert echelon.contains(sparse(probe)) == dense.contains(probe)
+    assert echelon.coords(sparse(probe)) == dense.coords(probe)
+    member = [sum(x) for x in zip([Q(0)] * width, *vectors)]
+    assert echelon.coords(sparse(member)) == dense.coords(member)
+
+
 def test_echelon_unique_coords_and_add_flags():
     e = elimination.Echelon(3)
     assert e.add([Q(1), Q(2), Q(0)])

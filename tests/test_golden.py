@@ -27,7 +27,12 @@ from levitanaka.quadric import HermitianFormSystem, diagonal_form
 from levitanaka.rootdata import RootSystem
 from levitanaka.scalars import GaussRational
 
-from test_graded import sl2_semidirect_adjoint, sl2_sl2
+from test_graded import (
+    ALGEBRA_A_MOVES,
+    algebra_a_with_denominators,
+    sl2_semidirect_adjoint,
+    sl2_sl2,
+)
 
 Q = Fraction
 I = GaussRational(0, 1)
@@ -143,11 +148,6 @@ def test_simple_ideal_vectors_of_sheared_sl2_sl2():
          ["0", "0", "0", "0", "1", "0"]]]
 
 
-ALGEBRA_A_MOVES = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
-                   [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
-                   [67, 23, -1], [68, 65, -1]]
-
-
 def test_change_basis_of_algebra_a_bytes():
     a = corpus.example_algebra_a().payload
     n = a.dim
@@ -227,25 +227,11 @@ def test_levi_vectors_of_algebra_a():
         "fa9b67c31bb8bbdff8befcb43df818a7b5234ddb5af2a0ff06653ba84c960933", None)
 
 
-def _algebra_a_with_denominators():
-    """The transvections of test_change_basis_of_algebra_a_bytes, then every
-    7th column scaled by 2 or 3."""
-    a = corpus.example_algebra_a().payload
-    n = a.dim
-    p = ExactMatrix.identity(n)
-    for i, j, c in ALGEBRA_A_MOVES:
-        for r in range(n):
-            p.entries[r * n + j] += c * p.entries[r * n + i]
-    for j in range(0, n, 7):
-        for r in range(n):
-            p.entries[r * n + j] *= 2 + j % 2
-    return a.change_basis(p)
-
-
 def test_levi_vectors_of_a_basis_change_with_denominators():
-    # 181 of the 967 structure constants get a denominator, and the Levi
-    # section picks up halves
-    g = _algebra_a_with_denominators()
+    # the transvections of test_change_basis_of_algebra_a_bytes, then every
+    # 7th column scaled by 2 or 3: 181 of the 967 structure constants get a
+    # denominator, and the Levi section picks up halves
+    g = algebra_a_with_denominators()
     assert sum(1 for comp in g.table.values() for c in comp.values()
                if Q(c).denominator != 1) == 181
     assert _levi_strings(g) == (
@@ -253,7 +239,7 @@ def test_levi_vectors_of_a_basis_change_with_denominators():
 
 
 def test_nilradical_center_and_series_of_a_basis_change_with_denominators():
-    g = _algebra_a_with_denominators()
+    g = algebra_a_with_denominators()
     nil = g.nilradical()
     series = g.lower_central_series(nil)
     center = g.center()

@@ -21,6 +21,7 @@ from levitanaka.matrices import ExactMatrix
 from levitanaka.prolongation import prolong
 from levitanaka.quadric import diagonal_form
 
+from naive_oracle import bracket as naive_bracket
 from naive_oracle import jacobi_first_failure, killing_matrix
 
 Q = Fraction
@@ -101,6 +102,26 @@ def sl2_semidirect_adjoint(shear=False):
     return g.change_basis(p)
 
 
+# transvections of algebra A, [i, j, c]: column j += c * column i
+ALGEBRA_A_MOVES = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
+                   [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
+                   [67, 23, -1], [68, 65, -1]]
+
+
+def algebra_a_with_denominators():
+    """Algebra A after ALGEBRA_A_MOVES, then every 7th column scaled by 2 or 3."""
+    a = corpus.example_algebra_a().payload
+    n = a.dim
+    p = ExactMatrix.identity(n)
+    for i, j, c in ALGEBRA_A_MOVES:
+        for r in range(n):
+            p.entries[r * n + j] += c * p.entries[r * n + i]
+    for j in range(0, n, 7):
+        for r in range(n):
+            p.entries[r * n + j] *= 2 + j % 2
+    return a.change_basis(p)
+
+
 def test_validate_certificates():
     assert sl2().validate().ok
     assert heisenberg3().validate().ok
@@ -144,19 +165,23 @@ def _oracle_algebra(name):
         return sl2_sl2()
     if name == "algebra_a":
         return corpus.example_algebra_a().payload
+    if name == "algebra_a_denominators":
+        return algebra_a_with_denominators()
     return prolong(diagonal_form([1, -1]).build_m_minus()).algebra
 
 
-@given(st.sampled_from(["sl2_sl2", "algebra_a", "heisenberg_pm"]), st.data())
-@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sl2_sl2", "algebra_a", "algebra_a_denominators",
+                        "heisenberg_pm"]), st.data())
+@settings(max_examples=80, deadline=None)
 def test_validate_reports_the_oracle_first_jacobi_violation(name, data):
     # one structure constant moved by a nonzero amount (possibly to zero);
-    # its target keeps its degree, so only Jacobi can fail
+    # its target keeps its degree, so only Jacobi can fail.  A move by
+    # +-1/3 changes the lcm of the denominators that validate scales by
     g = _oracle_algebra(name)
     i, j, k = data.draw(st.sampled_from(
         [(i, j, k) for (i, j), comp in sorted(g.table.items()) for k in sorted(comp)]))
     table = {key: dict(comp) for key, comp in g.table.items()}
-    table[i, j][k] += data.draw(st.sampled_from([-2, -1, 1, 3]))
+    table[i, j][k] += data.draw(st.sampled_from([-2, -1, 1, 3, Q(1, 3), Q(-1, 3)]))
     bad = GradedLieAlgebra(g.names, g.degrees, table, g.J)
     expected = jacobi_first_failure(bad.table, bad.dim)
     rep = bad.validate()
@@ -204,6 +229,27 @@ def test_bracket_bilinear():
     assert g.bracket(x, z) == [Q(0)] * 3
 
 
+@given(st.sampled_from(["sl2_sl2", "sheared_semidirect", "algebra_a_denominators"]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_bracket_matches_the_all_pairs_oracle(name, data):
+    g = (sl2_sl2() if name == "sl2_sl2" else sl2_semidirect_adjoint(shear=True)
+         if name == "sheared_semidirect" else _oracle_algebra(name))
+    n = g.dim
+    entry = st.sampled_from([1, -1, 2, Q(1, 2), Q(-2, 3)])
+    vector = st.dictionaries(st.integers(0, n - 1), entry, max_size=6)
+    x, y = data.draw(vector), data.draw(vector)
+    dense_x = [x.get(t, 0) for t in range(n)]
+    dense_y = [y.get(t, 0) for t in range(n)]
+    expected = naive_bracket(g.table, n, dense_x, dense_y)
+    assert g.bracket(dense_x, dense_y) == expected
+    assert g.bracket(x, y) == {k: v for k, v in enumerate(expected) if v}
+    i = data.draw(st.integers(0, n - 1))
+    unit = [int(t == i) for t in range(n)]
+    assert g.ad(i, y) == {k: v for k, v in enumerate(
+        naive_bracket(g.table, n, unit, dense_y)) if v}
+
+
 def test_ad_is_bracket_with_a_basis_vector():
     for g in (sl2_sl2(), sl2_semidirect_adjoint(shear=True)):
         v = [Q(3, 2), Q(0), Q(-2), Q(5, 7), Q(1), Q(-1, 3)]
@@ -248,6 +294,34 @@ def test_radical_is_computed_once():
     g.nilradical()
     g.levi_decomposition()
     assert g.radical() is rad
+
+
+def test_characteristic_element_is_computed_once():
+    g = sl2_semidirect_adjoint(shear=True)
+    e = g.characteristic_element()
+    g.levi_decomposition()
+    assert g.characteristic_element() is e
+    # a grading that is not inner raises every time, from one computation
+    ab = GradedLieAlgebra(["a", "b"], [-1, -1], {})
+    calls = []
+    solve = elimination.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    elimination.solve = counted
+    try:
+        for _ in range(2):
+            with pytest.raises(NoCharacteristicElementError):
+                ab.characteristic_element()
+        g2 = sl2_plus_center()
+        for _ in range(2):
+            with pytest.raises(NotUniqueCharacteristicElementError):
+                g2.characteristic_element()
+    finally:
+        elimination.solve = solve
+    assert len(calls) == 1  # ab has no degree-0 part, so only g2 solves
 
 
 def test_lower_central_series():
@@ -375,13 +449,10 @@ def test_levi_correction_keeps_zero_defects_zero():
     # next derived ideal ("defect escaped the expected ideal").
     from levitanaka.corpus import example_algebra_a
 
-    moves = [[27, 2, 1], [0, 5, -1], [53, 3, -1], [22, 62, 1], [43, 58, 1],
-             [3, 53, -1], [66, 68, -1], [43, 20, 1], [66, 63, -1], [26, 53, 1],
-             [67, 23, -1], [68, 65, -1]]
     a = example_algebra_a().payload
     n = a.dim
     p = ExactMatrix.identity(n)
-    for i, j, c in moves:  # column j += c * column i
+    for i, j, c in ALGEBRA_A_MOVES:  # column j += c * column i
         for r in range(n):
             p.entries[r * n + j] += c * p.entries[r * n + i]
     dec = a.change_basis(p).levi_decomposition()
