@@ -276,10 +276,9 @@ class Echelon:
     ``{col: value}`` dict, which may leave out zero entries; both go
     through one integer-row builder, so they give the same rows, and
     ``reduce`` hands the residual back in the form it was given.  Each
-    stored row is a
-    primitive sparse integer row that leads at its pivot column and is
-    zero at every other pivot column, so it is a multiple of the row of
-    the reduced row echelon form (RREF) with the same pivot.
+    stored row is a primitive sparse integer row that leads at its pivot
+    column and is zero at every other pivot column, so it is a multiple
+    of the row of the reduced row echelon form (RREF) with the same pivot.
 
     Past column ``ncols`` rows carry bookkeeping columns, which are never
     pivots.  A row (x | m | t) stands for the relation
