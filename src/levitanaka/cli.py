@@ -115,7 +115,7 @@ def cmd_analyze_quadric(args) -> int:
                    "witness": None if trans.ok else trans.offending_degree})
     alg = result.algebra
     dec = alg.levi_decomposition()
-    e_r_zero = dec.E_r is not None and not any(dec.E_r)
+    e_r_zero = dec.E_r is not None and not dec.E_r
     verdicts = {
         "grading_element_in_levi": e_r_zero,
         "levi_dim": dec.s.dim,
@@ -125,7 +125,7 @@ def cmd_analyze_quadric(args) -> int:
                      degree_dims=result.degree_dims, verdicts=verdicts)
     report["characteristic_element"] = {
         alg.names[i]: rat_to_str(x)
-        for i, x in enumerate(result.characteristic_element) if x}
+        for i, x in result.characteristic_element.items()}
     _emit(report, args)
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 

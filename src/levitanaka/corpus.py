@@ -679,17 +679,17 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
                             sorted(i.dim for i in ideals),
                             exp["levi_simple_dims"])
                 if "E_r_zero" in exp:
-                    got = dec.E_r is not None and not any(dec.E_r)
+                    got = dec.E_r is not None and not dec.E_r
                     compare("E_r_zero", got, exp["E_r_zero"])
                 if exp.get("has_tilde_s"):
                     low = algebra.degree_indices(-2)
                     rad_low = [v for v in rad.vectors
-                               if any(v[i] for i in low)]
+                               if any(i in v for i in low)]
                     record("radical_meets_g_minus2_properly",
                            len(rad_low) < len(low),
                            {"rad_low": len(rad_low), "dim": len(low)})
                     record("grading_element_in_levi",
-                           dec.E_r is not None and not any(dec.E_r))
+                           dec.E_r is not None and not dec.E_r)
 
     if "kind2_descriptors" in exp and exp["kind2_descriptors"]:
         kind2, kind1 = _descriptors_from_expected(entry)

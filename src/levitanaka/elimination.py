@@ -272,13 +272,12 @@ def solve(rows, ncols_total, bcol):
 class Echelon:
     """Incremental reduced echelon form of the span of added vectors.
 
-    A vector is either a dense list of ``ncols`` rationals or a sparse
-    ``{col: value}`` dict, which may leave out zero entries; both go
-    through one integer-row builder, so they give the same rows, and
-    ``reduce`` hands the residual back in the form it was given.  Each
-    stored row is a primitive sparse integer row that leads at its pivot
-    column and is zero at every other pivot column, so it is a multiple
-    of the row of the reduced row echelon form (RREF) with the same pivot.
+    A vector is a sparse ``{col: value}`` dict, which may hold zero
+    entries; ``reduce``, ``coords`` and ``basis`` answer with dicts of
+    nonzero entries.  Each stored row is a primitive sparse integer row
+    that leads at its pivot column and is zero at every other pivot
+    column, so it is a multiple of the row of the reduced row echelon
+    form (RREF) with the same pivot.
 
     Past column ``ncols`` rows carry bookkeeping columns, which are never
     pivots.  A row (x | m | t) stands for the relation
@@ -300,11 +299,8 @@ class Echelon:
         return len(self._rows)
 
     def _int_row(self, vector, extra_cols):
-        """Dense or sparse vector scaled to integers, the scale in extra_cols."""
-        if isinstance(vector, dict):
-            cols = sorted(c for c, x in vector.items() if x)
-        else:
-            cols = [c for c, x in enumerate(vector) if x]
+        """A vector scaled to integers, the scale in extra_cols."""
+        cols = sorted(c for c, x in vector.items() if x)
         vals = [vector[c] for c in cols]
         lcm = 1
         if any(type(x) is not int for x in vals):
@@ -343,39 +339,31 @@ class Echelon:
         return True
 
     def reduce(self, vector):
-        """Canonical residual: v minus a member of the span, zero on every pivot.
-
-        A dict in gives a dict of the nonzero residual entries out.
-        """
+        """Canonical residual: v minus a member of the span, zero on every pivot."""
         n = self.ncols
         cols, vals = self._reduce(*self._int_row(vector, [n]))
         k = bisect_left(cols, n)
         m = vals[k]
-        if isinstance(vector, dict):
-            return {c: ratio(x, m) for c, x in zip(cols[:k], vals)}
-        out = [0] * n
-        for c, x in zip(cols[:k], vals):
-            out[c] = ratio(x, m)
-        return out
+        return {c: ratio(x, m) for c, x in zip(cols[:k], vals)}
 
     def contains(self, vector) -> bool:
         cols, _ = self._reduce(*self._int_row(vector, []))
         return not cols or cols[0] >= self.ncols
 
     def coords(self, vector):
-        """Coefficients of a member on the added vectors, or None off the span."""
+        """Nonzero coefficients {k: c} of a member on the added vectors u_k.
+
+        None for a vector outside the span.
+        """
         n = self.ncols
         cols, vals = self._reduce(*self._int_row(vector, [n]))
         if cols[0] < n:
             return None
         m = vals[0]
-        out = [0] * self._added
-        for c, x in zip(cols[1:], vals[1:]):
-            out[c - n - 1] = ratio(-x, m)
-        return out
+        return {c - n - 1: ratio(-x, m) for c, x in zip(cols[1:], vals[1:])}
 
     @property
-    def sparse_basis(self):
+    def basis(self):
         """The RREF rows of the span, as {col: value} dicts of nonzero entries."""
         n = self.ncols
         out = []
@@ -384,15 +372,4 @@ class Echelon:
             lead = vals[0]
             out.append({c: ratio(x, lead)
                         for c, x in zip(cols[:bisect_left(cols, n)], vals)})
-        return out
-
-    @property
-    def basis(self):
-        """The RREF rows of the span, as dense lists."""
-        out = []
-        for row in self.sparse_basis:
-            dense = [0] * self.ncols
-            for c, x in row.items():
-                dense[c] = x
-            out.append(dense)
         return out

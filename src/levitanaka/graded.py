@@ -10,23 +10,26 @@ the derived series of the radical, and the split into simple ideals.
 Everything is exact.  The scalars are Python ints, and ``Fraction``s
 only where some division left a remainder: the table stores integral
 constants as ints, and the results of ``elimination`` come through its
-``ratio``.  Inside, a vector is a sparse ``{index: value}`` dict of its
-nonzero coordinates, so ``bracket``, ``ad`` and the echelon spans cost
-time in proportion to the nonzero entries, not to the dimension.  At
-the boundary vectors are dense lists: ``Subspace.vectors``, the grading
-element and the Levi decomposition's ``E_s`` and ``E_r``, and ``bracket``
-and ``ad`` answer a dense list with a dense list.  The Killing form is
-kept as sparse rows of such scalars, which the radical, nilradical and
-simple ideals read; only ``killing_form()``, an ``ExactMatrix``, holds
-Fractions.  The Killing form is degree-paired: trace(ad x_i ad x_j) is
-summed only where d_i + d_j = 0, since ad x_i ad x_j shifts every degree
-by d_i + d_j and so has no diagonal otherwise.  That rests on degree
-additivity, which is checked once per algebra; a table that fails it
-raises rather than getting a wrong Killing form.  ``validate`` checks
-Jacobi on every triple, one pass over the ad-columns per pair, in int
-arithmetic on the table scaled by the lcm of its denominators.  Every
-structural claim an operation returns is re-verified by membership and
-rank tests before it is handed back; a failed certificate raises
+``ratio``.  An element of the algebra has one form, going in and coming
+out: a sparse ``{index: value}`` dict of its nonzero coordinates.  That
+holds for ``bracket`` and ``ad``, ``Subspace.vectors``, the grading
+element and the Levi decomposition's ``E_s`` and ``E_r`` (zero is
+``{}``), so ``bracket``, ``ad`` and the echelon spans cost time in
+proportion to the nonzero entries, not to the dimension.  The batch
+solvers ``kernel_basis`` and ``solve`` answer with dense lists of
+unknowns; ``_sparse`` turns a kernel vector into a dict where one is
+received.  The Killing form is kept as sparse rows of such scalars,
+which the radical, nilradical and simple ideals read; only
+``killing_form()``, an ``ExactMatrix``, holds Fractions.  The Killing
+form is degree-paired: trace(ad x_i ad x_j) is summed only where
+d_i + d_j = 0, since ad x_i ad x_j shifts every degree by d_i + d_j and
+so has no diagonal otherwise.  That rests on degree additivity, which is
+checked once per algebra; a table that fails it raises rather than
+getting a wrong Killing form.  ``validate`` checks Jacobi on every
+triple, one pass over the ad-columns per pair, in int arithmetic on the
+table scaled by the lcm of its denominators.  Every structural claim an
+operation returns is re-verified by membership and rank tests before it
+is handed back; a failed certificate raises
 ``InternalConsistencyError``, which ``python -O`` keeps.
 """
 
@@ -52,46 +55,25 @@ Q = Fraction
 
 
 def _sparse(v):
-    """A dense or sparse vector as a fresh dict of its nonzero entries."""
-    if isinstance(v, dict):
-        return {k: x for k, x in v.items() if x}
+    """A dense list, such as a kernel vector, as a dict of its nonzero entries."""
     return {k: x for k, x in enumerate(v) if x}
 
 
-def _dense(v, n):
-    """A sparse vector as a dense list of length n."""
-    out = [0] * n
-    for k, x in v.items():
-        out[k] = x
-    return out
-
-
 class Subspace:
-    """Span of exact vectors inside a parent algebra's coordinate space.
-
-    Vectors may be given dense or sparse; ``vectors`` reads them back as
-    dense lists and ``sparse`` as {index: value} dicts.
-    """
+    """Span of exact vectors, {index: value} dicts, in a parent algebra."""
 
     def __init__(self, parent, vectors):
         self.parent = parent
-        self.sparse = [_sparse(v) for v in vectors]
-        self._vectors = None
+        self.vectors = list(vectors)
         self._echelon = None
 
     @property
-    def vectors(self):
-        if self._vectors is None:
-            self._vectors = [_dense(v, self.parent.dim) for v in self.sparse]
-        return self._vectors
-
-    @property
     def dim(self):
-        return len(self.sparse)
+        return len(self.vectors)
 
     def _span(self):
         if self._echelon is None:
-            self._echelon = elimination.Echelon(self.parent.dim, self.sparse)
+            self._echelon = elimination.Echelon(self.parent.dim, self.vectors)
         return self._echelon
 
     def reduce(self, vector):
@@ -106,29 +88,17 @@ class Subspace:
 
 
 def span_basis(vectors, ncols):
-    """Reduced row echelon basis of the span of the given vectors, sparse."""
-    return elimination.Echelon(ncols, vectors).sparse_basis
+    """Reduced row echelon basis of the span of the given vectors."""
+    return elimination.Echelon(ncols, vectors).basis
 
 
 def _combination(coeffs, vectors, base=None):
-    """base + sum of c * vectors[t] over the coefficient vector ``coeffs``.
-
-    ``coeffs`` is dense or sparse, the vectors and the result sparse.
-    """
+    """base + sum of c * vectors[t] over the coefficients {t: c}."""
     out = dict(base) if base else {}
-    for t, c in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
-        if c:
-            for k, x in vectors[t].items():
-                out[k] = out.get(k, 0) + c * x
+    for t, c in coeffs.items():
+        for k, x in vectors[t].items():
+            out[k] = out.get(k, 0) + c * x
     return {k: x for k, x in out.items() if x}
-
-
-def _basis_coordinates(vectors, ncols):
-    """Echelon with coordinates on a basis of Q^ncols; ValueError if singular."""
-    ech = elimination.Echelon(ncols, vectors)
-    if ech.rank != ncols:
-        raise ValueError("matrix is singular")
-    return ech
 
 
 def _exact(c):
@@ -178,6 +148,9 @@ class GradedLieAlgebra:
     def __init__(self, names, degrees, table, J=None):
         if len(names) != len(degrees):
             raise ValueError("names/degrees length mismatch")
+        for d in degrees:
+            if type(d) is not int:
+                raise ValueError(f"degree {d!r} is not an integer")
         self.names = list(names)
         self.degrees = list(degrees)
         self.table = {}
@@ -244,30 +217,18 @@ class GradedLieAlgebra:
         return self._cols
 
     def ad(self, i, v):
-        """[e_i, v] from the ad-columns, sparse for a sparse v, else dense."""
-        dense = not isinstance(v, dict)
+        """[e_i, v] from the ad-columns, for a vector v {index: value}."""
         out = {}
-        _add_ad(out, self._columns()[i], 1, _sparse(v) if dense else v)
-        out = {k: x for k, x in out.items() if x}
-        return _dense(out, self.dim) if dense else out
+        _add_ad(out, self._columns()[i], 1, v)
+        return {k: x for k, x in out.items() if x}
 
     def bracket(self, x, y):
-        """Bilinear extension of the table to coordinate vectors.
-
-        x and y are both {index: value} dicts, and so is the result, or
-        both dense lists of length ``dim``, and the result is one too.
-        """
-        dense = not isinstance(x, dict)
-        if dense:
-            if len(x) != self.dim or len(y) != self.dim:
-                raise ValueError("vector dimension mismatch")
-            x, y = _sparse(x), _sparse(y)
+        """Bilinear extension of the table to vectors {index: value}."""
         cols = self._columns()
         out = {}
         for i, xi in x.items():
             _add_ad(out, cols[i], xi, y)
-        out = {k: v for k, v in out.items() if v}
-        return _dense(out, self.dim) if dense else out
+        return {k: v for k, v in out.items() if v}
 
     # -- validation -----------------------------------------------------
 
@@ -428,13 +389,11 @@ class GradedLieAlgebra:
     def graded_components(self, vectors):
         """Split a graded subspace's spanning set into homogeneous bases.
 
-        Takes dense or sparse vectors; returns sparse vectors sorted by
-        (degree, elimination pivot order); raises AssertionError if the
-        span is not degree-homogeneous.
+        Returns vectors sorted by (degree, elimination pivot order);
+        raises ``InternalConsistencyError`` if the span is not graded.
         """
         if not vectors:
             return []
-        vectors = [_sparse(v) for v in vectors]
         total = elimination.Echelon(self.dim, vectors).rank
         deg = self.degrees
         by_degree = {}
@@ -465,7 +424,8 @@ class GradedLieAlgebra:
             rows = [elimination.sparse_int_row(self._killing_apply(d))
                     for d in derived]
             basis = elimination.kernel_basis(rows, self.dim)
-            rad = Subspace(self, self.graded_components(basis))
+            rad = Subspace(self, self.graded_components(
+                [_sparse(v) for v in basis]))
             self._verify_ideal(rad, "radical")
         else:
             rad = Subspace(self, self.graded_components(
@@ -480,7 +440,7 @@ class GradedLieAlgebra:
     def _ad_maps_into(self, source: Subspace, target: Subspace) -> bool:
         """Certificate: [e_i, v] lies in target for every e_i and v in source."""
         for i in range(self.dim):
-            for v in source.sparse:
+            for v in source.vectors:
                 w = self.ad(i, v)
                 if w and not target.contains(w):
                     return False
@@ -493,12 +453,12 @@ class GradedLieAlgebra:
     def derived_series(self, sub: Subspace):
         """sub, [sub,sub], ... down to 0 (strictly decreasing, 0 included)."""
         return self._bracket_series(
-            sub, lambda current: combinations(current.sparse, 2))
+            sub, lambda current: combinations(current.vectors, 2))
 
     def lower_central_series(self, sub: Subspace):
         """sub, [sub,sub], [[sub,sub],sub], ... strictly decreasing prefix."""
         return self._bracket_series(
-            sub, lambda current: product(current.sparse, sub.sparse))
+            sub, lambda current: product(current.vectors, sub.vectors))
 
     def _bracket_series(self, sub: Subspace, pairs):
         """sub, then the span of [x, y] over pairs(current), while it shrinks."""
@@ -518,30 +478,28 @@ class GradedLieAlgebra:
         """Largest nilpotent ideal, by a verified heuristic.
 
         Candidate: radical vectors Killing-orthogonal to the whole algebra.
-        Certified to be an ideal, nilpotent, and to contain [g, radical];
-        raises NilradicalUnsupportedError when certification fails.
+        Certified to be nilpotent and to contain [g, radical], which makes
+        it an ideal; when it is the whole radical, ``radical()`` has
+        certified that already.  Raises NilradicalUnsupportedError when
+        certification fails.
         """
         rad = self.radical()
         if rad.dim == 0:
             return rad
         # row j: the coefficients t of (K v_t)_j over the radical basis v_t
         per_col = {}
-        for t, v in enumerate(rad.sparse):
+        for t, v in enumerate(rad.vectors):
             for j, s in self._killing_apply(v).items():
                 if s:
                     per_col.setdefault(j, {})[t] = s
         rows = [elimination.sparse_int_row(per_col[j]) for j in sorted(per_col)]
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
-        vectors = [_combination(cv, rad.sparse) for cv in coeff_basis]
+        vectors = [_combination(_sparse(cv), rad.vectors) for cv in coeff_basis]
         nil = Subspace(self, self.graded_components(vectors))
-        try:
-            self._verify_ideal(nil, "nilradical")
-        except AssertionError as exc:
-            raise NilradicalUnsupportedError(str(exc)) from exc
         lcs = self.lower_central_series(nil)
         if nil.dim and (not lcs or lcs[-1].dim != 0):
             raise NilradicalUnsupportedError("candidate is not nilpotent")
-        if not self._ad_maps_into(rad, nil):
+        if nil.dim != rad.dim and not self._ad_maps_into(rad, nil):
             raise NilradicalUnsupportedError(
                 "[g, radical] is not inside the candidate")
         return nil
@@ -552,7 +510,7 @@ class GradedLieAlgebra:
         """The unique E in g_0 with [E, x] = p x on each degree-p vector.
 
         Worked out once per algebra, like the radical: every call returns
-        the same dense list, or raises the same error again.
+        the same {index: value} dict, or raises the same error again.
         """
         if self._char is None:
             try:
@@ -585,7 +543,7 @@ class GradedLieAlgebra:
         if nun == 0:
             if any(self.degrees):
                 raise NoCharacteristicElementError("degree-0 part is zero")
-            return [0] * self.dim
+            return {}
         sol = elimination.solve(rows, nun + 1, nun)
         if sol is None:
             raise NoCharacteristicElementError("grading is not inner")
@@ -604,7 +562,7 @@ class GradedLieAlgebra:
             if self.ad(j, e) != ({j: -d} if d else {}):
                 raise InternalConsistencyError(
                     "characteristic element verification failed")
-        return _dense(e, self.dim)
+        return e
 
     def center(self) -> Subspace:
         rows = []
@@ -617,7 +575,7 @@ class GradedLieAlgebra:
         for key in sorted(per):
             rows.append(elimination.sparse_int_row(per[key]))
         basis = elimination.kernel_basis(rows, self.dim)
-        return Subspace(self, basis)
+        return Subspace(self, [_sparse(v) for v in basis])
 
     # -- subalgebra extraction ------------------------------------------
 
@@ -625,10 +583,9 @@ class GradedLieAlgebra:
         """Structure constants of a bracket-closed homogeneous span.
 
         Returns (GradedLieAlgebra, vectors); vector i of the result's
-        basis is ``vectors[i]`` in the parent's coordinates, as a sparse
-        dict.
+        basis is ``vectors[i]`` in the parent's coordinates.
         """
-        vecs = [_sparse(v) for v in vectors]
+        vecs = list(vectors)
         d = len(vecs)
         degs = []
         for v in vecs:
@@ -648,9 +605,7 @@ class GradedLieAlgebra:
                 coords = span.coords(w)
                 if coords is None:
                     raise ValueError("span is not bracket-closed")
-                comp = {k: c for k, c in enumerate(coords) if c}
-                if comp:
-                    table[(a, b)] = comp
+                table[(a, b)] = coords
         names = [f"v{a}" for a in range(d)]
         return GradedLieAlgebra(names, degs, table), vecs
 
@@ -665,20 +620,20 @@ class GradedLieAlgebra:
         # complement units, in degree order; coordinates come from the
         # basis (radical, complement) they complete
         complement_idx = []
-        q_slots = []
-        basis = elimination.Echelon(n, rad.sparse)
+        q_of_slot = {}
+        basis = elimination.Echelon(n, rad.vectors)
         for slot, i in enumerate(sorted(range(n), key=lambda i: self.degrees[i]),
                                  rad.dim):
             if basis.add({i: 1}):
+                q_of_slot[slot] = len(complement_idx)
                 complement_idx.append(i)
-                q_slots.append(slot)
         nq = len(complement_idx)
         if nq + rad.dim != n:
             raise InternalConsistencyError("complement units do not complete the radical")
 
         def q_coords(vec):
-            full = basis.coords(vec)
-            return [full[slot] for slot in q_slots]
+            return {q_of_slot[k]: c for k, c in basis.coords(vec).items()
+                    if k in q_of_slot}
 
         q_deg = [self.degrees[i] for i in complement_idx]
         sigma = [{i: 1} for i in complement_idx]
@@ -686,8 +641,7 @@ class GradedLieAlgebra:
         q_table = {}
         for a, i in enumerate(complement_idx):
             for b in range(a + 1, nq):
-                comp = {k: c for k, c in enumerate(q_coords(self.ad(i, sigma[b])))
-                        if c}
+                comp = q_coords(self.ad(i, sigma[b]))
                 if comp:
                     q_table[(a, b)] = comp
         s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)], q_deg, q_table)
@@ -718,7 +672,7 @@ class GradedLieAlgebra:
             slots = []
             slot_index = {}
             level_degree = []
-            for w in level.sparse:
+            for w in level.vectors:
                 wd = {self.degrees[i] for i in w}
                 if len(wd) != 1:
                     raise InternalConsistencyError(
@@ -732,10 +686,10 @@ class GradedLieAlgebra:
             rows = []
             bcol = len(slots)
             # reductions mod the next derived ideal
-            level_red = [nxt.reduce(w) for w in level.sparse]
+            level_red = [nxt.reduce(w) for w in level.vectors]
             sig_red = {}
             for a in range(nq):
-                for m, w in enumerate(level.sparse):
+                for m, w in enumerate(level.vectors):
                     red = nxt.reduce(self.bracket(sigma[a], w))
                     if red:
                         sig_red[(a, m)] = red
@@ -780,7 +734,7 @@ class GradedLieAlgebra:
                 if sol[slot]:
                     phi.setdefault(a, {})[m] = sol[slot]
             for a, coeffs in phi.items():
-                sigma[a] = _combination(coeffs, level.sparse, sigma[a])
+                sigma[a] = _combination(coeffs, level.vectors, sigma[a])
             stage += 1
             delta = defects()
 
@@ -790,8 +744,8 @@ class GradedLieAlgebra:
             raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
         try:
             e = self.characteristic_element()
-            e_s = _dense(_combination(q_coords(e), sigma), n)
-            e_r = [x - y for x, y in zip(e, e_s)]
+            e_s = _combination(q_coords(e), sigma)
+            e_r = _combination({0: 1, 1: -1}, [e, e_s])
             if not rad.contains(e_r):
                 raise InternalConsistencyError("E_r is not in the radical")
         except (NoCharacteristicElementError, NotUniqueCharacteristicElementError):
@@ -802,7 +756,7 @@ class GradedLieAlgebra:
     def simple_ideals(self, sub: Subspace):
         """Split a semisimple subalgebra into its simple ideals."""
         result = []
-        self._split_simple(sub.sparse, result)
+        self._split_simple(sub.vectors, result)
         return [Subspace(self, vecs) for vecs in result]
 
     def _split_simple(self, vectors, out):
@@ -820,7 +774,7 @@ class GradedLieAlgebra:
             comp = elimination.kernel_basis(rows, d)
             if len(comp) + di != d:
                 raise InternalConsistencyError("Killing complement has wrong dimension")
-            for part in (ideal, comp):
+            for part in (ideal, [_sparse(cv) for cv in comp]):
                 self._split_simple([_combination(cv, vecs) for cv in part], out)
             return
         out.append(vecs)
@@ -835,7 +789,9 @@ class GradedLieAlgebra:
             raise ValueError("basis change must be square of matching size")
         cols = [{i: _exact(x) for i, x in enumerate(p.col(j)) if x}
                 for j in range(n)]
-        new_basis = _basis_coordinates(cols, n)
+        new_basis = elimination.Echelon(n, cols)
+        if new_basis.rank != n:
+            raise ValueError("matrix is singular")
         new_deg = []
         for col in cols:
             present = {self.degrees[i] for i in col}
@@ -846,12 +802,8 @@ class GradedLieAlgebra:
         for a in range(n):
             for b in range(a + 1, n):
                 w = self.bracket(cols[a], cols[b])
-                if not w:
-                    continue
-                coords = new_basis.coords(w)
-                comp = {k: c for k, c in enumerate(coords) if c}
-                if comp:
-                    table[(a, b)] = comp
+                if w:
+                    table[(a, b)] = new_basis.coords(w)
         jmat = None
         if self.J is not None:
             # J transforms by restriction of the change to the degree -1 block
@@ -861,10 +813,9 @@ class GradedLieAlgebra:
                 raise ValueError("degree -1 block changed position")
             sub = ExactMatrix.from_rows(
                 [[p.entry(i, j) for j in new_block] for i in block])
-            sub_basis = _basis_coordinates(
-                [sub.col(j) for j in range(sub.ncols)], sub.nrows)
+            # sub is invertible, a diagonal block of the invertible p
             jsub = self.J * sub
-            jmat = ExactMatrix.from_rows([sub_basis.coords(jsub.col(j))
+            jmat = ExactMatrix.from_rows([sub.solve(jsub.col(j))
                                           for j in range(jsub.ncols)]).transpose()
         return GradedLieAlgebra(list(self.names), new_deg, table, jmat)
 
@@ -938,4 +889,4 @@ def _ideal_closure(alg: GradedLieAlgebra, t: int):
             w = alg.ad(i, v)
             if w and span.add(w):
                 work.append(w)
-    return span.sparse_basis
+    return span.basis

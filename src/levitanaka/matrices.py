@@ -144,21 +144,6 @@ class ExactMatrix:
             out.append(s if s is not None else Fraction(0))
         return out
 
-    def apply_sparse(self, vec):
-        """Like apply(), but iterates only the nonzero vector entries."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.nrows
-        m = self.ncols
-        for j, x in enumerate(vec):
-            if not x:
-                continue
-            for i in range(self.nrows):
-                a = self.entries[i * m + j]
-                if a:
-                    out[i] = out[i] + a * x
-        return out
-
     def transpose(self):
         return ExactMatrix(self.ncols, self.nrows,
                            [self.entries[i * self.ncols + j]

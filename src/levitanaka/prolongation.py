@@ -35,14 +35,9 @@ the top degree.  A failed re-validation raises
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import elimination
 from .errors import CapReachedError, InternalConsistencyError, PreconditionError
 from .graded import GradedLieAlgebra
-from .matrices import ExactMatrix
-
-Q = Fraction
 
 
 class ProlongationResult:
@@ -86,34 +81,27 @@ def _check_preconditions(m: GradedLieAlgebra):
     block1 = m.degree_indices(-1)
     block2 = m.degree_indices(-2)
     n1, n2 = len(block1), len(block2)
-    # J compatibility [JX, JY] = [X, Y] on basis pairs
+    # J compatibility [JX, JY] = [X, Y] on basis pairs; J's columns as vectors
+    jcols = [{block1[t]: x for t, x in enumerate(m.J.col(a)) if x} for a in range(n1)]
     for a in range(n1):
-        ja = [Q(0)] * m.dim
-        for t in range(n1):
-            ja[block1[t]] = m.J.entry(t, a)
         for b in range(a + 1, n1):
-            jb = [Q(0)] * m.dim
-            for t in range(n1):
-                jb[block1[t]] = m.J.entry(t, b)
-            xa = [Q(int(i == block1[a])) for i in range(m.dim)]
-            xb = [Q(int(i == block1[b])) for i in range(m.dim)]
-            if m.bracket(ja, jb) != m.bracket(xa, xb):
+            if m.bracket(jcols[a], jcols[b]) != m.bracket_elements(block1[a], block1[b]):
                 raise PreconditionError("J is not bracket-compatible")
-    # fundamental: [g_-1, g_-1] spans g_-2
-    vecs = []
-    for i, a in enumerate(block1):
-        for b in block1[i + 1:]:
-            comp = m.bracket_elements(a, b)
-            if comp:
-                vecs.append([comp.get(t, Q(0)) for t in block2])
-    if not vecs or ExactMatrix.from_rows(vecs).rank() != n2:
+    # fundamental: [g_-1, g_-1] spans g_-2 (rank rows keep global columns)
+    pairs = [m.bracket_elements(a, b)
+             for i, a in enumerate(block1) for b in block1[i + 1:]]
+    rows = [elimination.sparse_int_row(comp) for comp in pairs if comp]
+    if elimination.rank(rows, m.dim) != n2:
         raise PreconditionError("input is not fundamental")
-    # nondegenerate: ad is injective on g_-1
+    # nondegenerate: ad is injective on g_-1; row (b, z) holds [a, b]_z over a
     rows = []
     for b in block1:
-        for z in block2:
-            rows.append([m.bracket_elements(a, b).get(z, Q(0)) for a in block1])
-    if ExactMatrix.from_rows(rows).rank() != n1:
+        per_z = {}
+        for a in block1:
+            for z, c in m.bracket_elements(a, b).items():
+                per_z.setdefault(z, {})[a] = c
+        rows += [elimination.sparse_int_row(per_z[z]) for z in block2 if z in per_z]
+    if elimination.rank(rows, m.dim) != n1:
         raise PreconditionError("input is not nondegenerate")
     return block1, block2
 

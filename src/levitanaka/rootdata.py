@@ -147,11 +147,12 @@ class RootSystem:
         # omega_j = sum_k x_k alpha_k with C x = e_j: coordinates of e_j
         # on the columns of the Cartan matrix C
         cartan = elimination.Echelon(
-            l, [[row[k] for row in self.cartan_matrix] for k in range(l)])
+            l, [{t: row[k] for t, row in enumerate(self.cartan_matrix)}
+                for k in range(l)])
         if cartan.rank != l:
             raise ValueError("matrix is singular")
-        self._fundamental = [cartan.coords([int(t == j) for t in range(l)])
-                             for j in range(l)]
+        coords = [cartan.coords({j: 1}) for j in range(l)]
+        self._fundamental = [[x.get(k, 0) for k in range(l)] for x in coords]
         return self._fundamental
 
     # -- longest element -----------------------------------------------------

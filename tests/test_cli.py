@@ -87,6 +87,14 @@ def test_prolong_input_errors(capsys, tmp_path):
         path.write_text(json.dumps(m))
         assert main(["prolong", str(path)]) == 2
         assert "outside the basis" in capsys.readouterr().err
+    # -1.0 passes {-1.0, -2} <= {-1, -2}, but a degree must be an int
+    for degree in (-1.0, True):
+        m = diagonal_form([1]).build_m_minus().to_json()
+        m["degrees"][0] = degree
+        path.write_text(json.dumps(m))
+        assert main(["prolong", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not an integer" in err and "Traceback" not in err
 
 
 def test_classify_e6(capsys, tmp_path):

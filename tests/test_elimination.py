@@ -199,12 +199,25 @@ def spans(draw, gaussian):
     return vectors, draw(vec)
 
 
-def _check_against_oracle(vectors, probe, gaussian):
+def _as_dict(data, v):
+    """v as a dict that keeps some zero entries and lists its columns in any order."""
+    width = len(v)
+    kept = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return {c: v[c] for c in data.draw(st.permutations(range(width)))
+            if v[c] or kept[c]}
+
+
+def _nonzero(v):
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def _check_against_oracle(vectors, probe, gaussian, data):
     """Echelon of the (realified) vectors against the naive RREF.
 
     Over Q(i) the echelon gets each vector v and i*v as real vectors with
     interleaved (real, imaginary) parts: their span is the realified
     complex span, whose RREF is each complex RREF row R followed by i*R.
+    The echelon reads every vector as a dict drawn by ``_as_dict``.
     """
     if gaussian:
         added = [_realify([m * x for x in v]) for v in vectors
@@ -214,7 +227,7 @@ def _check_against_oracle(vectors, probe, gaussian):
         added = [list(u) for u in vectors]
         v = list(probe)
     width = len(v)
-    echelon = elimination.Echelon(width, added)
+    echelon = elimination.Echelon(width, [_as_dict(data, u) for u in added])
     rows, pivots = rref(vectors) if vectors else ([], [])
     expected = []
     for r in rows[:len(pivots)]:
@@ -222,89 +235,64 @@ def _check_against_oracle(vectors, probe, gaussian):
             expected += [_realify(r), _realify([GaussRational(0, 1) * x for x in r])]
         else:
             expected.append(r)
-    assert echelon.basis == expected
+    assert echelon.basis == [_nonzero(r) for r in expected]
     assert echelon.rank == len(expected)
 
-    residual = echelon.reduce(v)
+    residual = echelon.reduce(_as_dict(data, v))
     naive = list(v)
     for row in expected:
         p = next(c for c, x in enumerate(row) if x)
         naive = [a - naive[p] * b for a, b in zip(naive, row)]
-    assert residual == naive
+    assert residual == _nonzero(naive)
     lead_cols = [next(c for c, x in enumerate(row) if x) for row in expected]
-    assert all(residual[p] == 0 for p in lead_cols)
-    assert echelon.contains([a - b for a, b in zip(v, residual)])
-    assert echelon.contains(v) == (not any(residual))
+    assert not any(p in residual for p in lead_cols)
+    member = [a - b for a, b in zip(v, naive)]
+    assert echelon.contains(_as_dict(data, member))
+    assert echelon.contains(_as_dict(data, v)) == (not residual)
 
     def combination(coords):
+        assert all(coords.values())
         out = [Q(0)] * width
-        for c, u in zip(coords, added):
-            out = [a + c * b for a, b in zip(out, u)]
+        for k, c in coords.items():
+            out = [a + c * b for a, b in zip(out, added[k])]
         return out
 
-    coords = echelon.coords(v)
-    if any(residual):
+    coords = echelon.coords(_as_dict(data, v))
+    if residual:
         assert coords is None
     else:
         assert combination(coords) == v
     # a member built from the added vectors is rebuilt from its coordinates
-    member = combination([Q(k + 1) for k in range(len(added))])
-    assert combination(echelon.coords(member)) == member
-
-
-@given(spans(gaussian=False))
-@settings(max_examples=200, deadline=None)
-def test_echelon_matches_oracle_rational(case):
-    _check_against_oracle(*case, gaussian=False)
-
-
-@given(spans(gaussian=True))
-@settings(max_examples=150, deadline=None)
-def test_echelon_matches_oracle_gaussian(case):
-    _check_against_oracle(*case, gaussian=True)
+    member = combination({k: Q(k + 1) for k in range(len(added))})
+    assert combination(echelon.coords(_as_dict(data, member))) == member
 
 
 @given(spans(gaussian=False), st.data())
 @settings(max_examples=200, deadline=None)
-def test_echelon_reads_dicts_as_the_same_dense_vectors(case, data):
-    # a dict may keep some zero entries and list its columns in any order;
-    # it must reduce to the same rows
-    vectors, probe = case
-    width = len(probe)
-    keep = st.lists(st.booleans(), min_size=width, max_size=width)
+def test_echelon_matches_oracle_rational(case, data):
+    _check_against_oracle(*case, gaussian=False, data=data)
 
-    def sparse(v):
-        kept = data.draw(keep)
-        return {c: v[c] for c in data.draw(st.permutations(range(width)))
-                if v[c] or kept[c]}
 
-    dense = elimination.Echelon(width, vectors)
-    echelon = elimination.Echelon(width, [sparse(v) for v in vectors])
-    assert echelon._rows == dense._rows
-    rows, pivots = rref(vectors) if vectors else ([], [])
-    assert echelon.basis == dense.basis == rows[:len(pivots)]
-    assert echelon.sparse_basis == [{c: x for c, x in enumerate(r) if x}
-                                    for r in rows[:len(pivots)]]
-    residual = echelon.reduce(sparse(probe))
-    assert residual == {c: x for c, x in enumerate(dense.reduce(probe)) if x}
-    assert echelon.contains(sparse(probe)) == dense.contains(probe)
-    assert echelon.coords(sparse(probe)) == dense.coords(probe)
-    member = [sum(x) for x in zip([Q(0)] * width, *vectors)]
-    assert echelon.coords(sparse(member)) == dense.coords(member)
+@given(spans(gaussian=True), st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_oracle_gaussian(case, data):
+    _check_against_oracle(*case, gaussian=True, data=data)
 
 
 def test_echelon_unique_coords_and_add_flags():
     e = elimination.Echelon(3)
-    assert e.add([Q(1), Q(2), Q(0)])
-    assert e.add([Q(0), Q(1), Q(1)])
-    assert not e.add([Q(1), Q(3), Q(1)])  # first + second
-    assert e.coords([Q(2), Q(5), Q(1)]) == [Q(2), Q(1), Q(0)]
-    assert e.coords([Q(0), Q(0), Q(1)]) is None
-    assert e.basis == [[Q(1), Q(0), Q(-2)], [Q(0), Q(1), Q(1)]]
-    half = elimination.Echelon(3, [[2, 4, 0], [0, Q(3, 2), 3]])
-    for out in (e.coords([2, 5, 1]), *e.basis, half.reduce([1, 1, 1]),
-                half.coords([1, Q(7, 2), 3]), *half.basis):
-        assert all(_exact_scalar(x) for x in out)
-    assert half.coords([1, Q(7, 2), 3]) == [Q(1, 2), 1]
+    assert e.add({0: Q(1), 1: Q(2)})
+    assert e.add({1: Q(1), 2: Q(1)})
+    assert not e.add({0: Q(1), 1: Q(3), 2: Q(1)})  # first + second
+    # the third vector left the span as it was: it gets no coordinate
+    assert e.coords({0: Q(2), 1: Q(5), 2: Q(1)}) == {0: Q(2), 1: Q(1)}
+    assert e.coords({2: Q(1)}) is None
+    assert e.basis == [{0: Q(1), 2: Q(-2)}, {1: Q(1), 2: Q(1)}]
+    half = elimination.Echelon(3, [{0: 2, 1: 4}, {1: Q(3, 2), 2: 3}])
+    for out in (e.coords({0: 2, 1: 5, 2: 1}), *e.basis,
+                half.reduce({0: 1, 1: 1, 2: 1}),
+                half.coords({0: 1, 1: Q(7, 2), 2: 3}), *half.basis):
+        assert all(_exact_scalar(x) for x in out.values())
+    assert half.coords({0: 1, 1: Q(7, 2), 2: 3}) == {0: Q(1, 2), 1: 1}
     assert elimination.ratio(6, -3) == -2 and type(elimination.ratio(6, -3)) is int
     assert elimination.ratio(3, -6) == Q(-1, 2)

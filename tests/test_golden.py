@@ -58,7 +58,10 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _strs(vectors):
+def _strs(vectors, dim=None):
+    """Entries as strings; dicts {index: value} are first written out to length dim."""
+    if dim is not None:
+        vectors = [[v.get(k, 0) for k in range(dim)] for v in vectors]
     return [[str(x) for x in v] for v in vectors]
 
 
@@ -124,10 +127,10 @@ def test_radical_and_derived_series_vectors():
     expected = [["0", "0", "0", "0", "0", "1"],
                 ["0", "0", "0", "1", "0", "0"],
                 ["0", "0", "0", "0", "1", "0"]]
-    assert _strs(rad.vectors) == expected
-    assert [_strs(s.vectors) for s in g.derived_series(rad)] == [expected, []]
-    whole = Subspace(g, [[Q(int(a == b)) for b in range(6)] for a in range(6)])
-    assert [_strs(s.vectors) for s in g.derived_series(whole)] == [
+    assert _strs(rad.vectors, 6) == expected
+    assert [_strs(s.vectors, 6) for s in g.derived_series(rad)] == [expected, []]
+    whole = Subspace(g, [{a: Q(1)} for a in range(6)])
+    assert [_strs(s.vectors, 6) for s in g.derived_series(whole)] == [
         [["1" if a == b else "0" for b in range(6)] for a in range(6)]]
 
 
@@ -140,8 +143,8 @@ def test_simple_ideal_vectors_of_sheared_sl2_sl2():
         [0, 1, 1, "2"], [0, 2, 2, "-2"], [0, 4, 4, "4"], [0, 5, 5, "-4"],
         [1, 2, 0, "-1"], [1, 2, 3, "2"], [1, 3, 1, "-2"], [2, 3, 2, "2"],
         [3, 4, 4, "2"], [3, 5, 5, "-2"], [4, 5, 0, "1"], [4, 5, 3, "-1"]]
-    whole = Subspace(g, [[Q(int(a == b)) for b in range(6)] for a in range(6)])
-    assert [_strs(s.vectors) for s in g.simple_ideals(whole)] == [
+    whole = Subspace(g, [{a: Q(1)} for a in range(6)])
+    assert [_strs(s.vectors, 6) for s in g.simple_ideals(whole)] == [
         [["0", "0", "1", "0", "0", "0"], ["1", "0", "0", "-2", "0", "0"],
          ["0", "1", "0", "0", "0", "0"]],
         [["0", "0", "0", "0", "0", "1"], ["1", "0", "0", "-1", "0", "0"],
@@ -217,8 +220,9 @@ def test_analyze_quadric_counterexample_report_bytes(capsys, tmp_path):
 
 def _levi_strings(g):
     dec = g.levi_decomposition()
-    e_s = None if dec.E_s is None else [str(x) for x in dec.E_s]
-    return _sha(json.dumps([_strs(dec.s.vectors), _strs(dec.r.vectors)])), e_s
+    e_s = None if dec.E_s is None else _strs([dec.E_s], g.dim)[0]
+    return _sha(json.dumps([_strs(dec.s.vectors, g.dim),
+                            _strs(dec.r.vectors, g.dim)])), e_s
 
 
 def test_levi_vectors_of_algebra_a():
@@ -244,8 +248,8 @@ def test_nilradical_center_and_series_of_a_basis_change_with_denominators():
     series = g.lower_central_series(nil)
     center = g.center()
     assert (nil.dim, center.dim, [s.dim for s in series]) == (54, 4, [54, 36, 0])
-    text = json.dumps([_strs(nil.vectors), _strs(center.vectors),
-                       [_strs(s.vectors) for s in series]])
+    text = json.dumps([_strs(nil.vectors, g.dim), _strs(center.vectors, g.dim),
+                       [_strs(s.vectors, g.dim) for s in series]])
     assert _sha(text) == "cb515ceb33230009ed388e8029933df2c1ac3fff1d036536d8485cc6befec02b"
 
 

@@ -48,10 +48,8 @@ def test_characteristic_element_acts_by_degree():
     result = prolong(m)
     alg = result.algebra
     e = result.characteristic_element
-    for j in range(alg.dim):
-        unit = [Q(int(t == j)) for t in range(alg.dim)]
-        expected = [Q(alg.degrees[j]) if t == j else Q(0) for t in range(alg.dim)]
-        assert alg.bracket(e, unit) == expected
+    for j, d in enumerate(alg.degrees):
+        assert alg.bracket(e, {j: Q(1)}) == ({j: Q(d)} if d else {})
 
 
 def test_prolongation_output_validates():
@@ -175,11 +173,8 @@ def test_random_quadric_prolongations_are_coherent(h):
     assert alg.validate().ok
     assert transitivity_check(result).ok
     e = result.characteristic_element
-    for j in range(alg.dim):
-        unit = [Q(int(t == j)) for t in range(alg.dim)]
-        expected = [Q(alg.degrees[j]) if t == j else Q(0)
-                    for t in range(alg.dim)]
-        assert alg.bracket(e, unit) == expected
+    for j, d in enumerate(alg.degrees):
+        assert alg.bracket(e, {j: Q(1)}) == ({j: Q(d)} if d else {})
     assert alg.center().dim == 0
 
 

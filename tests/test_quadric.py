@@ -88,16 +88,10 @@ def _j_pairs_compatible(m):
     """[JX, JY] == [X, Y] on all degree -1 basis pairs."""
     block = m.degree_indices(-1)
     d = len(block)
+    jcols = [{block[t]: m.J.entry(t, a) for t in range(d)} for a in range(d)]
     for a in range(d):
         for b in range(d):
-            ja = [Q(0)] * m.dim
-            jb = [Q(0)] * m.dim
-            for t in range(d):
-                ja[block[t]] = m.J.entry(t, a)
-                jb[block[t]] = m.J.entry(t, b)
-            xa = [Q(int(i == block[a])) for i in range(m.dim)]
-            xb = [Q(int(i == block[b])) for i in range(m.dim)]
-            if m.bracket(ja, jb) != m.bracket(xa, xb):
+            if m.bracket(jcols[a], jcols[b]) != m.bracket({block[a]: 1}, {block[b]: 1}):
                 return False
     return True
 
