@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .classify import (
@@ -59,10 +58,6 @@ def _fail_input(message: str) -> int:
     return 2
 
 
-def _vector_strings(vec):
-    return [rat_to_str(Fraction(x)) for x in vec]
-
-
 def _report(command, input_echo, checks, degree_dims=None, verdicts=None):
     return {
         "command": command,
@@ -86,21 +81,20 @@ def cmd_analyze_quadric(args) -> int:
         return _fail_input(str(exc))
     checks = []
     echo = {"path": args.path, "n": form.n, "k": form.k}
-    kern = form.joint_kernel()
-    if kern:
+    try:
+        m = form.build_m_minus()
+    except DegenerateFormError as exc:
         checks.append({"name": "nondegenerate", "status": "fail",
-                       "witness": [str(x) for x in kern[0]]})
+                       "witness": exc.witness})
         _emit(_report("analyze-quadric", echo, checks), args)
         return 1
-    checks.append({"name": "nondegenerate", "status": "pass", "witness": None})
-    dep = form.real_dependency()
-    if dep is not None:
-        checks.append({"name": "fundamental", "status": "fail",
-                       "witness": _vector_strings(dep)})
+    except NotFundamentalError as exc:
+        checks += [{"name": "nondegenerate", "status": "pass", "witness": None},
+                   {"name": "fundamental", "status": "fail", "witness": exc.relation}]
         _emit(_report("analyze-quadric", echo, checks), args)
         return 1
-    checks.append({"name": "fundamental", "status": "pass", "witness": None})
-    m = form.build_m_minus()
+    checks += [{"name": "nondegenerate", "status": "pass", "witness": None},
+               {"name": "fundamental", "status": "pass", "witness": None}]
     try:
         result = prolong(m, max_degree=args.max_degree)
     except (CapReachedError, PreconditionError) as exc:

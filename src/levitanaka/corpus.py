@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import elimination
 from .classify import FactorDescriptor
 from .errors import InternalConsistencyError
 from .graded import GradedLieAlgebra
@@ -671,8 +672,9 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
                     or exp.get("has_tilde_s"):
                 dec = algebra.levi_decomposition()
                 record("levi_r_is_radical", dec.r.dim == rad.dim)
+                nq = dec.s.dim
                 record("levi_s_semisimple",
-                       dec.s_algebra.killing_form().rank() == dec.s.dim)
+                       elimination.rank(dec.s_algebra.killing_rows(), nq) == nq)
                 if "levi_simple_dims" in exp:
                     ideals = algebra.simple_ideals(dec.s)
                     compare("levi_simple_dims",

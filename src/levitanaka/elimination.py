@@ -5,11 +5,16 @@ rank, null spaces of derivation systems, characteristic-element and
 Levi-correction solves (the batch ``row_echelon``), and spans, residuals,
 coordinates and inverses (the incremental ``Echelon``).
 
-Rows are sparse pairs (cols, vals): strictly increasing column indices
-with nonzero arbitrary-precision integer values.  Reduction is
-fraction-free: ``combine`` forms ``a*row - b*pivot_row`` and divides the
-result by the gcd of its entries, which keeps growth under control while
-staying exact.  In ``row_echelon`` columns are processed left to right;
+Rows come in as sparse rational dicts ``{col: value}``, which may hold
+zero entries; ``kernel_basis``, ``solve``, ``rank`` and ``Echelon`` all
+take that form.  Inside, a row is scaled to integers once, by the lcm of
+its denominators (``_int_row``), and becomes a sparse pair (cols, vals):
+strictly increasing column indices with nonzero arbitrary-precision
+integer values.  ``row_echelon`` and ``combine`` are the integer-level
+core on such pairs.  Reduction is fraction-free: ``combine`` forms
+``a*row - b*pivot_row`` and divides the result by the gcd of its
+entries, which keeps growth under control while staying exact.  In
+``row_echelon`` columns are processed left to right;
 within a column the pivot is the candidate whose leading value has the
 smallest bit length, then the one with the fewest entries (Markowitz's
 rule restricted to one column: a sparse pivot row fills in the fewest
@@ -93,22 +98,26 @@ def combine(pcols, pvals, rcols, rvals):
     return cols, vals
 
 
-def sparse_int_row(coeffs, rhs=None, rhs_col=None):
+def _int_row(vector, scale_col=None):
     """A sparse {col: rational} row as an integer (cols, vals) row.
 
     Zero entries are dropped and the rest scaled by the lcm of their
-    denominators; a nonzero ``rhs`` is scaled with them and appended at
-    column ``rhs_col``, which must lie past every column of ``coeffs``.
+    denominators; when every value is an int the lcm pass is skipped.
+    A ``scale_col``, past every column of the vector, receives the lcm.
     """
-    items = sorted((c, v) for c, v in coeffs.items() if v)
-    if rhs:
-        items.append((rhs_col, rhs))
+    cols = sorted(c for c, x in vector.items() if x)
+    vals = [vector[c] for c in cols]
     lcm = 1
-    for _, v in items:
-        d = v.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    return [c for c, _ in items], [v.numerator * (lcm // v.denominator) for _, v in items]
+    if any(type(x) is not int for x in vals):
+        for x in vals:
+            d = x.denominator
+            if d != 1:
+                lcm = lcm // gcd(lcm, d) * d
+        vals = [x.numerator * (lcm // x.denominator) for x in vals]
+    if scale_col is not None:
+        cols.append(scale_col)
+        vals.append(lcm)
+    return cols, vals
 
 
 def _normalize_row(cols, vals):
@@ -184,7 +193,8 @@ def row_echelon(rows, ncols, max_pivot_col=None):
 
 
 def rank(rows, ncols) -> int:
-    pivots, _, _ = row_echelon(rows, ncols)
+    """Rank of sparse {col: value} rows."""
+    pivots, _, _ = row_echelon(map(_int_row, rows), ncols)
     return len(pivots)
 
 
@@ -214,7 +224,7 @@ def _back_eliminate(pivots, pivot_rows):
 
 
 def kernel_basis(rows, ncols):
-    """Primitive integer basis of the right null space.
+    """Primitive integer basis of the right null space of {col: value} rows.
 
     One vector per free column, in increasing column order; each vector
     is scaled to coprime integers with positive entry at its free column.
@@ -223,7 +233,7 @@ def kernel_basis(rows, ncols):
     the coordinates of a member of the span are its entries at the free
     columns divided by those of the vectors.
     """
-    pivots, pivot_rows, _ = row_echelon(rows, ncols)
+    pivots, pivot_rows, _ = row_echelon(map(_int_row, rows), ncols)
     # free column f -> (pivot, lead, entry) of every reduced row touching it
     touching = {}
     for p, (cols, vals) in zip(pivots, _back_eliminate(pivots, pivot_rows)):
@@ -253,12 +263,13 @@ def kernel_basis(rows, ncols):
 def solve(rows, ncols_total, bcol):
     """Exact solution of an augmented sparse system, or None.
 
-    ``rows`` span [A | b] with the right-hand side in column ``bcol``;
-    all other columns are unknowns.  Free unknowns are set to zero.
-    Returns a list of length ``bcol`` of ints and Fractions (see
-    ``ratio``), or None when the system is inconsistent.
+    ``rows`` are {col: value} dicts spanning [A | b], with the right-hand
+    side at key ``bcol``; all other columns are unknowns.  Free unknowns
+    are set to zero.  Returns a list of length ``bcol`` of ints and
+    Fractions (see ``ratio``), or None when the system is inconsistent.
     """
-    pivots, pivot_rows, residual = row_echelon(rows, ncols_total, max_pivot_col=bcol)
+    pivots, pivot_rows, residual = row_echelon(map(_int_row, rows), ncols_total,
+                                               max_pivot_col=bcol)
     if residual:
         return None
     out = [0] * bcol
@@ -298,21 +309,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _int_row(self, vector, extra_cols):
-        """A vector scaled to integers, the scale in extra_cols."""
-        cols = sorted(c for c, x in vector.items() if x)
-        vals = [vector[c] for c in cols]
-        lcm = 1
-        if any(type(x) is not int for x in vals):
-            for x in vals:
-                d = x.denominator
-                if d != 1:
-                    lcm = lcm // gcd(lcm, d) * d
-            vals = [x.numerator * (lcm // x.denominator) for x in vals]
-        cols.extend(extra_cols)
-        vals.extend(lcm for _ in extra_cols)
-        return cols, vals
-
     def _reduce(self, cols, vals):
         """Clear every pivot column of a sparse integer row."""
         rows = self._rows
@@ -325,7 +321,7 @@ class Echelon:
     def add(self, vector) -> bool:
         """Add a vector; True when it enlarged the span."""
         n = self.ncols
-        cols, vals = self._reduce(*self._int_row(vector, [n + 1 + self._added]))
+        cols, vals = self._reduce(*_int_row(vector, n + 1 + self._added))
         self._added += 1
         if not cols or cols[0] >= n:
             return False
@@ -341,13 +337,13 @@ class Echelon:
     def reduce(self, vector):
         """Canonical residual: v minus a member of the span, zero on every pivot."""
         n = self.ncols
-        cols, vals = self._reduce(*self._int_row(vector, [n]))
+        cols, vals = self._reduce(*_int_row(vector, n))
         k = bisect_left(cols, n)
         m = vals[k]
         return {c: ratio(x, m) for c, x in zip(cols[:k], vals)}
 
     def contains(self, vector) -> bool:
-        cols, _ = self._reduce(*self._int_row(vector, []))
+        cols, _ = self._reduce(*_int_row(vector))
         return not cols or cols[0] >= self.ncols
 
     def coords(self, vector):
@@ -356,7 +352,7 @@ class Echelon:
         None for a vector outside the span.
         """
         n = self.ncols
-        cols, vals = self._reduce(*self._int_row(vector, [n]))
+        cols, vals = self._reduce(*_int_row(vector, n))
         if cols[0] < n:
             return None
         m = vals[0]

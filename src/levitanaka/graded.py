@@ -16,12 +16,12 @@ holds for ``bracket`` and ``ad``, ``Subspace.vectors``, the grading
 element and the Levi decomposition's ``E_s`` and ``E_r`` (zero is
 ``{}``), so ``bracket``, ``ad`` and the echelon spans cost time in
 proportion to the nonzero entries, not to the dimension.  The batch
-solvers ``kernel_basis`` and ``solve`` answer with dense lists of
-unknowns; ``_sparse`` turns a kernel vector into a dict where one is
-received.  The Killing form is kept as sparse rows of such scalars,
-which the radical, nilradical and simple ideals read; only
-``killing_form()``, an ``ExactMatrix``, holds Fractions.  The Killing
-form is degree-paired: trace(ad x_i ad x_j) is summed only where
+solvers ``kernel_basis``, ``solve`` and ``rank`` take their rows in the
+same form and answer with dense lists of unknowns; ``_sparse`` turns a
+kernel vector into a dict where one is received.  The Killing form is
+kept as sparse rows of such scalars, which the radical, nilradical,
+Levi certificate and simple ideals read.  The Killing form is
+degree-paired: trace(ad x_i ad x_j) is summed only where
 d_i + d_j = 0, since ad x_i ad x_j shifts every degree by d_i + d_j and
 so has no diagonal otherwise.  That rests on degree additivity, which is
 checked once per algebra; a table that fails it raises rather than
@@ -141,8 +141,9 @@ class GradedLieAlgebra:
     """Graded Lie algebra over Q from sparse structure constants.
 
     ``table`` maps (i, j) with i < j to {k: c} giving [e_i, e_j] = sum c e_k;
-    the antisymmetric completion is implied.  ``J`` (optional) is an
-    ExactMatrix on the degree -1 block, in basis order of that block.
+    the antisymmetric completion is implied.  ``J`` (optional) is a d x d
+    ExactMatrix on the d-dim degree -1 block, in basis order of that
+    block; any other shape raises ValueError.
     """
 
     def __init__(self, names, degrees, table, J=None):
@@ -171,11 +172,15 @@ class GradedLieAlgebra:
                 if (i, j) in self.table:
                     raise ValueError(f"duplicate bracket entry ({i},{j})")
                 self.table[(i, j)] = clean
+        if J is not None:
+            d = self.degrees.count(-1)
+            if J.nrows != d or J.ncols != d:
+                raise ValueError(f"J is {J.nrows}x{J.ncols}, "
+                                 f"degree -1 block has dim {d}")
         self.J = J
         self._cols = None
         self._bad_degrees = None
         self._killing_rows = None
-        self._killing = None
         self._radical = None
         self._radical_series = None
         self._char = None
@@ -250,15 +255,9 @@ class GradedLieAlgebra:
                        triple=triple)
             return report
         if self.J is not None:
-            block = self.degree_indices(-1)
-            d = len(block)
-            if self.J.nrows != d or self.J.ncols != d:
-                report.add("J_block", f"J is {self.J.nrows}x{self.J.ncols}, "
-                                      f"degree -1 block has dim {d}")
-            else:
-                sq = self.J * self.J
-                if sq != ExactMatrix.identity(d).scale(Q(-1)):
-                    report.add("J_square", "J^2 != -Id on the degree -1 block")
+            d = self.J.nrows
+            if self.J * self.J != ExactMatrix.identity(d).scale(Q(-1)):
+                report.add("J_square", "J^2 != -Id on the degree -1 block")
         return report
 
     def _degree_violations(self):
@@ -365,14 +364,6 @@ class GradedLieAlgebra:
         self._killing_rows = rows
         return rows
 
-    def killing_form(self) -> ExactMatrix:
-        """Symmetric matrix of trace(ad x_i ad x_j)."""
-        if self._killing is None:
-            n = self.dim
-            self._killing = ExactMatrix.from_rows(
-                [[row.get(j, 0) for j in range(n)] for row in self.killing_rows()])
-        return self._killing
-
     def _killing_apply(self, v):
         """K v as a sparse {j: value} dict for a sparse v (K is symmetric)."""
         rows = self.killing_rows()
@@ -421,8 +412,7 @@ class GradedLieAlgebra:
             return self._radical
         derived = self.derived_subalgebra_basis()
         if derived:
-            rows = [elimination.sparse_int_row(self._killing_apply(d))
-                    for d in derived]
+            rows = [self._killing_apply(d) for d in derived]
             basis = elimination.kernel_basis(rows, self.dim)
             rad = Subspace(self, self.graded_components(
                 [_sparse(v) for v in basis]))
@@ -492,7 +482,7 @@ class GradedLieAlgebra:
             for j, s in self._killing_apply(v).items():
                 if s:
                     per_col.setdefault(j, {})[t] = s
-        rows = [elimination.sparse_int_row(per_col[j]) for j in sorted(per_col)]
+        rows = [per_col[j] for j in sorted(per_col)]
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
         vectors = [_combination(_sparse(cv), rad.vectors) for cv in coeff_basis]
         nil = Subspace(self, self.graded_components(vectors))
@@ -526,8 +516,8 @@ class GradedLieAlgebra:
         zero_idx = self.degree_indices(0)
         nun = len(zero_idx)
         cols = self._columns()
-        rows = []
-        bcol = nun
+        rows = []  # [A | b], b at column nun
+        hom_rows = []  # the coefficient parts A that are nonzero
         for j in range(self.dim):
             per_k = {}
             for pos, i in enumerate(zero_idx):
@@ -537,9 +527,9 @@ class GradedLieAlgebra:
             touched = set(per_k) | ({j} if rhs_deg else set())
             for k in sorted(touched):
                 coeffs = per_k.get(k, {})
-                rhs = rhs_deg if k == j else 0
-                if coeffs or rhs:
-                    rows.append(elimination.sparse_int_row(coeffs, rhs, bcol))
+                rows.append({**coeffs, nun: rhs_deg if k == j else 0})
+                if coeffs:
+                    hom_rows.append(coeffs)
         if nun == 0:
             if any(self.degrees):
                 raise NoCharacteristicElementError("degree-0 part is zero")
@@ -547,12 +537,6 @@ class GradedLieAlgebra:
         sol = elimination.solve(rows, nun + 1, nun)
         if sol is None:
             raise NoCharacteristicElementError("grading is not inner")
-        hom_rows = []
-        for cols_, vals_ in rows:
-            if cols_ and cols_[-1] == bcol:
-                cols_, vals_ = cols_[:-1], vals_[:-1]
-            if cols_:
-                hom_rows.append((cols_, vals_))
         ambiguity = elimination.kernel_basis(hom_rows, nun)
         if ambiguity:
             raise NotUniqueCharacteristicElementError(len(ambiguity))
@@ -565,15 +549,13 @@ class GradedLieAlgebra:
         return e
 
     def center(self) -> Subspace:
-        rows = []
         cols = self._columns()
         per = {}
         for i in range(self.dim):
             for j, comp in cols[i].items():
                 for k, c in comp.items():
                     per.setdefault((j, k), {})[i] = c
-        for key in sorted(per):
-            rows.append(elimination.sparse_int_row(per[key]))
+        rows = [per[key] for key in sorted(per)]
         basis = elimination.kernel_basis(rows, self.dim)
         return Subspace(self, [_sparse(v) for v in basis])
 
@@ -722,10 +704,9 @@ class GradedLieAlgebra:
                 dvec = delta.get((a, b))
                 rhs_red = nxt.reduce(dvec) if dvec else {}
                 for t in sorted(per_coord.keys() | rhs_red.keys()):
-                    coeffs = {s: v for s, v in per_coord.get(t, {}).items() if v}
-                    rhs = rhs_red.get(t, 0)
-                    if coeffs or rhs:
-                        rows.append(elimination.sparse_int_row(coeffs, rhs, bcol))
+                    row = {**per_coord.get(t, {}), bcol: rhs_red.get(t, 0)}
+                    if any(row.values()):
+                        rows.append(row)
             sol = elimination.solve(rows, bcol + 1, bcol)
             if sol is None:
                 raise LiftFailedError(f"correction system inconsistent at stage {stage}")
@@ -739,8 +720,7 @@ class GradedLieAlgebra:
             delta = defects()
 
         s_sub = Subspace(self, sigma)
-        killing_s = s_alg.killing_form()
-        if killing_s.rank() != nq:
+        if elimination.rank(s_alg.killing_rows(), nq) != nq:
             raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
         try:
             e = self.characteristic_element()
@@ -769,8 +749,7 @@ class GradedLieAlgebra:
             di = len(ideal)
             if di == d:
                 continue
-            rows = [elimination.sparse_int_row(alg._killing_apply(v))
-                    for v in ideal]
+            rows = [alg._killing_apply(v) for v in ideal]
             comp = elimination.kernel_basis(rows, d)
             if len(comp) + di != d:
                 raise InternalConsistencyError("Killing complement has wrong dimension")

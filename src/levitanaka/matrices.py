@@ -1,10 +1,11 @@
 """Dense exact matrices over the rationals or Gaussian rationals.
 
-Rank, kernel and solve go through the sparse integer eliminator (rows
-are scaled to integers first).  A Gaussian-rational matrix is reduced by
-restriction of scalars: each entry a+bi becomes the real 2x2 block
-[[a, -b], [b, a]], so complex column j turns into the real columns 2j
-(real part) and 2j+1 (imaginary part).  The free columns of the real
+Rank, kernel and solve go through the sparse eliminator, which takes
+the nonzero entries of each row as a {col: value} dict.  A
+Gaussian-rational matrix is reduced by restriction of scalars: each
+entry a+bi becomes the real 2x2 block [[a, -b], [b, a]], so complex
+column j turns into the real columns 2j (real part) and 2j+1
+(imaginary part).  The free columns of the real
 block are the real and imaginary parts of the complex free columns, so
 canonical kernel vectors and free-unknowns-zero solutions carry over.
 """
@@ -86,23 +87,11 @@ class ExactMatrix:
             return False
         return all(a == b for a, b in zip(self.entries, other.entries))
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(str(x) for x in self.entries)))
-
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         return ExactMatrix(self.nrows, self.ncols,
                            [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(self.nrows, self.ncols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return ExactMatrix(self.nrows, self.ncols, [-a for a in self.entries])
 
     def scale(self, c):
         c = _as_scalar(c)
@@ -156,10 +145,7 @@ class ExactMatrix:
                            [conj(self.entries[i * self.ncols + j])
                             for j in range(self.ncols) for i in range(self.nrows)])
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    # -- integer rows for the sparse eliminator -----------------------
+    # -- rows for the sparse eliminator ---------------------------------
 
     def _real_block(self):
         """The 2m x 2n rational matrix of a Gaussian matrix (module docstring)."""
@@ -175,23 +161,23 @@ class ExactMatrix:
         return ExactMatrix(2 * self.nrows, 2 * self.ncols,
                            [x for r in rows for x in r])
 
-    def _int_rows(self, augment=None):
-        """Each nonzero row as an integer row; optionally append a column."""
+    def _rows(self, augment=None):
+        """Each nonzero row as a {col: value} dict; optionally append a column."""
         rows = []
         for i in range(self.nrows):
-            rhs = None if augment is None else Fraction(augment[i])
-            cols, vals = elimination.sparse_int_row(dict(enumerate(self.row(i))),
-                                                    rhs, self.ncols)
-            if cols:
-                rows.append((cols, vals))
+            row = {c: x for c, x in enumerate(self.row(i)) if x}
+            if augment is not None and augment[i]:
+                row[self.ncols] = Fraction(augment[i])
+            if row:
+                rows.append(row)
         return rows
 
     # -- rank / kernel / solve ----------------------------------------
 
     def rank(self) -> int:
         if self.is_gaussian():
-            return elimination.rank(self._real_block()._int_rows(), 2 * self.ncols) // 2
-        return elimination.rank(self._int_rows(), self.ncols)
+            return elimination.rank(self._real_block()._rows(), 2 * self.ncols) // 2
+        return elimination.rank(self._rows(), self.ncols)
 
     def kernel_vectors(self):
         """Basis of the right null space as plain vectors.
@@ -200,7 +186,7 @@ class ExactMatrix:
         free column, with entry 1 there.
         """
         if self.is_gaussian():
-            basis = elimination.kernel_basis(self._real_block()._int_rows(),
+            basis = elimination.kernel_basis(self._real_block()._rows(),
                                              2 * self.ncols)
             out = []
             for v in basis:
@@ -210,7 +196,7 @@ class ExactMatrix:
                 if f % 2 == 0:
                     out.append(_from_real([Fraction(x, v[f]) for x in v]))
             return out
-        basis = elimination.kernel_basis(self._int_rows(), self.ncols)
+        basis = elimination.kernel_basis(self._rows(), self.ncols)
         return [[Fraction(v) for v in vec] for vec in basis]
 
     def kernel(self):
@@ -225,10 +211,10 @@ class ExactMatrix:
             raise ValueError("right-hand side length mismatch")
         if self.is_gaussian() or any(isinstance(x, GaussRational) for x in b):
             rhs = [part for x in map(_as_gauss, b) for part in (x.re, x.im)]
-            x = elimination.solve(self._real_block()._int_rows(augment=rhs),
+            x = elimination.solve(self._real_block()._rows(augment=rhs),
                                   2 * self.ncols + 1, 2 * self.ncols)
             return None if x is None else _from_real(x)
-        return elimination.solve(self._int_rows(augment=b), self.ncols + 1, self.ncols)
+        return elimination.solve(self._rows(augment=b), self.ncols + 1, self.ncols)
 
     def det(self):
         """Determinant by dense Gauss elimination (small matrices only)."""

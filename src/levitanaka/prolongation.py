@@ -90,7 +90,7 @@ def _check_preconditions(m: GradedLieAlgebra):
     # fundamental: [g_-1, g_-1] spans g_-2 (rank rows keep global columns)
     pairs = [m.bracket_elements(a, b)
              for i, a in enumerate(block1) for b in block1[i + 1:]]
-    rows = [elimination.sparse_int_row(comp) for comp in pairs if comp]
+    rows = [comp for comp in pairs if comp]
     if elimination.rank(rows, m.dim) != n2:
         raise PreconditionError("input is not fundamental")
     # nondegenerate: ad is injective on g_-1; row (b, z) holds [a, b]_z over a
@@ -100,7 +100,7 @@ def _check_preconditions(m: GradedLieAlgebra):
         for a in block1:
             for z, c in m.bracket_elements(a, b).items():
                 per_z.setdefault(z, {})[a] = c
-        rows += [elimination.sparse_int_row(per_z[z]) for z in block2 if z in per_z]
+        rows += [per_z[z] for z in block2 if z in per_z]
     if elimination.rank(rows, m.dim) != n1:
         raise PreconditionError("input is not nondegenerate")
     return block1, block2
@@ -150,7 +150,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                 for k, key, c in terms:
                     eq = eqs.setdefault(k, {})
                     eq[cols[key]] = eq.get(cols[key], 0) + c
-                rows += [elimination.sparse_int_row(eq) for eq in eqs.values()]
+                rows += eqs.values()
         if p == 0:
             # u commutes with J on g_-1: (U J - J U) = 0 on (target y, source x)
             jm = m.J
@@ -160,7 +160,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                     for t, z in enumerate(block1):
                         eq[cols[z, y]] = eq.get(cols[z, y], 0) + jm.entry(t, a)
                         eq[cols[x, z]] = eq.get(cols[x, z], 0) - jm.entry(b, t)
-                    rows.append(elimination.sparse_int_row(eq))
+                    rows.append(eq)
         return elimination.kernel_basis(rows, len(cols))
 
     terminated_at = None
@@ -231,9 +231,8 @@ def transitivity_check(result: ProlongationResult) -> TransitivityReport:
     for p in range(max(alg.degrees) + 1):
         idx = alg.degree_indices(p)
         # row of X: [X, e_b] for each e_b in g_-1, side by side
-        rows = [elimination.sparse_int_row(
-                    {b * alg.dim + k: c for b, y in enumerate(block1)
-                     for k, c in alg.bracket_elements(i, y).items()})
+        rows = [{b * alg.dim + k: c for b, y in enumerate(block1)
+                 for k, c in alg.bracket_elements(i, y).items()}
                 for i in idx]
         if elimination.rank(rows, len(block1) * alg.dim) != len(idx):
             return TransitivityReport(False, p)

@@ -95,6 +95,13 @@ def test_prolong_input_errors(capsys, tmp_path):
         assert main(["prolong", str(path)]) == 2
         err = capsys.readouterr().err
         assert "is not an integer" in err and "Traceback" not in err
+    # a 2x2 J on the 4-dim degree -1 block is malformed input, not a domain failure
+    m = diagonal_form([1, 1]).build_m_minus().to_json()
+    m["J"] = {"rows": 2, "entries": ["0", "-1", "1", "0"]}
+    path.write_text(json.dumps(m))
+    assert main(["prolong", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "degree -1 block has dim 4" in err and "Traceback" not in err
 
 
 def test_classify_e6(capsys, tmp_path):

@@ -29,17 +29,18 @@ def test_rank_and_kernel_consistency():
     rng = random.Random(12)
     for trial in range(30):
         ncols = rng.randint(3, 12)
-        rows = random_sparse_rows(rng, rng.randint(1, 14), ncols)
+        rows = [dict(zip(cols, vals)) for cols, vals in
+                random_sparse_rows(rng, rng.randint(1, 14), ncols)]
         r = elimination.rank(rows, ncols)
         basis = elimination.kernel_basis(rows, ncols)
         assert len(basis) == ncols - r
         for v in basis:
-            for cols, vals in rows:
-                assert sum(vals[i] * v[c] for i, c in enumerate(cols)) == 0
+            for row in rows:
+                assert sum(x * v[c] for c, x in row.items()) == 0
 
 
 def test_kernel_vectors_primitive():
-    rows = [([0, 1], [2, 4])]
+    rows = [{0: 2, 1: 4}]
     basis = elimination.kernel_basis(rows, 2)
     assert basis == [[-2, 1]] or basis == [[2, -1]]
     from math import gcd
@@ -49,10 +50,10 @@ def test_kernel_vectors_primitive():
 
 def test_solve_consistent_and_inconsistent():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    rows = [([0, 1, 2], [1, 1, 3]), ([0, 1, 2], [1, -1, 1])]
+    rows = [{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}]
     assert elimination.solve(rows, 3, 2) == [Q(2), Q(1)]
-    # x + y = 1, x + y = 0 -> inconsistent
-    rows = [([0, 1, 2], [1, 1, 1]), ([0, 1], [1, 1])]
+    # x + y = 1, x + y = 0 -> inconsistent; a zero right-hand side may be kept
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 0}]
     assert elimination.solve(rows, 3, 2) is None
 
 
@@ -75,6 +76,9 @@ def test_growth_stays_controlled():
 
 # -- kernel_basis and solve against the brute-force oracle ----------------
 
+small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
 def _exact_scalar(x):
     """An int, or a Fraction that is not an integer: the scalar convention."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
@@ -82,22 +86,44 @@ def _exact_scalar(x):
 
 @st.composite
 def sparse_systems(draw):
-    """(rows, ncols): sparse integer rows, about half their entries zero."""
+    """(rows, ncols): {col: value} rows, about half their entries zero.
+
+    A row holds ints only, or Fractions that may have denominators, so
+    both ways of scaling a row to integers run; some of its zero entries
+    are kept as keys.
+    """
     ncols = draw(st.integers(1, 9))
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
-    dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
-    rows = [([c for c, x in enumerate(r) if x], [x for x in r if x]) for r in dense]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        values = draw(st.sampled_from([st.integers(-9, 9), small_rats]))
+        entry = st.one_of(st.just(0), st.just(0), values)
+        dense = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        kept = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+        rows.append({c: x for c, x in enumerate(dense) if x or kept[c]})
     return rows, ncols
 
 
 def _dense(rows, ncols):
     """Fraction rows for the oracle, whose x / lead on two ints is a float."""
     out = []
-    for cols, vals in rows:
+    for row in rows:
         r = [Q(0)] * ncols
-        for c, v in zip(cols, vals):
+        for c, v in row.items():
             r[c] = Q(v)
         out.append(r)
+    return out
+
+
+def _int_pairs(rows):
+    """{col: value} rows as the (cols, vals) integer rows of ``row_echelon``."""
+    out = []
+    for row in rows:
+        cols = sorted(c for c, x in row.items() if x)
+        m = 1
+        for c in cols:
+            d = Q(row[c]).denominator
+            m = m * d // gcd(m, d)
+        out.append((cols, [int(row[c] * m) for c in cols]))
     return out
 
 
@@ -143,10 +169,10 @@ def rearranged_systems(draw):
     rows, ncols = draw(sparse_systems())
     scale = st.sampled_from([1, -1, 2, -3, 4, -6])
     variant = []
-    for cols, vals in rows:
+    for row in rows:
         for _ in range(draw(st.integers(1, 3))):
             k = draw(scale)
-            variant.append((list(cols), [k * v for v in vals]))
+            variant.append({c: k * v for c, v in row.items()})
     return rows, draw(st.permutations(variant)), ncols
 
 
@@ -161,8 +187,8 @@ def test_kernel_and_solve_are_canonical(case):
     assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
     bcol = ncols - 1
     assert elimination.solve(variant, ncols, bcol) == elimination.solve(rows, ncols, bcol)
-    assert elimination.row_echelon(variant, ncols)[0] == \
-        elimination.row_echelon(rows, ncols)[0]
+    assert elimination.row_echelon(_int_pairs(variant), ncols)[0] == \
+        elimination.row_echelon(_int_pairs(rows), ncols)[0]
 
 
 def test_pivot_rule_prefers_fewer_entries_on_equal_bits():
@@ -174,8 +200,6 @@ def test_pivot_rule_prefers_fewer_entries_on_equal_bits():
 
 
 # -- the incremental echelon against the brute-force oracle ---------------
-
-small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 def _realify(vec):

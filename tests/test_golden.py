@@ -88,7 +88,13 @@ def test_prolong_report_bytes(capsys, tmp_path, build, digest):
      '{"checks":[{"name":"nondegenerate","status":"fail","witness":["-1i","1"]}],'
      '"command":"analyze-quadric","degree_dims":null,'
      '"input":{"k":1,"n":2,"path":"<path>"},"timings":null,"verdicts":null}\n'),
-], ids=["diagonal_1_0_1", "rank_one_complex"])
+    (lambda: HermitianFormSystem(1, 2, [ExactMatrix.from_rows([[ONE]]),
+                                        ExactMatrix.from_rows([[ONE + ONE]])]),
+     '{"checks":[{"name":"nondegenerate","status":"pass","witness":null},'
+     '{"name":"fundamental","status":"fail","witness":["-2","1"]}],'
+     '"command":"analyze-quadric","degree_dims":null,'
+     '"input":{"k":2,"n":1,"path":"<path>"},"timings":null,"verdicts":null}\n'),
+], ids=["diagonal_1_0_1", "rank_one_complex", "dependent_components"])
 def test_analyze_degenerate_witness_bytes(capsys, tmp_path, form, expected):
     code, out = _cli_bytes(capsys, tmp_path, form().dump, "analyze-quadric")
     assert code == 1

@@ -154,10 +154,8 @@ def test_validate_jacobi_violation():
 
 def test_validate_j_block_mismatch():
     J = ExactMatrix.from_rows([[0, -1], [1, 0]])
-    g = GradedLieAlgebra(["a", "b", "c"], [-1, -1, -1], {}, J)
-    rep = g.validate()
-    assert not rep.ok
-    assert rep.violations[0]["check"] == "J_block"
+    with pytest.raises(ValueError, match="J is 2x2, degree -1 block has dim 3"):
+        GradedLieAlgebra(["a", "b", "c"], [-1, -1, -1], {}, J)
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +215,6 @@ def test_killing_rows_require_degree_additivity():
     assert [v["check"] for v in g.validate().violations] == ["degree_additivity"]
     with pytest.raises(InternalConsistencyError, match="not degree-additive"):
         g.killing_rows()
-    with pytest.raises(InternalConsistencyError, match="not degree-additive"):
-        g.killing_form()
 
 
 def test_bracket_bilinear():
@@ -260,20 +256,20 @@ def test_ad_is_bracket_with_a_basis_vector():
 
 
 def test_killing_sl2_hand_oracle():
-    k = sl2().killing_form()
-    assert k.entry(0, 0) == Q(8)
-    assert k.entry(1, 2) == Q(4)
-    assert k.entry(2, 1) == Q(4)
-    assert k.entry(0, 1) == 0 and k.entry(0, 2) == 0
-    assert k.entry(1, 1) == 0 and k.entry(2, 2) == 0
+    k = sl2().killing_rows()
+    assert k[0].get(0, 0) == Q(8)
+    assert k[1].get(2, 0) == Q(4)
+    assert k[2].get(1, 0) == Q(4)
+    assert k[0].get(1, 0) == 0 and k[0].get(2, 0) == 0
+    assert k[1].get(1, 0) == 0 and k[2].get(2, 0) == 0
 
 
 def test_killing_abelian_zero_and_center_row():
     ab = GradedLieAlgebra(["a", "b"], [-1, -1], {})
-    assert ab.killing_form().is_zero()
+    assert not any(ab.killing_rows())
     h = heisenberg3()
-    k = h.killing_form()
-    assert all(k.entry(2, j) == 0 for j in range(3))
+    k = h.killing_rows()
+    assert all(k[2].get(j, 0) == 0 for j in range(3))
 
 
 def test_radical_semisimple_and_abelian():
@@ -345,7 +341,7 @@ def test_nilradical_rejects_a_candidate_that_is_not_nilpotent():
     g = GradedLieAlgebra(["x", "v1", "v2"], [0, 0, 0],
                          {(0, 1): {1: 1, 2: 1}, (0, 2): {1: -1, 2: 1}})
     assert g.validate().ok
-    assert g.killing_form().is_zero()
+    assert not any(g.killing_rows())
     assert g.radical().dim == 3
     with pytest.raises(NilradicalUnsupportedError, match="candidate is not nilpotent"):
         g.nilradical()
@@ -388,7 +384,7 @@ def test_levi_reductive():
     dec = g.levi_decomposition()
     assert dec.s.dim == 3 and dec.r.dim == 1
     # bracket closure of s re-verified via its own Killing form
-    assert dec.s_algebra.killing_form().rank() == 3
+    assert elimination.rank(dec.s_algebra.killing_rows(), 3) == 3
 
 
 def test_levi_with_correction():
@@ -402,7 +398,7 @@ def test_levi_with_correction():
             w = g.bracket(dec.s.vectors[a], dec.s.vectors[b])
             assert dec.s.contains(w)
     assert dec.r.dim == g.radical().dim
-    assert dec.s_algebra.killing_form().rank() == 3
+    assert elimination.rank(dec.s_algebra.killing_rows(), 3) == 3
     e = g.characteristic_element()
     assert dec.E_s is not None
     assert {k: dec.E_s.get(k, 0) + dec.E_r.get(k, 0) for k in range(g.dim)
@@ -440,9 +436,9 @@ def test_change_basis_preserves_structure():
     g = sl2_semidirect_adjoint(shear=True)
     assert g.validate().ok
     assert g.radical().dim == 3
-    k1 = sl2_semidirect_adjoint().killing_form()
+    k1 = sl2_semidirect_adjoint().killing_rows()
     # Killing rank is basis independent
-    assert g.killing_form().rank() == k1.rank()
+    assert elimination.rank(g.killing_rows(), 6) == elimination.rank(k1, 6)
 
 
 def test_levi_correction_keeps_zero_defects_zero():
