@@ -17,10 +17,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import elimination
-from .classify import FactorDescriptor
-from .errors import InternalConsistencyError
+from .classify import FactorDescriptor, tilde_s_general
+from .errors import (
+    DegenerateFormError,
+    InternalConsistencyError,
+    NoCharacteristicElementError,
+    NotFundamentalError,
+    NotUniqueCharacteristicElementError,
+)
 from .graded import GradedLieAlgebra
+from .involution import s_property_sufficient
 from .matrices import ExactMatrix
+from .prolongation import prolong, transitivity_check
 from .quadric import HermitianFormSystem, diagonal_form, extract_components
 from .scalars import GaussRational
 
@@ -102,7 +110,6 @@ class ComplexAlgebraBuilder:
             self.brackets[(i, j)] = clean
 
     def realify(self) -> GradedLieAlgebra:
-        n = len(self.names)
         names = []
         degrees = []
         for name, deg in zip(self.names, self.degrees):
@@ -110,28 +117,18 @@ class ComplexAlgebraBuilder:
             names.append(f"i{name}")
             degrees.append(deg)
             degrees.append(deg)
+        # set_bracket keeps each pair once with i < j, so the four real
+        # keys below are ordered and distinct; GradedLieAlgebra drops zeros
         table = {}
-
-        def put(i, j, comp):
-            comp = {k: c for k, c in comp.items() if c}
-            if not comp:
-                return
-            if i > j:
-                i, j = j, i
-                comp = {k: -c for k, c in comp.items()}
-            if (i, j) in table:
-                raise InternalConsistencyError("duplicate realified entry")
-            table[(i, j)] = comp
-
         for (i, j), comp in self.brackets.items():
             re_part = {2 * z: c.re for z, c in comp.items()}
             re_part.update({2 * z + 1: c.im for z, c in comp.items()})
             im_part = {2 * z: -c.im for z, c in comp.items()}
             im_part.update({2 * z + 1: c.re for z, c in comp.items()})
-            put(2 * i, 2 * j, dict(re_part))
-            put(2 * i, 2 * j + 1, dict(im_part))
-            put(2 * i + 1, 2 * j, dict(im_part))
-            put(2 * i + 1, 2 * j + 1, {k: -c for k, c in re_part.items()})
+            table[(2 * i, 2 * j)] = re_part
+            table[(2 * i, 2 * j + 1)] = im_part
+            table[(2 * i + 1, 2 * j)] = im_part
+            table[(2 * i + 1, 2 * j + 1)] = {k: -c for k, c in re_part.items()}
         block = [t for t, d in enumerate(degrees) if d == -1]
         jmat = None
         if self.j_signs:
@@ -183,13 +180,18 @@ def _sl3_decompose(m):
     return coeffs, tr
 
 
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _commutator(a, b):
+    """ab - ba; basis matrices have one or two nonzero entries, so only
+    the nonzero entries of a and b are multiplied out."""
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for i in range(n):
+            for k in range(n):
+                if x[i][k]:
+                    for j in range(n):
+                        out[i][j] += sign * x[i][k] * y[k][j]
+    return out
 
 
 def example_algebra_a() -> CorpusEntry:
@@ -221,34 +223,22 @@ def example_algebra_a() -> CorpusEntry:
     b.add("c2", 0)
 
     mats = {name: _sl3_matrix(name) for name in _SL3_BASIS}
-    # [s, s] and the adjoint copies
+    # [s, s] once per unordered pair, and s acting on both adjoint copies
     for i, x in enumerate(_SL3_BASIS):
-        for y in _SL3_BASIS[i + 1:]:
-            comm = _mat_sub(_mat_mul(mats[x], mats[y]), _mat_mul(mats[y], mats[x]))
-            coeffs, tr = _sl3_decompose(comm)
+        for j, y in enumerate(_SL3_BASIS):
+            if i == j:
+                continue
+            coeffs, tr = _sl3_decompose(_commutator(mats[x], mats[y]))
             if tr != 0:
                 raise InternalConsistencyError(f"sl3 commutator has trace {tr}")
-            if coeffs:
-                b.set_bracket(x, y, {z: GaussRational(c) for z, c in coeffs.items()})
-                for k in (1, 2):
-                    b.set_bracket(x, f"u{k}_{y}",
-                                  {f"u{k}_{z}": GaussRational(c)
-                                   for z, c in coeffs.items()})
-    # adjoint action on the other copy's generator side
-    for x in _SL3_BASIS:
-        for y in _SL3_BASIS:
-            if x == y:
+            if not coeffs:
                 continue
-            i, j = _SL3_BASIS.index(x), _SL3_BASIS.index(y)
-            if i > j:
-                comm = _mat_sub(_mat_mul(mats[x], mats[y]),
-                                _mat_mul(mats[y], mats[x]))
-                coeffs, _ = _sl3_decompose(comm)
-                if coeffs:
-                    for k in (1, 2):
-                        b.set_bracket(x, f"u{k}_{y}",
-                                      {f"u{k}_{z}": GaussRational(c)
-                                       for z, c in coeffs.items()})
+            if i < j:
+                b.set_bracket(x, y, {z: GaussRational(c) for z, c in coeffs.items()})
+            for k in (1, 2):
+                b.set_bracket(x, f"u{k}_{y}",
+                              {f"u{k}_{z}": GaussRational(c)
+                               for z, c in coeffs.items()})
     # standard module and its duals
     for x in _SL3_BASIS:
         m = mats[x]
@@ -307,18 +297,10 @@ _O8_DIAG = (1, 1, 1, 0, 0, -1, -1, -1)
 _O8_JDIAG = (0, 0, 0, 1, -1, 0, 0, 0)  # times i
 
 
-def _o8_basis():
-    """Orbit representatives (i, j) and diagonal generators t for so(8)
-    in the antidiagonal-form realization: X_{ij} = -X_{9-j, 9-i}."""
-    reps = []
-    for i in range(1, 9):
-        for j in range(1, 9):
-            if i == j or i + j == 9:
-                continue
-            mirror = (9 - j, 9 - i)
-            if (i, j) <= mirror:
-                reps.append((i, j))
-    return reps
+# orbit representatives (i, j) of the root vectors of so(8) in the
+# antidiagonal-form realization X_{ij} = -X_{9-j, 9-i}
+_O8_REPS = [(i, j) for i in range(1, 9) for j in range(1, 9)
+            if i != j and i + j != 9 and (i, j) <= (9 - j, 9 - i)]
 
 
 def _o8_matrix(rep):
@@ -342,7 +324,7 @@ def _o8_decompose(m):
     for t in range(1, 5):
         if m[t - 1][t - 1]:
             coeffs[f"D{t}"] = Q(m[t - 1][t - 1])
-    for (i, j) in _o8_basis():
+    for (i, j) in _O8_REPS:
         if m[i - 1][j - 1]:
             coeffs[f"B{i}_{j}"] = Q(m[i - 1][j - 1])
     return coeffs
@@ -357,47 +339,30 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
 
     - "double": all degrees doubled; the grading element stays inside
       the semisimple factor (reversal symmetry intact).  Default.
-    - "minus-half" / "plus-half": shift the module grading by -+1/2 of
-      the scaling line; degrees stay in -2..2 but the grading element
-      picks up a radical component, which kills the reversal symmetry.
+    - "minus-half": shift the module grading by -1/2 of the scaling
+      line; degrees stay in -2..2 but the grading element picks up a
+      radical component, which kills the reversal symmetry.
     """
-    if shift_choice not in ("double", "minus-half", "plus-half"):
+    if shift_choice not in ("double", "minus-half"):
         raise ValueError(f"unknown shift_choice {shift_choice!r}")
+    doubled = shift_choice == "double"
     b = ComplexAlgebraBuilder()
-    o8_names = [f"B{i}_{j}" for (i, j) in _o8_basis()] + \
+    o8_names = [f"B{i}_{j}" for (i, j) in _O8_REPS] + \
         [f"D{t}" for t in range(1, 5)]
-    o8_mats = {f"B{i}_{j}": _o8_matrix((i, j)) for (i, j) in _o8_basis()}
+    o8_mats = {f"B{i}_{j}": _o8_matrix((i, j)) for (i, j) in _O8_REPS}
     o8_mats.update({f"D{t}": _o8_diag_matrix(t) for t in range(1, 5)})
 
-    def o8_degree(name):
-        m = o8_mats[name]
+    def o8_eigenvalue(name, diag):
         # ad(diag d) eigenvalue: d_i - d_j on the support entry
-        for i in range(8):
-            for j in range(8):
-                if m[i][j] and i != j:
-                    return _O8_DIAG[i] - _O8_DIAG[j]
-        return 0
-
-    def o8_jvalue(name):
         m = o8_mats[name]
         for i in range(8):
             for j in range(8):
                 if m[i][j] and i != j:
-                    return _O8_JDIAG[i] - _O8_JDIAG[j]
+                    return diag[i] - diag[j]
         return 0
 
-    if shift_choice == "double":
-        scale = 2
-        v_shift = Q(0)
-        j_t = Q(1, 2)
-    elif shift_choice == "minus-half":
-        scale = 1
-        v_shift = Q(-1, 2)
-        j_t = Q(1, 2)
-    else:
-        scale = 1
-        v_shift = Q(1, 2)
-        j_t = Q(-1, 2)
+    scale = 2 if doubled else 1
+    v_shift = Q(0) if doubled else Q(-1, 2)
 
     def v_degree(a, beta):
         sl2_weight = Q(1, 2) if beta == 1 else Q(-1, 2)
@@ -409,13 +374,14 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
 
     def v_jvalue(a, beta):
         sl2_j = Q(1, 2) if beta == 1 else Q(-1, 2)
-        return Q(_O8_JDIAG[a - 1]) + sl2_j + j_t
+        # T acts on the module with J-value 1/2
+        return Q(_O8_JDIAG[a - 1]) + sl2_j + Q(1, 2)
 
     for name in o8_names:
-        deg = scale * o8_degree(name)
+        deg = scale * o8_eigenvalue(name, _O8_DIAG)
         jsign = None
         if deg == -1:
-            jsign = o8_jvalue(name)
+            jsign = o8_eigenvalue(name, _O8_JDIAG)
             if jsign not in (1, -1):
                 raise InternalConsistencyError(f"bad J eigenvalue {jsign} on {name}")
         b.add(name, deg, jsign)
@@ -438,9 +404,7 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
     # so(8) internal brackets
     for i, x in enumerate(o8_names):
         for y in o8_names[i + 1:]:
-            comm = _mat_sub(_mat_mul(o8_mats[x], o8_mats[y]),
-                            _mat_mul(o8_mats[y], o8_mats[x]))
-            coeffs = _o8_decompose(comm)
+            coeffs = _o8_decompose(_commutator(o8_mats[x], o8_mats[y]))
             if coeffs:
                 b.set_bracket(x, y, {z: GaussRational(c)
                                      for z, c in coeffs.items()})
@@ -466,7 +430,6 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
         for beta in (1, 2):
             b.set_bracket("T", f"x{a}_{beta}", {f"x{a}_{beta}": GaussRational(1)})
     algebra = b.realify()
-    doubled = shift_choice == "double"
     expected = {
         "radical_dim": 34,
         "nilradical_dim": 32,
@@ -572,17 +535,26 @@ def counterexample_quadric() -> CorpusEntry:
                        expected, provenance)
 
 
+# name -> builder of every registered entry, in a fixed order
+ENTRIES = {
+    "heisenberg_1_p": lambda: heisenberg(1, (1,)),
+    "heisenberg_2_pp": lambda: heisenberg(2, (1, 1)),
+    "heisenberg_2_pm": lambda: heisenberg(2, (1, -1)),
+    "heisenberg_3_ppp": lambda: heisenberg(3, (1, 1, 1)),
+    "counterexample_quadric": counterexample_quadric,
+    "example_algebra_a": example_algebra_a,
+    "o8_sl2_double": lambda: o8_sl2_example("double"),
+}
+
+
 def all_entries():
     """Every registered corpus entry, in a fixed order."""
-    return [
-        heisenberg(1, (1,)),
-        heisenberg(2, (1, 1)),
-        heisenberg(2, (1, -1)),
-        heisenberg(3, (1, 1, 1)),
-        counterexample_quadric(),
-        example_algebra_a(),
-        o8_sl2_example("double"),
-    ]
+    return [build() for build in ENTRIES.values()]
+
+
+def entry_by_name(name: str) -> CorpusEntry:
+    """Build the registered entry ``name``; KeyError if there is none."""
+    return ENTRIES[name]()
 
 
 def _descriptors_from_expected(entry):
@@ -600,14 +572,6 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
     null on success and carries the mismatch on failure.  Deep mode adds
     the prolongation- and radical-level checks.
     """
-    from . import prolongation as _prolongation
-    from .classify import tilde_s_general
-    from .errors import (
-        NoCharacteristicElementError,
-        NotUniqueCharacteristicElementError,
-    )
-    from .involution import s_property_sufficient
-
     checks = []
 
     def record(name, ok, witness=None):
@@ -619,16 +583,23 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
 
     exp = entry.expected
     if entry.kind == "quadric":
-        h = entry.payload
-        record("nondegenerate", h.is_nondegenerate())
-        record("fundamental", h.is_fundamental())
-        m = h.build_m_minus()
+        try:
+            m = entry.payload.build_m_minus()
+        except DegenerateFormError as exc:
+            record("nondegenerate", False, exc.witness)
+            return checks
+        except NotFundamentalError as exc:
+            record("nondegenerate", True)
+            record("fundamental", False, exc.relation)
+            return checks
+        record("nondegenerate", True)
+        record("fundamental", True)
         compare("m_dims", m.degree_dims(),
                 {int(k): v for k, v in exp["m_dims"].items()})
         record("m_validates", m.validate().ok)
         algebra = None
         if deep:
-            result = _prolongation.prolong(m)
+            result = prolong(m)
             algebra = result.algebra
             compare("prolong_dims", result.degree_dims, exp["prolong_dims"])
             for p, bound in exp.get("prolong_dims_lower", {}).items():
@@ -640,8 +611,7 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
                        result.degree_dims[1] > result.degree_dims[-1]
                        and result.degree_dims[2] > result.degree_dims[-2],
                        {"dims": result.degree_dims})
-            record("transitivity",
-                   _prolongation.transitivity_check(result).ok)
+            record("transitivity", transitivity_check(result).ok)
     else:
         algebra = entry.payload
         record("validates", algebra.validate().ok)
@@ -705,10 +675,3 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
                                       exp.get("radical_dim") == 0),
                 exp["s_sufficient"])
     return checks
-
-
-def entry_by_name(name: str) -> CorpusEntry:
-    for builder in all_entries():
-        if builder.name == name:
-            return builder
-    raise KeyError(name)

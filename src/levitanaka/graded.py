@@ -597,8 +597,6 @@ class GradedLieAlgebra:
         """Graded Levi-Malcev decomposition; see LeviDecomposition."""
         rad = self.radical()
         n = self.dim
-        if rad.dim == n:
-            raise ValueError("algebra is solvable; no Levi factor")
         # complement units, in degree order; coordinates come from the
         # basis (radical, complement) they complete
         complement_idx = []
@@ -816,7 +814,10 @@ class GradedLieAlgebra:
     def from_json(cls, obj):
         table = {}
         for i, j, k, c in obj["brackets"]:
-            table.setdefault((i, j), {})[k] = rat_from_str(c)
+            comp = table.setdefault((i, j), {})
+            if k in comp:
+                raise ValueError(f"duplicate bracket entry ({i},{j},{k})")
+            comp[k] = rat_from_str(c)
         jmat = None
         if obj.get("J") is not None:
             r = obj["J"]["rows"]
@@ -839,7 +840,10 @@ class GradedLieAlgebra:
 
 
 class LeviDecomposition:
-    """g = s + r with s a graded semisimple subalgebra, r the radical."""
+    """g = s + r with s a graded semisimple subalgebra, r the radical.
+
+    s is 0 when g is solvable; then E_s is 0 and E_r is all of E.
+    """
 
     def __init__(self, s, r, e_s, e_r, s_algebra):
         self.s = s

@@ -102,6 +102,13 @@ def test_prolong_input_errors(capsys, tmp_path):
     assert main(["prolong", str(path)]) == 2
     err = capsys.readouterr().err
     assert "degree -1 block has dim 4" in err and "Traceback" not in err
+    # a second value for one (i, j, k) is an input error, not a silent overwrite
+    m = diagonal_form([1]).build_m_minus().to_json()
+    m["brackets"].append([0, 1, 2, "5"])
+    path.write_text(json.dumps(m))
+    assert main(["prolong", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate bracket entry (0,1,2)" in err and "Traceback" not in err
 
 
 def test_classify_e6(capsys, tmp_path):

@@ -7,18 +7,23 @@ from fractions import Fraction
 import pytest
 
 import levitanaka
+from levitanaka import corpus
 from levitanaka.classify import FactorDescriptor, tilde_s_general, tilde_s_semisimple
 from levitanaka.corpus import (
+    CorpusEntry,
     all_entries,
     entry_by_name,
     example_algebra_a,
     heisenberg,
     o8_sl2_example,
     counterexample_quadric,
+    run_checks,
 )
 from levitanaka.errors import NoCharacteristicElementError
 from levitanaka.involution import s_property_sufficient
+from levitanaka.matrices import ExactMatrix
 from levitanaka.prolongation import prolong
+from levitanaka.quadric import HermitianFormSystem, diagonal_form
 
 Q = Fraction
 
@@ -33,12 +38,35 @@ def o8_entry():
     return o8_sl2_example("double")
 
 
-def test_registry_names_unique():
+def test_registry_names_unique(monkeypatch):
     names = [e.name for e in all_entries()]
     assert len(names) == len(set(names))
+    assert names == ["heisenberg_1_p", "heisenberg_2_pp", "heisenberg_2_pm",
+                     "heisenberg_3_ppp", "counterexample_quadric",
+                     "example_algebra_a", "o8_sl2_double"]
+    assert all(build().name == name for name, build in corpus.ENTRIES.items())
     assert entry_by_name("example_algebra_a").kind == "algebra"
     with pytest.raises(KeyError):
         entry_by_name("nonsense")
+
+    # a lookup builds only the named entry: the realified algebras are not made
+    def refuse(self):
+        raise AssertionError("realify called")
+
+    monkeypatch.setattr(corpus.ComplexAlgebraBuilder, "realify", refuse)
+    assert entry_by_name("heisenberg_1_p").name == "heisenberg_1_p"
+
+
+def test_run_checks_on_irregular_forms():
+    degenerate = CorpusEntry("degenerate", "quadric", diagonal_form([1, 0, 1]), {}, {})
+    assert run_checks(degenerate) == [
+        {"name": "nondegenerate", "status": "fail", "witness": ["0", "1", "0"]}]
+    dependent = HermitianFormSystem(1, 2, [ExactMatrix.from_rows([[1]]),
+                                           ExactMatrix.from_rows([[2]])])
+    entry = CorpusEntry("dependent", "quadric", dependent, {}, {})
+    assert run_checks(entry) == [
+        {"name": "nondegenerate", "status": "pass", "witness": None},
+        {"name": "fundamental", "status": "fail", "witness": ["-2", "1"]}]
 
 
 def test_algebra_a_validates_and_dims(algebra_a):

@@ -4,9 +4,10 @@ Each expected value was recorded once and is never regenerated: layer
 bases and layer coordinates (``prolong`` reports), Gaussian kernel
 witnesses (``analyze-quadric`` on degenerate forms), echelon bases
 (radical, derived series, simple ideals), unique coordinates
-(``change_basis``, fundamental weights) and the canonical Gaussian
-kernel and solution.  Reports are compared as bytes, with the temporary
-input path replaced by ``<path>``; long ones through their sha256.
+(``change_basis``, fundamental weights), the canonical Gaussian
+kernel and solution, and each corpus entry's JSON.  Reports are
+compared as bytes, with the temporary input path replaced by
+``<path>``; long ones through their sha256.
 """
 
 import hashlib
@@ -120,11 +121,48 @@ def test_analyze_degenerate_witness_bytes(capsys, tmp_path, form, expected):
      '"command":"analyze-quadric","degree_dims":[[-2,2],[-1,4],[0,4],[1,4],[2,2]],'
      '"input":{"k":2,"n":2,"path":"<path>"},"timings":null,'
      '"verdicts":{"grading_element_in_levi":true,"levi_dim":16,"radical_dim":0}}\n'),
-], ids=["heisenberg_pp", "k2_quadric"])
+    # solvable prolongation (it stops at g_0): the Levi factor is 0
+    (lambda: HermitianFormSystem(3, 2, [
+        ExactMatrix.from_rows([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]),
+        ExactMatrix.from_rows([[ZERO, ZERO, ZERO], [ZERO, ONE, ZERO],
+                               [ZERO, ZERO, ONE + ONE]])]),
+     '{"characteristic_element":{"d0_3":"-1"},"checks":['
+     '{"name":"nondegenerate","status":"pass","witness":null},'
+     '{"name":"fundamental","status":"pass","witness":null},'
+     '{"name":"prolongation","status":"pass","witness":null},'
+     '{"name":"transitivity","status":"pass","witness":null}],'
+     '"command":"analyze-quadric","degree_dims":[[-2,2],[-1,6],[0,4]],'
+     '"input":{"k":2,"n":3,"path":"<path>"},"timings":null,'
+     '"verdicts":{"grading_element_in_levi":false,"levi_dim":0,"radical_dim":12}}\n'),
+], ids=["heisenberg_pp", "k2_quadric", "solvable_n3_k2"])
 def test_analyze_quadric_report_bytes(capsys, tmp_path, form, expected):
     code, out = _cli_bytes(capsys, tmp_path, form().dump, "analyze-quadric")
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: corpus.heisenberg(1, (1,)),
+     "a2cc1aaa9cd94772857cfca5ca83d452aadfa6850089b3d322a69da4822953b6"),
+    (lambda: corpus.heisenberg(2, (1, 1)),
+     "9a87d7eb43caf65ece74c905ca4451147a77b6bf7bb42dc9f328e03455b8cc62"),
+    (lambda: corpus.heisenberg(2, (1, -1)),
+     "b2e999112627d3561af2100d7cb8efbe2e42eaf441a5fe30a51c729504c0c989"),
+    (lambda: corpus.heisenberg(3, (1, 1, 1)),
+     "69c21251d034bf42c25fcd5cca005060b7a2d30738aee2e033cc05551e6c15fc"),
+    (corpus.counterexample_quadric,
+     "fdd176f63c846117dc382ee31444ab0b78980cec46393718b0e0f6aaead80ecf"),
+    (corpus.example_algebra_a,
+     "31cdb6451c70de53b85f70334005a400692898ba7523d9b0ba3527e83473948e"),
+    (lambda: corpus.o8_sl2_example("double"),
+     "c13ed90c967d8349c18cf29d1b2bbc187c258783b8113a0c08e55ca273cc1107"),
+    (lambda: corpus.o8_sl2_example("minus-half"),
+     "dd7c15d46e0a9088d118364ae83ad25d2b3a4f595dc9eebdc68a6e5974c33d62"),
+], ids=["heisenberg_1_p", "heisenberg_2_pp", "heisenberg_2_pm", "heisenberg_3_ppp",
+        "counterexample_quadric", "example_algebra_a", "o8_sl2_double",
+        "o8_sl2_minus_half"])
+def test_corpus_entry_bytes(build, digest):
+    assert _sha(json.dumps(build().to_json(), sort_keys=True)) == digest
 
 
 def test_radical_and_derived_series_vectors():

@@ -406,6 +406,16 @@ def test_levi_with_correction():
     assert dec.r.contains(dec.E_r)
 
 
+def test_levi_solvable_borel():
+    # span(h, e) of sl2 is solvable: its Levi factor is 0 and E lies in r
+    g = GradedLieAlgebra(["h", "e"], [0, 1], {(0, 1): {1: Q(2)}})
+    dec = g.levi_decomposition()
+    assert dec.s.dim == 0 and dec.r.dim == 2
+    assert dec.E_s == {}
+    assert dec.E_r == {0: Fraction(1, 2)}
+    assert g.simple_ideals(dec.s) == []
+
+
 def test_simple_ideals_simple_and_split():
     g = sl2()
     whole = Subspace(g, [{i: Q(1)} for i in range(3)])
