@@ -14,11 +14,19 @@ swap; available Weyl elements act diagonally, so the oracle tests the
 single-copy w_0 against the common support.  For the one-sided singleton
 pattern (hermitian kind-1 factors) the two-copy component condition is
 relaxed; see phi_is_admissible.
+
+Everything that depends only on the diagram, not on phi, is worked out
+once per (family, rank, form, p, q) and shared by every descriptor on it
+(_diagram): the nodes, eps, the compact nodes, the components, a
+parent/depth tree for the path between two nodes, and the highest-root
+coefficient of each node.  Admissibility is decided on that table, so the
+enumeration builds a descriptor only for an admissible subset.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .errors import (
     AdmissibilityError,
@@ -42,6 +50,118 @@ def node_index(name: str) -> int:
 
 def node_primed(name: str) -> bool:
     return name.endswith("'")
+
+
+def _epsilon(form, l) -> dict:
+    if form == "COMPLEX":
+        out = {}
+        for i in range(1, l + 1):
+            out[node(i)] = node(i, True)
+            out[node(i, True)] = node(i)
+        return out
+    if form in ("A III", "A IV"):
+        return {node(i): node(l + 1 - i) for i in range(1, l + 1)}
+    out = {node(i): node(i) for i in range(1, l + 1)}
+    if form in ("D Ib", "D IIIb"):
+        out[node(l - 1)], out[node(l)] = node(l), node(l - 1)
+    elif form == "E II":
+        out[node(1)], out[node(6)] = node(6), node(1)
+        out[node(3)], out[node(5)] = node(5), node(3)
+    else:  # E III
+        out[node(1)], out[node(6)] = node(6), node(1)
+    return out
+
+
+def _compact_nodes(form, l, p, q) -> frozenset:
+    if form in ("A III", "A IV"):
+        return frozenset(node(i) for i in range(p + 1, q))
+    if form == "D IIIb":
+        return frozenset(node(i) for i in range(1, l - 1, 2))
+    if form == "E III":
+        return frozenset({node(3), node(4), node(5)})
+    return frozenset()
+
+
+class _Diagram:
+    """The phi-independent data of one diagram, shared by its descriptors.
+
+    Each component (one diagram copy, two for a complex form) is a tree;
+    ``_up`` and ``_depth`` root it at its first node, so the path between
+    two nodes climbs from both ends to where they meet.
+    """
+
+    def __init__(self, family, rank, form, p, q):
+        self.is_complex = form == "COMPLEX"
+        copies = (False, True) if self.is_complex else (False,)
+        self.components = [frozenset(node(i, primed) for i in range(1, rank + 1))
+                           for primed in copies]
+        self.nodes = frozenset().union(*self.components)
+        # copy by copy, index by index: the enumeration order
+        self.names = [node(i, primed) for primed in copies
+                      for i in range(1, rank + 1)]
+        self.eps = _epsilon(form, rank)
+        self.compact = _compact_nodes(form, rank, p, q)
+        self.roots = root_system(family, rank)
+        top = self.roots.highest_root()
+        self.coeff = {n: top[node_index(n) - 1] for n in self.names}
+        adjacent = {}
+        for i, j in dynkin_edges(family, rank):
+            adjacent.setdefault(i, []).append(j)
+            adjacent.setdefault(j, []).append(i)
+        parent, depth = {1: None}, {1: 0}
+        order = [1]
+        for i in order:
+            for j in adjacent.get(i, ()):
+                if j not in parent:
+                    parent[j], depth[j] = i, depth[i] + 1
+                    order.append(j)
+        self._up = {node(i, primed): (None if up is None else node(up, primed))
+                    for primed in copies for i, up in parent.items()}
+        self._depth = {node(i, primed): d
+                       for primed in copies for i, d in depth.items()}
+
+    def path(self, a, b):
+        """The unique path from a to b, or None when they lie in different copies."""
+        if node_primed(a) != node_primed(b):
+            return None
+        up, depth = self._up, self._depth
+        left, right = [a], [b]
+        while depth[a] > depth[b]:
+            a = up[a]
+            left.append(a)
+        while depth[b] > depth[a]:
+            b = up[b]
+            right.append(b)
+        while a != b:
+            a, b = up[a], up[b]
+            left.append(a)
+            right.append(b)
+        return left + right[-2::-1]
+
+    def admits(self, phi: frozenset) -> bool:
+        """The four conditions of phi_is_admissible on a subset phi of the nodes."""
+        eps_phi = {self.eps[n] for n in phi}
+        if not phi.isdisjoint(self.compact) or not phi.isdisjoint(eps_phi):
+            return False
+        hermitian_singleton = (self.is_complex and len(phi) == 1
+                               and self.coeff[next(iter(phi))] == 1)
+        if not hermitian_singleton:
+            for comp in self.components:
+                if comp.isdisjoint(phi) or comp.isdisjoint(eps_phi):
+                    return False
+        phi_sorted = sorted(phi)
+        for i, a in enumerate(phi_sorted):
+            for b in phi_sorted[i + 1:]:
+                path = self.path(a, b)
+                if path is not None and eps_phi.isdisjoint(path):
+                    return False
+        return True
+
+
+@lru_cache(maxsize=None)
+def _diagram(family, rank, form, p, q) -> _Diagram:
+    """Shared cache: a diagram's data never change."""
+    return _Diagram(family, rank, form, p, q)
 
 
 class FactorDescriptor:
@@ -79,9 +199,9 @@ class FactorDescriptor:
         elif form in ("E II", "E III"):
             if family != "E6":
                 raise ValueError("E II/III requires family E6")
+        self._diagram = _diagram(family, rank, form, p, q)
         self.phi = frozenset(phi)
-        nodes = self.nodes()
-        if not self.phi or not self.phi <= nodes:
+        if not self.phi or not self.phi <= self._diagram.nodes:
             raise ValueError("phi must be a nonempty subset of the nodes")
         # a descriptor never changes: its admissibility and grading data
         # are worked out once (phi_is_admissible, grading_data)
@@ -95,85 +215,23 @@ class FactorDescriptor:
         return self.form == "COMPLEX"
 
     def nodes(self) -> frozenset:
-        base = {node(i) for i in range(1, self.rank + 1)}
-        if self.is_complex:
-            base |= {node(i, True) for i in range(1, self.rank + 1)}
-        return frozenset(base)
+        return self._diagram.nodes
 
     def compact_nodes(self) -> frozenset:
-        if self.form in ("A III", "A IV"):
-            return frozenset(node(i) for i in range(self.p + 1, self.q))
-        if self.form == "D IIIb":
-            return frozenset(node(i) for i in range(1, self.rank - 1, 2))
-        if self.form == "E III":
-            return frozenset({node(3), node(4), node(5)})
-        return frozenset()
+        return self._diagram.compact
 
     def epsilon(self) -> dict:
-        l = self.rank
-        if self.is_complex:
-            out = {}
-            for i in range(1, l + 1):
-                out[node(i)] = node(i, True)
-                out[node(i, True)] = node(i)
-            return out
-        if self.form in ("A III", "A IV"):
-            return {node(i): node(l + 1 - i) for i in range(1, l + 1)}
-        if self.form in ("D Ib", "D IIIb"):
-            out = {node(i): node(i) for i in range(1, l + 1)}
-            out[node(l - 1)] = node(l)
-            out[node(l)] = node(l - 1)
-            return out
-        if self.form == "E II":
-            out = {node(i): node(i) for i in range(1, 7)}
-            out[node(1)], out[node(6)] = node(6), node(1)
-            out[node(3)], out[node(5)] = node(5), node(3)
-            return out
-        out = {node(i): node(i) for i in range(1, 7)}  # E III
-        out[node(1)], out[node(6)] = node(6), node(1)
-        return out
-
-    def edges(self):
-        base = dynkin_edges(self.family, self.rank)
-        out = [(node(i), node(j)) for i, j in base]
-        if self.is_complex:
-            out += [(node(i, True), node(j, True)) for i, j in base]
-        return out
+        return dict(self._diagram.eps)
 
     def components(self):
-        if self.is_complex:
-            return [frozenset(node(i) for i in range(1, self.rank + 1)),
-                    frozenset(node(i, True) for i in range(1, self.rank + 1))]
-        return [frozenset(node(i) for i in range(1, self.rank + 1))]
-
-    def _tree_path(self, a, b):
-        """Unique path between two nodes of the same component."""
-        adj = {}
-        for x, y in self.edges():
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            cur = queue.pop(0)
-            if cur == b:
-                path = []
-                while cur is not None:
-                    path.append(cur)
-                    cur = prev[cur]
-                return path
-            for nb in adj.get(cur, []):
-                if nb not in prev:
-                    prev[nb] = cur
-                    queue.append(nb)
-        return None
+        return list(self._diagram.components)
 
     def root_system(self):
         """Root system of one diagram copy."""
-        return root_system(self.family, self.rank)
+        return self._diagram.roots
 
     def highest_root_coeff(self, name) -> int:
-        return self.root_system().highest_root()[node_index(name) - 1]
+        return self._diagram.coeff[name]
 
     # -- serialization -------------------------------------------------------
 
@@ -187,7 +245,26 @@ class FactorDescriptor:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["family"], obj["rank"], obj["form"], obj["phi"],
+        """A descriptor from its JSON object; a malformed field raises
+        ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError("a factor must be a JSON object")
+        for key in ("family", "form", "rank", "phi"):
+            if key not in obj:
+                raise ValueError(f"factor field {key!r} is missing")
+        for key in ("family", "form"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"factor field {key!r} must be a string")
+        for key in ("rank", "p", "q"):
+            value = obj.get(key)
+            if value is None and key != "rank":
+                continue
+            if type(value) is not int:  # bool is an int subclass; true is no rank
+                raise ValueError(f"factor field {key!r} must be an integer")
+        phi = obj["phi"]
+        if not isinstance(phi, list) or not all(isinstance(n, str) for n in phi):
+            raise ValueError("factor field 'phi' must be a list of node names")
+        return cls(obj["family"], obj["rank"], obj["form"], phi,
                    obj.get("p"), obj.get("q"))
 
     def __repr__(self):
@@ -238,28 +315,7 @@ def phi_is_admissible(d: FactorDescriptor) -> bool:
 
 
 def _phi_conditions_hold(d: FactorDescriptor) -> bool:
-    eps = d.epsilon()
-    eps_phi = {eps[n] for n in d.phi}
-    if d.phi & d.compact_nodes():
-        return False
-    if d.phi & eps_phi:
-        return False
-    hermitian_singleton = (
-        d.is_complex and len(d.phi) == 1
-        and d.highest_root_coeff(next(iter(d.phi))) == 1)
-    if not hermitian_singleton:
-        for comp in d.components():
-            if not (comp & d.phi) or not (comp & eps_phi):
-                return False
-    phi_sorted = sorted(d.phi)
-    for i, a in enumerate(phi_sorted):
-        for b in phi_sorted[i + 1:]:
-            path = d._tree_path(a, b)
-            if path is None:
-                continue
-            if not any(n in eps_phi for n in path):
-                return False
-    return True
+    return d._diagram.admits(d.phi)
 
 
 def grading_data(d: FactorDescriptor) -> GradingData:
@@ -268,21 +324,15 @@ def grading_data(d: FactorDescriptor) -> GradingData:
         return d._grading
     if not phi_is_admissible(d):
         raise AdmissibilityError(f"{d!r} is not admissible")
-    eps = d.epsilon()
-    support = set(d.phi) | {eps[n] for n in d.phi}
-    e_coords = {n: (1 if n in support else 0) for n in sorted(d.nodes())}
-    if d.is_complex:
-        per_copy = []
-        for primed in (False, True):
-            total = sum(d.highest_root_coeff(n) for n in support
-                        if node_primed(n) == primed)
-            per_copy.append(total)
-        if per_copy[0] != per_copy[1]:
-            raise InternalConsistencyError("copies disagree on the kind")
-        kind = per_copy[0]
-    else:
-        kind = sum(d.highest_root_coeff(n) for n in support)
-    d._grading = GradingData(e_coords, kind)
+    diagram = d._diagram
+    support = d.phi | {diagram.eps[n] for n in d.phi}
+    e_coords = {n: (1 if n in support else 0) for n in diagram.names}
+    # the E-degree of the highest root, copy by copy
+    kinds = {sum(diagram.coeff[n] for n in support & comp)
+             for comp in diagram.components}
+    if len(kinds) != 1:
+        raise InternalConsistencyError("copies disagree on the kind")
+    d._grading = GradingData(e_coords, kinds.pop())
     return d._grading
 
 
@@ -294,11 +344,9 @@ def w0_reverses_E(d: FactorDescriptor) -> bool:
     common support indicator.
     """
     support = grading_data(d).support_indices()  # also the admissibility gate
-    rows = d.root_system().w0_on_simple_coeffs()
-    c = [1 if (i + 1) in support else 0 for i in range(d.rank)]
-    for i in range(d.rank):
-        value = sum(rows[i][k] * c[k] for k in range(d.rank))
-        if value != -c[i]:
+    for i, row in enumerate(d.root_system().w0_rows(), start=1):
+        c_i = 1 if i in support else 0
+        if sum(row[k - 1] for k in support) != -c_i:
             return False
     return True
 
@@ -421,21 +469,22 @@ def enumerate_descriptors(max_rank: int):
     """All admissible descriptors of kind 1 or 2 up to the given rank.
 
     Kind >= |phi| for complex factors and kind >= 2|phi| for real forms,
-    so only singleton and two-node subsets can reach kind <= 2.
+    so only singleton and two-node subsets can reach kind <= 2.  Each
+    subset is decided on its diagram; a descriptor is built only for an
+    admissible one.
     """
     for l in range(1, max_rank + 1):
         for family, rank, form, p, q in _forms_for_rank(l):
-            names = sorted(
-                FactorDescriptor(family, rank, form,
-                                 [node(1)], p, q).nodes(),
-                key=lambda n: (node_primed(n), node_index(n)))
-            subsets = [[n] for n in names]
-            subsets += [[a, b] for i, a in enumerate(names)
+            diagram = _diagram(family, rank, form, p, q)
+            names = diagram.names
+            subsets = [frozenset({n}) for n in names]
+            subsets += [frozenset({a, b}) for i, a in enumerate(names)
                         for b in names[i + 1:]]
             for phi in subsets:
-                d = FactorDescriptor(family, rank, form, phi, p, q)
-                if not phi_is_admissible(d):
+                if not diagram.admits(phi):
                     continue
+                d = FactorDescriptor(family, rank, form, phi, p, q)
+                d._admissible = True  # decided on the diagram
                 kind = grading_data(d).kind
                 if kind in (1, 2):
                     yield d, kind

@@ -27,11 +27,9 @@ from .classify import (
 )
 from .errors import (
     CapReachedError,
-    DegenerateFormError,
     IncompleteFactorsError,
     KindError,
     LeviTanakaError,
-    NotFundamentalError,
     PreconditionError,
 )
 from .graded import GradedLieAlgebra
@@ -79,22 +77,11 @@ def cmd_analyze_quadric(args) -> int:
         form = HermitianFormSystem.from_json(blob)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail_input(str(exc))
-    checks = []
     echo = {"path": args.path, "n": form.n, "k": form.k}
-    try:
-        m = form.build_m_minus()
-    except DegenerateFormError as exc:
-        checks.append({"name": "nondegenerate", "status": "fail",
-                       "witness": exc.witness})
+    m, checks = form.m_minus_with_checks()
+    if m is None:
         _emit(_report("analyze-quadric", echo, checks), args)
         return 1
-    except NotFundamentalError as exc:
-        checks += [{"name": "nondegenerate", "status": "pass", "witness": None},
-                   {"name": "fundamental", "status": "fail", "witness": exc.relation}]
-        _emit(_report("analyze-quadric", echo, checks), args)
-        return 1
-    checks += [{"name": "nondegenerate", "status": "pass", "witness": None},
-               {"name": "fundamental", "status": "pass", "witness": None}]
     try:
         result = prolong(m, max_degree=args.max_degree)
     except (CapReachedError, PreconditionError) as exc:
@@ -160,8 +147,12 @@ def cmd_classify(args) -> int:
         factors = [FactorDescriptor.from_json(f) for f in blob["factors"]]
     except (ValueError, KeyError, TypeError) as exc:
         return _fail_input(str(exc))
-    semisimple = bool(blob.get("semisimple", False))
-    e_r_is_zero = bool(blob.get("e_r_is_zero", True))
+    semisimple = blob.get("semisimple", False)
+    e_r_is_zero = blob.get("e_r_is_zero", True)
+    for field, value in (("semisimple", semisimple), ("e_r_is_zero", e_r_is_zero)):
+        if not isinstance(value, bool):
+            return _fail_input(f"field {field!r} must be true or false, "
+                               f"not {json.dumps(value)}")
     rows = []
     kind2 = []
     kind1 = []

@@ -19,10 +19,8 @@ from fractions import Fraction
 from . import elimination
 from .classify import FactorDescriptor, tilde_s_general
 from .errors import (
-    DegenerateFormError,
     InternalConsistencyError,
     NoCharacteristicElementError,
-    NotFundamentalError,
     NotUniqueCharacteristicElementError,
 )
 from .graded import GradedLieAlgebra
@@ -583,17 +581,10 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
 
     exp = entry.expected
     if entry.kind == "quadric":
-        try:
-            m = entry.payload.build_m_minus()
-        except DegenerateFormError as exc:
-            record("nondegenerate", False, exc.witness)
+        m, regularity = entry.payload.m_minus_with_checks()
+        checks += regularity
+        if m is None:
             return checks
-        except NotFundamentalError as exc:
-            record("nondegenerate", True)
-            record("fundamental", False, exc.relation)
-            return checks
-        record("nondegenerate", True)
-        record("fundamental", True)
         compare("m_dims", m.degree_dims(),
                 {int(k): v for k, v in exp["m_dims"].items()})
         record("m_validates", m.validate().ok)

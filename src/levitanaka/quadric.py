@@ -130,6 +130,24 @@ class HermitianFormSystem:
         return GradedLieAlgebra(names, degrees, table,
                                 ExactMatrix.from_rows(jrows))
 
+    def m_minus_with_checks(self):
+        """build_m_minus with its two regularity checks as report entries.
+
+        Returns (m, checks): checks holds the "nondegenerate" and
+        "fundamental" entries ({"name", "status", "witness"}) up to the
+        first that fails, and m is None when one fails.
+        """
+        nondegenerate = {"name": "nondegenerate", "status": "pass", "witness": None}
+        fundamental = {"name": "fundamental", "status": "pass", "witness": None}
+        try:
+            return self.build_m_minus(), [nondegenerate, fundamental]
+        except DegenerateFormError as exc:
+            nondegenerate.update(status="fail", witness=exc.witness)
+            return None, [nondegenerate]
+        except NotFundamentalError as exc:
+            fundamental.update(status="fail", witness=exc.relation)
+            return None, [nondegenerate, fundamental]
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self):

@@ -3,7 +3,10 @@
 A root system is integer data.  The Cartan matrix C is read off the
 Dynkin diagram.  The positive roots are int tuples of coefficients on the
 simple roots, found by closing the simple roots under the simple
-reflections s_i(c) = c - (Cc)_i e_i.  The families are simply laced, so
+reflections s_i(c) = c - (Cc)_i e_i.  C is 2 on the diagonal and -1 on
+the edges, so (Cc)_i = 2 c_i - sum of c_j over the neighbours j of i, and
+a reflection reads the neighbour list of i, not a dense row of C.  The
+families are simply laced, so
 every root has (beta, beta) = 2 and <beta^vee, gamma> = (beta, gamma) =
 b^T C c is an integer; in particular <beta^vee, omega_j> is the j-th
 coefficient of beta.  The longest Weyl element w_0 is a word found by
@@ -41,9 +44,8 @@ def dynkin_edges(family: str, rank: int):
     if family in ("A", "D"):
         edges = [(i, i + 1) for i in range(1, rank)]
         if family == "D":
-            edges[-1] = (rank - 2, rank)
-            edges.append((rank - 2, rank - 1))
-        return sorted(edges)
+            edges[-1] = (rank - 2, rank)  # the fork: l-2 meets l-1 and l
+        return edges
     if family == "E6":
         return [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
     raise ValueError(f"unsupported family {family}")
@@ -68,9 +70,13 @@ class RootSystem:
         self.family = family
         self.rank = rank
         cartan = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+        neighbours = [[] for _ in range(rank)]
         for i, j in dynkin_edges(family, rank):
             cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+            neighbours[i - 1].append(j - 1)
+            neighbours[j - 1].append(i - 1)
         self.cartan_matrix = cartan
+        self._neighbours = neighbours
         self._positive = self._close_simple_roots()
         self._positive_set = frozenset(self._positive)
         self._highest = None
@@ -80,9 +86,12 @@ class RootSystem:
     # -- positive roots ----------------------------------------------------
 
     def reflect(self, i, c):
-        """s_i(c) = c - (Cc)_i e_i on simple-root coefficients."""
+        """s_i(c) = c - (Cc)_i e_i on simple-root coefficients.
+
+        (Cc)_i = 2 c_i - sum_{j ~ i} c_j, so the new c_i is that sum - c_i.
+        """
         out = list(c)
-        out[i] -= sum(a * x for a, x in zip(self.cartan_matrix[i], c))
+        out[i] = sum(c[j] for j in self._neighbours[i]) - c[i]
         return tuple(out)
 
     def reflection(self, b):
@@ -158,7 +167,12 @@ class RootSystem:
     # -- longest element -----------------------------------------------------
 
     def w0_on_simple_coeffs(self):
-        """Row i: coefficients of w_0(alpha_i) on the simple roots.
+        """Row i: coefficients of w_0(alpha_i) on the simple roots, as lists
+        the caller owns."""
+        return [list(row) for row in self.w0_rows()]
+
+    def w0_rows(self):
+        """The cached rows of w_0 as int tuples; the list must not be changed.
 
         On the first call the w_0 word comes from the rho descent: rho =
         (1, ..., 1) in fundamental-weight coordinates, and s_i(lam) = lam
@@ -187,12 +201,12 @@ class RootSystem:
                     raise InternalConsistencyError("w0 image is not a negative root")
                 rows.append(c)
             self._w0 = rows
-        return [list(row) for row in self._w0]
+        return self._w0
 
     def diagram_involution(self):
         """The permutation eps with w_0(alpha_i) = -alpha_{eps(i)}."""
         eps = {}
-        for i, row in enumerate(self.w0_on_simple_coeffs()):
+        for i, row in enumerate(self.w0_rows()):
             nz = [(j, c) for j, c in enumerate(row) if c]
             if len(nz) != 1 or nz[0][1] != -1:
                 raise InternalConsistencyError("w0 is not -(involution)")

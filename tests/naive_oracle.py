@@ -9,6 +9,7 @@ straight-line implementation of the same mathematics.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 Q = Fraction
 
@@ -287,6 +288,183 @@ def prolong_heisenberg(n, signature, max_degree=6):
     pro = NaiveProlongation(n1, n2, bracket, J, max_degree)
     return dict(sorted(pro.dims.items()))
 
+
+
+# -- per-descriptor admissibility and kind ------------------------------------
+#
+# The diagram conditions on a node subset phi, worked out from scratch for
+# each subset: node names as strings, eps and the compact nodes rebuilt on
+# every call, a breadth-first search for every path, and the highest root
+# found by closing the simple roots under the simple reflections (once per
+# diagram).
+
+
+def naive_diagrams(max_rank):
+    """(family, rank, form, p, q) of every diagram of the tables, rank by rank."""
+    out = []
+    for l in range(1, max_rank + 1):
+        for p in range(1, (l + 1) // 2 + 1):
+            out.append(("A", l, "A IV" if p == 1 else "A III", p, l + 1 - p))
+        if l >= 4:
+            out.append(("D", l, "D Ib", None, None))
+        if l >= 5 and l % 2 == 1:
+            out.append(("D", l, "D IIIb", None, None))
+        if l == 6:
+            out += [("E6", 6, "E II", None, None), ("E6", 6, "E III", None, None)]
+        out.append(("A", l, "COMPLEX", None, None))
+        if l >= 4:
+            out.append(("D", l, "COMPLEX", None, None))
+        if l == 6:
+            out.append(("E6", 6, "COMPLEX", None, None))
+    return out
+
+
+def _name(i, primed=False):
+    return f"a{i}'" if primed else f"a{i}"
+
+
+def _index(name):
+    return int(name.rstrip("'")[1:])
+
+
+def _one_copy_edges(family, rank):
+    if family == "E6":
+        return [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
+    edges = [(i, i + 1) for i in range(1, rank)]
+    if family == "D":
+        edges[-1] = (rank - 2, rank)
+        edges.append((rank - 2, rank - 1))
+    return edges
+
+
+def naive_nodes(family, rank, form):
+    names = [_name(i) for i in range(1, rank + 1)]
+    if form == "COMPLEX":
+        names += [_name(i, True) for i in range(1, rank + 1)]
+    return names
+
+
+def _edges(family, rank, form):
+    base = _one_copy_edges(family, rank)
+    out = [(_name(i), _name(j)) for i, j in base]
+    if form == "COMPLEX":
+        out += [(_name(i, True), _name(j, True)) for i, j in base]
+    return out
+
+
+def _epsilon(family, rank, form):
+    l = rank
+    if form == "COMPLEX":
+        out = {}
+        for i in range(1, l + 1):
+            out[_name(i)] = _name(i, True)
+            out[_name(i, True)] = _name(i)
+        return out
+    if form in ("A III", "A IV"):
+        return {_name(i): _name(l + 1 - i) for i in range(1, l + 1)}
+    out = {_name(i): _name(i) for i in range(1, l + 1)}
+    if form in ("D Ib", "D IIIb"):
+        out[_name(l - 1)], out[_name(l)] = _name(l), _name(l - 1)
+    elif form == "E II":
+        out[_name(1)], out[_name(6)] = _name(6), _name(1)
+        out[_name(3)], out[_name(5)] = _name(5), _name(3)
+    else:  # E III
+        out[_name(1)], out[_name(6)] = _name(6), _name(1)
+    return out
+
+
+def _compact(form, rank, p, q):
+    if form in ("A III", "A IV"):
+        return {_name(i) for i in range(p + 1, q)}
+    if form == "D IIIb":
+        return {_name(i) for i in range(1, rank - 1, 2)}
+    if form == "E III":
+        return {_name(3), _name(4), _name(5)}
+    return set()
+
+
+def _components(rank, form):
+    comps = [{_name(i) for i in range(1, rank + 1)}]
+    if form == "COMPLEX":
+        comps.append({_name(i, True) for i in range(1, rank + 1)})
+    return comps
+
+
+def _bfs_path(edges, a, b):
+    adj = {}
+    for x, y in edges:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    prev = {a: None}
+    queue = [a]
+    while queue:
+        cur = queue.pop(0)
+        if cur == b:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = prev[cur]
+            return path
+        for nb in adj.get(cur, []):
+            if nb not in prev:
+                prev[nb] = cur
+                queue.append(nb)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _highest_root(family, rank):
+    """The positive root of largest height, by closing the simple roots
+    under s_i(c) = c - (Cc)_i e_i with a dense Cartan matrix."""
+    cartan = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in _one_copy_edges(family, rank):
+        cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+    seen = {tuple(int(j == i) for j in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for c in frontier:
+            for i in range(rank):
+                r = list(c)
+                r[i] -= sum(a * x for a, x in zip(cartan[i], c))
+                r = tuple(r)
+                if min(r) >= 0 and r not in seen:
+                    seen.add(r)
+                    new.append(r)
+        frontier = new
+    return max(seen, key=sum)
+
+
+def naive_admissible(family, rank, form, p, q, phi):
+    """The four diagram conditions on phi, each subset from scratch."""
+    phi = set(phi)
+    eps = _epsilon(family, rank, form)
+    eps_phi = {eps[n] for n in phi}
+    if phi & _compact(form, rank, p, q) or phi & eps_phi:
+        return False
+    top = _highest_root(family, rank)
+    hermitian_singleton = (form == "COMPLEX" and len(phi) == 1
+                           and top[_index(next(iter(phi))) - 1] == 1)
+    if not hermitian_singleton:
+        for comp in _components(rank, form):
+            if not (comp & phi) or not (comp & eps_phi):
+                return False
+    edges = _edges(family, rank, form)
+    ordered = sorted(phi)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            path = _bfs_path(edges, a, b)
+            if path is not None and not any(n in eps_phi for n in path):
+                return False
+    return True
+
+
+def naive_kind(family, rank, form, p, q, phi):
+    """The E-degree of the highest root (one copy's, for a complex factor)."""
+    eps = _epsilon(family, rank, form)
+    support = set(phi) | {eps[n] for n in phi}
+    top = _highest_root(family, rank)
+    return sum(top[_index(n) - 1] for n in support if not n.endswith("'"))
 
 if __name__ == "__main__":
     for n, sig in [(1, (1,)), (2, (1, 1)), (2, (1, -1)), (3, (1, 1, 1))]:

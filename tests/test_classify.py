@@ -174,6 +174,7 @@ def test_regenerate_tables_requires_rank4():
         regenerate_tables(3)
 
 
+from naive_oracle import naive_admissible, naive_diagrams, naive_kind, naive_nodes
 from prop_lists import expected_kind2_sets
 
 
@@ -214,19 +215,48 @@ def test_descriptor_validation():
 
 def test_grading_data_worked_out_once_per_descriptor(monkeypatch):
     # regenerate_tables asks three times per descriptor (enumeration,
-    # grading data, w0 oracle); the diagram conditions run once
-    checked = []
-    conditions = classify._phi_conditions_hold
+    # grading data, w0 oracle); each (diagram, phi) is decided once, on
+    # the diagram, and more subsets are decided than rows come out
+    decided = []
+    admits = classify._Diagram.admits
 
-    def counted(d):
-        checked.append(d)
-        return conditions(d)
+    def counted(diagram, phi):
+        decided.append((id(diagram), phi))
+        return admits(diagram, phi)
 
-    monkeypatch.setattr(classify, "_phi_conditions_hold", counted)
+    monkeypatch.setattr(classify._Diagram, "admits", counted)
     tables = regenerate_tables(6)
-    assert len({id(d) for d in checked}) == len(checked)
-    assert len(tables["kind_1"]) + len(tables["kind_2"]) < len(checked)
+    assert len(set(decided)) == len(decided)
+    assert len(tables["kind_1"]) + len(tables["kind_2"]) < len(decided)
     d = D("D", 6, "D Ib", ["a6"])
     assert grading_data(d) is grading_data(d)
     with pytest.raises(AdmissibilityError):
         grading_data(D("A", 5, "A III", ["a3"], 2, 4))
+
+
+def test_admissibility_and_kind_match_the_naive_oracle_rank8():
+    # every singleton and pair of nodes on every diagram up to rank 8,
+    # admissible or not, against the conditions worked out per subset
+    diagrams = naive_diagrams(8)
+    rows = []
+    subsets = 0
+    for family, rank, form, p, q in diagrams:
+        names = naive_nodes(family, rank, form)
+        for phi in [[a] for a in names] + \
+                [[a, b] for i, a in enumerate(names) for b in names[i + 1:]]:
+            subsets += 1
+            d = D(family, rank, form, phi, p, q)
+            admissible = naive_admissible(family, rank, form, p, q, phi)
+            assert phi_is_admissible(d) == admissible, d
+            if not admissible:
+                with pytest.raises(AdmissibilityError):
+                    grading_data(d)
+                continue
+            kind = naive_kind(family, rank, form, p, q, phi)
+            assert grading_data(d).kind == kind, d
+            if kind in (1, 2):
+                rows.append((family, rank, form, p, q, tuple(sorted(phi)), kind))
+    assert (len(diagrams), subsets, len(rows)) == (43, 1527, 396)
+    # the enumeration yields the same rows in the same order
+    assert [(d.family, d.rank, d.form, d.p, d.q, tuple(sorted(d.phi)), kind)
+            for d, kind in enumerate_descriptors(8)] == rows

@@ -163,6 +163,39 @@ def test_classify_inadmissible_factor(capsys, tmp_path):
     assert report["verdicts"]["tilde_s"] is False
 
 
+A_III_FACTOR = {"family": "A", "rank": 5, "form": "A III", "phi": ["a2"],
+                "p": 2, "q": 4}
+
+
+@pytest.mark.parametrize("field", ["semisimple", "e_r_is_zero"])
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_classify_flags_must_be_booleans(capsys, tmp_path, field, value):
+    # bool("false") is True: a non-boolean flag is an input error
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps({"factors": [A_III_FACTOR], field: value}))
+    code = main(["classify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"field {field!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"form": None}, "form"),
+    ({"rank": 5.0}, "rank"),
+    ({"rank": True}, "rank"),
+    ({"phi": "a2"}, "phi"),
+])
+def test_classify_factor_schema_names_the_field(capsys, tmp_path, change, field):
+    factor = {k: v for k, v in {**A_III_FACTOR, **change}.items()
+              if v is not None}
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps([factor]))
+    code = main(["classify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"field {field!r}" in err and "Traceback" not in err
+
+
 def test_tables_rank4(capsys):
     code, out = run_cli(capsys, "tables", "--max-rank", "4")
     assert code == 0

@@ -236,6 +236,27 @@ def test_tables_rank8_report_bytes(capsys):
         "ebb2c6b76ee1da3c56296de56fee35f6323efd4bc9276de11840a1bb6541721c"
 
 
+CLASSIFY_MIXED_FACTORS = [
+    {"family": "A", "rank": 5, "form": "A III", "phi": ["a2"], "p": 2, "q": 4},
+    {"family": "D", "rank": 4, "form": "COMPLEX", "phi": ["a3", "a4'"]},
+    {"family": "A", "rank": 1, "form": "COMPLEX", "phi": ["a1"]},
+    {"family": "A", "rank": 5, "form": "A III", "phi": ["a3"], "p": 2, "q": 4},
+]
+
+
+def test_classify_mixed_report_bytes(capsys, tmp_path):
+    # an A III kind-2 factor, a complex D4 pair, a complex A1 kind-1 factor
+    # and an inadmissible A III factor (a3 is eps-fixed): exit 1
+    def dump(path):
+        with open(path, "w") as fh:
+            json.dump({"factors": CLASSIFY_MIXED_FACTORS}, fh)
+
+    code, out = _cli_bytes(capsys, tmp_path, dump, "classify")
+    assert code == 1
+    assert _sha(out) == \
+        "4a0a44c10edc73d145d0bff0c0f4eff7d4b8a52f25fd95af2da2feca9843224b"
+
+
 def test_certificate_reports_rank8():
     # every listed kind-2 descriptor up to rank 8, and the kind-1 ones whose
     # 2 omega_j(E) are integers; the other 76 kind-1 ones raise

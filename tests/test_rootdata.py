@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from levitanaka.errors import NonIntegralPairingError
-from levitanaka.rootdata import RootSystem, _dot
+from levitanaka.rootdata import RootSystem, _dot, dynkin_edges
 
 Q = Fraction
 
@@ -109,6 +109,21 @@ def test_positive_root_counts(family, rank, count):
 def test_highest_root_coefficients(family, rank, coeffs):
     rs = RootSystem(family, rank)
     assert list(rs.highest_root()) == coeffs
+
+
+@pytest.mark.parametrize("family, rank", TABLES_RANK8)
+def test_dynkin_edges_form_a_tree(family, rank):
+    # each edge once: a reflection sums the neighbours of a node, so a
+    # repeated edge would count its neighbour twice
+    edges = dynkin_edges(family, rank)
+    assert len(set(edges)) == len(edges) == rank - 1
+    reached = {1}
+    for _ in range(rank):
+        reached |= {b for a, b in edges if a in reached}
+        reached |= {a for a, b in edges if b in reached}
+    assert reached == set(range(1, rank + 1))
+    cartan = RootSystem(family, rank).cartan_matrix
+    assert sum(x == -1 for row in cartan for x in row) == 2 * len(edges)
 
 
 def test_cartan_matrix_shape():
