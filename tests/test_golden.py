@@ -346,3 +346,18 @@ def test_levi_vectors_of_a_transvected_counterexample_prolongation():
     assert len(e_s) == 76
     assert {i: x for i, x in enumerate(e_s) if x != "0"} == {
         23: "-1", 27: "-1", 29: "-2", 32: "2", 35: "-2", 41: "1", 44: "2", 49: "-2"}
+
+
+def test_heisenberg_9_prolongation_and_levi_bytes():
+    # the first rung of the heisenberg scale ladder: n = 9 with half-plus
+    # signature (five +1 then four -1), dim 120, simple, E in the Levi factor
+    n = 9
+    signature = (1,) * ((n + 1) // 2) + (-1,) * (n // 2)
+    result = prolong(corpus.heisenberg(n, signature).payload.build_m_minus())
+    assert _sha(json.dumps(result.to_json(), sort_keys=True)) == \
+        "d81a32aa35f32bdb2787ba1e3e8ccd69a10b4f9510a83cc6a622bf340c6be287"
+    g = result.algebra
+    dec = g.levi_decomposition()
+    assert (dec.s.dim, dec.r.dim, dec.E_r) == (120, 0, {})
+    assert _sha(json.dumps([dec.s.dim, dec.r.dim, _strs([dec.E_s, dec.E_r], g.dim)])) == \
+        "6e223795b1f4e5c6c9b753ec72104cb5f43e2551a6a74f40c0f7c65527432645"
