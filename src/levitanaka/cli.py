@@ -95,12 +95,13 @@ def cmd_analyze_quadric(args) -> int:
                    "status": "pass" if trans.ok else "fail",
                    "witness": None if trans.ok else trans.offending_degree})
     alg = result.algebra
-    dec = alg.levi_decomposition()
-    e_r_zero = dec.E_r is not None and not dec.E_r
+    # E_r = 0 is decided by [g, g] membership; no Levi factor is lifted
+    in_levi = alg.grading_element_in_levi()
+    radical_dim = alg.radical().dim
     verdicts = {
-        "grading_element_in_levi": e_r_zero,
-        "levi_dim": dec.s.dim,
-        "radical_dim": dec.r.dim,
+        "grading_element_in_levi": in_levi,
+        "levi_dim": alg.dim - radical_dim,
+        "radical_dim": radical_dim,
     }
     report = _report("analyze-quadric", echo, checks,
                      degree_dims=result.degree_dims, verdicts=verdicts)
@@ -287,6 +288,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except LeviTanakaError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
+        return 3
+    except Exception as exc:
+        # a defect of the program, not of its input: one line, no traceback
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
         return 3
 
 

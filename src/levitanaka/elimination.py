@@ -23,6 +23,16 @@ choice never changes a result that is read off the reduced row echelon
 form (RREF), which is unique: the pivot columns, ``kernel_basis`` and
 ``solve``.  Everything is deterministic.
 
+A tall kernel system, at least four rows per unknown, is solved from a
+head of two rows per unknown.  A head of full column rank proves the
+kernel is 0; otherwise each remaining row is checked against the head's
+kernel by exact dot products, and only the rows that fail are eliminated
+with the head.  A passing row vanishes on ker(head), which contains the
+kernel of the head and the failing rows, so both systems have the same
+kernel, row space and RREF: the answer is the same, byte for byte.
+Repeated rows then cost a dot product each, not an elimination cascade.
+``solve`` and ``rank`` eliminate every row.
+
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
 (``ratio``); input vectors may mix the two.  Kernel vectors are read off
@@ -223,6 +233,12 @@ def _back_eliminate(pivots, pivot_rows):
     return rows
 
 
+# kernel_basis: a system of at least _TALL * ncols rows is tall, and its
+# head is its first _HEAD * ncols rows
+_TALL = 4
+_HEAD = 2
+
+
 def kernel_basis(rows, ncols):
     """Primitive integer basis of the right null space of {col: value} rows.
 
@@ -232,7 +248,38 @@ def kernel_basis(rows, ncols):
     its last nonzero entry (the pivots it touches lie to the left), so
     the coordinates of a member of the span are its entries at the free
     columns divided by those of the vectors.
+
+    A tall system, at least ``_TALL * ncols`` rows, is solved from its
+    first ``_HEAD * ncols`` rows plus the rest of the rows that fail a
+    check against their kernel (module docstring).
     """
+    rows = list(rows)
+    if len(rows) < _TALL * ncols:
+        return _kernel_basis(rows, ncols)
+    head = _HEAD * ncols
+    basis = _kernel_basis(rows[:head], ncols)
+    if not basis:
+        return basis
+    entries = {}  # column -> [(vector, entry)] over the head's kernel
+    for t, vec in enumerate(basis):
+        for c, x in enumerate(vec):
+            if x:
+                entries.setdefault(c, []).append((t, x))
+    failing = []
+    for row in rows[head:]:
+        dots = [0] * len(basis)
+        for c, x in row.items():
+            for t, e in entries.get(c, ()):
+                dots[t] += x * e
+        if any(dots):
+            failing.append(row)
+    if not failing:
+        return basis
+    return _kernel_basis(rows[:head] + failing, ncols)
+
+
+def _kernel_basis(rows, ncols):
+    """``kernel_basis`` by eliminating every row."""
     pivots, pivot_rows, _ = row_echelon(map(_int_row, rows), ncols)
     # free column f -> (pivot, lead, entry) of every reduced row touching it
     touching = {}

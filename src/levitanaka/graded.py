@@ -7,6 +7,15 @@ Killing form, solvable radical, nilpotency series, grading element, a
 graded Levi-Malcev decomposition computed by correcting a section along
 the derived series of the radical, and the split into simple ideals.
 
+Whether the grading element E lies in a graded Levi factor s (E_r = 0 in
+E = E_s + E_r along g = s + r) needs no lifted s: when E is unique,
+E_r = 0 exactly when E lies in [g, g].  E_r centralises s, and ad E_r is
+semisimple, as ad E and ad E_s are; E in [g, g] = s + [g, r] puts E_r in
+the nilradical, so ad E_r is also nilpotent, hence 0, and E_r is central
+of degree 0.  The uniqueness of E certifies that the degree-0 centre is
+0, so E_r = 0 (``grading_element_in_levi``; N. Jacobson, *Lie Algebras*,
+1962, for [g, rad g] inside the nilradical and for Levi factors).
+
 Everything is exact.  The scalars are Python ints, and ``Fraction``s
 only where some division left a remainder: the table stores integral
 constants as ints, and the results of ``elimination`` come through its
@@ -183,6 +192,8 @@ class GradedLieAlgebra:
         self._killing_rows = None
         self._radical = None
         self._radical_series = None
+        self._derived = None
+        self._quotient = None
         self._char = None
 
     # -- basic structure ----------------------------------------------
@@ -373,9 +384,15 @@ class GradedLieAlgebra:
                 out[j] = out.get(j, 0) + x * k
         return out
 
+    def _derived_span(self):
+        """The span of [g, g] as an ``Echelon``, built once per algebra."""
+        if self._derived is None:
+            self._derived = elimination.Echelon(self.dim, self.table.values())
+        return self._derived
+
     def derived_subalgebra_basis(self):
         """Echelon basis of [g, g], sparse."""
-        return span_basis(list(self.table.values()), self.dim)
+        return self._derived_span().basis
 
     def graded_components(self, vectors):
         """Split a graded subspace's spanning set into homogeneous bases.
@@ -593,12 +610,19 @@ class GradedLieAlgebra:
 
     # -- Levi decomposition ----------------------------------------------
 
-    def levi_decomposition(self):
-        """Graded Levi-Malcev decomposition; see LeviDecomposition."""
+    def _levi_quotient(self):
+        """g / radical on complement units: (units, q_coords, factor algebra).
+
+        The units are basis vectors, taken in degree order, that complete
+        the radical's basis; ``q_coords`` gives a vector's coordinates on
+        them modulo the radical, and the factor algebra is g / radical in
+        those coordinates.  Its Killing form is certified nondegenerate,
+        so g / radical is semisimple.  Worked out once per algebra.
+        """
+        if self._quotient is not None:
+            return self._quotient
         rad = self.radical()
         n = self.dim
-        # complement units, in degree order; coordinates come from the
-        # basis (radical, complement) they complete
         complement_idx = []
         q_of_slot = {}
         basis = elimination.Echelon(n, rad.vectors)
@@ -615,16 +639,57 @@ class GradedLieAlgebra:
             return {q_of_slot[k]: c for k, c in basis.coords(vec).items()
                     if k in q_of_slot}
 
-        q_deg = [self.degrees[i] for i in complement_idx]
-        sigma = [{i: 1} for i in complement_idx]
-        # the factor: g / radical on the complement units
         q_table = {}
         for a, i in enumerate(complement_idx):
             for b in range(a + 1, nq):
-                comp = q_coords(self.ad(i, sigma[b]))
+                comp = q_coords(self.ad(i, {complement_idx[b]: 1}))
                 if comp:
                     q_table[(a, b)] = comp
-        s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)], q_deg, q_table)
+        s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)],
+                                 [self.degrees[i] for i in complement_idx], q_table)
+        if elimination.rank(s_alg.killing_rows(), nq) != nq:
+            raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
+        self._quotient = (complement_idx, q_coords, s_alg)
+        return self._quotient
+
+    def grading_element_in_levi(self) -> bool:
+        """Whether E lies in a graded Levi factor s, that is E_r = 0.
+
+        Decided without lifting s.  Write E = E_s + E_r along g = s + r.
+        Then E_r = 0 if and only if E lies in [g, g], for every graded
+        Levi factor s:
+
+        - E_r centralises s: for x in s, [E_r, x] = [E, x] - [E_s, x]
+          lies in s and in the ideal r, so it is 0.
+        - ad_s E_s is the degree operator of s, so ad E_s is semisimple;
+          it commutes with the diagonal ad E, so ad E_r is semisimple.
+        - If E is in [g, g] = s + [g, r], then E_r is in [g, r], which
+          lies in the nilradical, so ad E_r is also nilpotent: ad E_r = 0.
+        - A central element has degree 0, and the degree-0 centre is the
+          ambiguity of the grading element, which ``characteristic_element``
+          has certified to be 0 (E is unique).  So E_r = 0.
+        - Conversely E_r = 0 puts E in s, inside [g, g].
+
+        The facts used are certified: E and its uniqueness, the radical
+        (ideal and solvable), g / radical semisimple (``_levi_quotient``),
+        and the membership of E in the span of [g, g].  Raises the error
+        of ``characteristic_element`` when E is missing or not unique.
+        """
+        e = self.characteristic_element()
+        self._levi_quotient()  # the certificate that g / radical is semisimple
+        return self._derived_span().contains(e)
+
+    def levi_decomposition(self):
+        """Graded Levi-Malcev decomposition; see LeviDecomposition.
+
+        The section of g / radical (``_levi_quotient``) is corrected along
+        the derived series of the radical until it is a subalgebra.
+        """
+        rad = self.radical()
+        complement_idx, q_coords, s_alg = self._levi_quotient()
+        nq = s_alg.dim
+        q_deg = s_alg.degrees
+        sigma = [{i: 1} for i in complement_idx]
 
         def defects():
             out = {}
@@ -718,17 +783,17 @@ class GradedLieAlgebra:
             delta = defects()
 
         s_sub = Subspace(self, sigma)
-        if elimination.rank(s_alg.killing_rows(), nq) != nq:
-            raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
         try:
             e = self.characteristic_element()
-            e_s = _combination(q_coords(e), sigma)
-            e_r = _combination({0: 1, 1: -1}, [e, e_s])
-            if not rad.contains(e_r):
-                raise InternalConsistencyError("E_r is not in the radical")
         except (NoCharacteristicElementError, NotUniqueCharacteristicElementError):
-            e_s = None
-            e_r = None
+            return LeviDecomposition(s_sub, rad, None, None, s_alg)
+        e_s = _combination(q_coords(e), sigma)
+        e_r = _combination({0: 1, 1: -1}, [e, e_s])
+        if not rad.contains(e_r):
+            raise InternalConsistencyError("E_r is not in the radical")
+        if (not e_r) != self.grading_element_in_levi():
+            raise InternalConsistencyError(
+                "E_r disagrees with the [g, g] membership of E")
         return LeviDecomposition(s_sub, rad, e_s, e_r, s_alg)
 
     def simple_ideals(self, sub: Subspace):

@@ -25,7 +25,8 @@ total degree from [[u, v], x] = [u, [v, x]] - [v, [u, x]], read at free
 columns: each kernel vector of a layer ends at its own free column, where
 every other vector of that layer is zero, so the coordinate of [u, v] on
 it is the action at that one column divided by the vector's entry there.
-Only those columns are computed.  The reading is certified, not assumed:
+The action [[u, v], x] is formed once per source x of a free column, and
+every free column with that source is read off it.  The reading is certified, not assumed:
 the assembled algebra is re-validated in full, and Jacobi on (u, v, x)
 for every x in m is exactly the statement that [u, v] acts on m as
 computed (which fixes [u, v], by transitivity), including [u, v] = 0 past
@@ -198,20 +199,28 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
     top = len(free)
     for p, q in sorted(((p, q) for p in range(top) for q in range(p, top)
                         if p + q < top), key=sum):
-        targets = list(zip(by_degree[p + q], free[p + q]))
+        # the free columns of layer p + q, grouped by their source x
+        targets = {}
+        for g, (x, k, scale) in zip(by_degree[p + q], free[p + q]):
+            targets.setdefault(x, []).append((g, k, scale))
         for a, gu in enumerate(by_degree[p]):
             adu = ad[gu]
             for gv in by_degree[q][a + 1 if p == q else 0:]:
                 adv = ad[gv]
                 comp = {}
-                for g, (x, k, scale) in targets:
-                    c = 0
+                for x, reads in targets.items():
+                    # [[u, v], x] = [u, [v, x]] - [v, [u, x]], once per x
+                    col = {}
                     for t, c1 in adv.get(x, {}).items():
-                        c += c1 * adu.get(t, {}).get(k, 0)
+                        for k, c2 in adu.get(t, {}).items():
+                            col[k] = col.get(k, 0) + c1 * c2
                     for t, c1 in adu.get(x, {}).items():
-                        c -= c1 * adv.get(t, {}).get(k, 0)
-                    if c:
-                        comp[g] = elimination.ratio(c, scale)
+                        for k, c2 in adv.get(t, {}).items():
+                            col[k] = col.get(k, 0) - c1 * c2
+                    for g, k, scale in reads:
+                        c = col.get(k)
+                        if c:
+                            comp[g] = elimination.ratio(c, scale)
                 if comp:
                     put(gu, gv, comp)
 

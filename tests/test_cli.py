@@ -286,3 +286,18 @@ def test_failed_certificate_exits_3(capsys, tmp_path, monkeypatch):
     diagonal_form([1]).build_m_minus().dump(path)
     assert main(["prolong", str(path)]) == 3
     assert "subspace is not graded" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3_without_traceback(capsys, tmp_path, monkeypatch):
+    from levitanaka import cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "prolong", broken)
+    path = tmp_path / "m.json"
+    diagonal_form([1]).build_m_minus().dump(path)
+    assert main(["prolong", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "internal error: ZeroDivisionError: division by zero\n"

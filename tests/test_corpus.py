@@ -201,6 +201,27 @@ def test_o8_sl2_half_shift_variant():
     assert entry.expected["has_tilde_s"] is False
 
 
+def test_grading_element_in_levi_agrees_with_levi_on_the_corpus():
+    verdicts = {}
+    for entry in [*all_entries(), o8_sl2_example("minus-half")]:
+        if entry.kind == "quadric":
+            alg = prolong(entry.payload.build_m_minus()).algebra
+        else:
+            alg = entry.payload
+        try:
+            verdict = alg.grading_element_in_levi()
+        except NoCharacteristicElementError:
+            verdicts[entry.name] = None
+            continue
+        assert verdict is (alg.levi_decomposition().E_r == {})
+        verdicts[entry.name] = verdict
+    assert verdicts == {
+        "heisenberg_1_p": True, "heisenberg_2_pp": True, "heisenberg_2_pm": True,
+        "heisenberg_3_ppp": True, "counterexample_quadric": False,
+        "example_algebra_a": None, "o8_sl2_double": True,
+        "o8_sl2_minus-half": False}
+
+
 def test_heisenberg_entries_prolong_to_frozen_dims():
     for n, sig in [(1, (1,)), (2, (1, 1)), (2, (1, -1))]:
         entry = heisenberg(n, sig)

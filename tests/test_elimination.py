@@ -191,6 +191,70 @@ def test_kernel_and_solve_are_canonical(case):
         elimination.row_echelon(_int_pairs(rows), ncols)[0]
 
 
+@st.composite
+def tall_systems(draw):
+    """(rows, ncols, case): at least 4 * ncols rows, head = the first 2 * ncols.
+
+    Rows are repeats of a few source rows, duplicated and scaled by +-1,
+    2, -3 or 1/2.  In case "full_head" the head starts with a triangular
+    block of full column rank.  Otherwise the head repeats up to ncols - 1
+    sources that are zero at the last column (some keep it as a zero
+    key), so it misses part of the space.  In case "failing_tail" the
+    tail also repeats up to 3 new sources, nonzero at the last column.
+    """
+    ncols = draw(st.integers(1, 6))
+    case = draw(st.sampled_from(["failing_tail", "full_head", "all_pass"]))
+    values = draw(st.sampled_from([st.integers(-9, 9), small_rats]))
+    entry = st.one_of(st.just(0), values)
+    nonzero = values.filter(bool)
+    scale = st.sampled_from([1, -1, 2, -3, Q(1, 2)])
+    last = ncols - 1
+
+    def row(width):
+        dense = draw(st.lists(entry, min_size=width, max_size=width))
+        dense += [0] * (ncols - width)
+        kept = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+        return {c: x for c, x in enumerate(dense) if x or kept[c]}
+
+    def repeats(sources, count):
+        picks = draw(st.lists(st.tuples(st.sampled_from(sources), scale),
+                              min_size=count, max_size=count))
+        return [{c: k * x for c, x in r.items()} for r, k in picks]
+
+    sources = [row(last) for _ in range(draw(st.integers(1, max(1, last))))]
+    head = []
+    if case == "full_head":
+        for i in range(ncols):
+            r = row(ncols)
+            head.append({**{c: x for c, x in r.items() if c > i}, i: draw(nonzero)})
+    head += repeats(sources, 2 * ncols - len(head))
+    if case == "failing_tail":
+        fresh = [{**row(ncols), last: draw(nonzero)}
+                 for _ in range(draw(st.integers(1, 3)))]
+        tail = fresh + repeats(sources + fresh, draw(st.integers(2 * ncols, 3 * ncols)))
+    else:
+        tail = repeats(head, draw(st.integers(2 * ncols, 3 * ncols)))
+    return head + draw(st.permutations(tail)), ncols, case
+
+
+@given(tall_systems())
+@settings(max_examples=150, deadline=None)
+def test_tall_kernel_from_head_and_checked_tail(case):
+    rows, ncols, kind = case
+    assert len(rows) >= 4 * ncols
+    head_rank = elimination.rank(rows[:2 * ncols], ncols)
+    full_rank = elimination.rank(rows, ncols)
+    if kind == "full_head":
+        assert head_rank == ncols
+    elif kind == "all_pass":
+        assert head_rank == full_rank < ncols
+    else:
+        assert head_rank < full_rank
+    basis = elimination.kernel_basis(rows, ncols)
+    assert basis == elimination._kernel_basis(rows, ncols)
+    assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
+
+
 def test_pivot_rule_prefers_fewer_entries_on_equal_bits():
     # both candidates lead column 0 with bit length 2; the shorter row wins
     rows = [([0, 1, 2], [3, 1, 1]), ([0, 2], [-2, 5])]

@@ -283,6 +283,21 @@ def test_analyze_quadric_counterexample_report_bytes(capsys, tmp_path):
     assert _sha(out) == "cdc09307ad1b64f594c7933a2f11b42588dae16cf40626932189b053257f01c7"
 
 
+def test_analyze_quadric_lifts_no_levi_factor(capsys, tmp_path, monkeypatch):
+    # the E_r verdict and levi_dim come from [g, g] and the radical alone
+    from levitanaka.graded import GradedLieAlgebra
+
+    def no_lift(self):
+        raise RuntimeError("levi_decomposition called")
+
+    monkeypatch.setattr(GradedLieAlgebra, "levi_decomposition", no_lift)
+    code, out = _cli_bytes(capsys, tmp_path,
+                           corpus.counterexample_quadric().payload.dump,
+                           "analyze-quadric")
+    assert code == 0
+    assert _sha(out) == "cdc09307ad1b64f594c7933a2f11b42588dae16cf40626932189b053257f01c7"
+
+
 def _levi_strings(g):
     dec = g.levi_decomposition()
     e_s = None if dec.E_s is None else _strs([dec.E_s], g.dim)[0]

@@ -416,6 +416,58 @@ def test_levi_solvable_borel():
     assert g.simple_ideals(dec.s) == []
 
 
+def test_grading_element_in_levi_small_cases():
+    # semisimple, reductive (the centre makes E ambiguous), split
+    # extension with a corrected section, and solvable (E is all E_r)
+    assert sl2().grading_element_in_levi() is True
+    with pytest.raises(NotUniqueCharacteristicElementError):
+        sl2_plus_center().grading_element_in_levi()
+    assert sl2_semidirect_adjoint(shear=True).grading_element_in_levi() is True
+    borel = GradedLieAlgebra(["h", "e"], [0, 1], {(0, 1): {1: Q(2)}})
+    assert borel.grading_element_in_levi() is False
+
+
+def test_levi_checks_its_E_r_against_the_membership_verdict(monkeypatch):
+    monkeypatch.setattr(GradedLieAlgebra, "grading_element_in_levi",
+                        lambda self: False)
+    with pytest.raises(InternalConsistencyError, match="E_r disagrees"):
+        sl2().levi_decomposition()
+    # without a unique E there is nothing to compare
+    assert sl2_plus_center().levi_decomposition().E_r is None
+
+
+@lru_cache(maxsize=None)
+def _levi_verdict_case(name):
+    """(algebra, whether E lies in its Levi factor)."""
+    if name == "counterexample_quadric":
+        form = corpus.counterexample_quadric().payload
+        return prolong(form.build_m_minus()).algebra, False
+    return corpus.o8_sl2_example("double").payload, True
+
+
+@given(st.sampled_from(["counterexample_quadric", "o8_sl2_double"]), st.data())
+@settings(max_examples=16, deadline=None)
+def test_grading_element_in_levi_under_basis_changes(name, data):
+    # degree-preserving unimodular changes: column j += c * column i with
+    # e_i and e_j of one degree
+    g, expected = _levi_verdict_case(name)
+    n = g.dim
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and g.degrees[i] == g.degrees[j]]
+    moves = data.draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                         st.sampled_from([-2, -1, 1, 2])),
+                               min_size=1, max_size=12))
+    p = ExactMatrix.identity(n)
+    for (i, j), c in moves:
+        for r in range(n):
+            p.entries[r * n + j] += c * p.entries[r * n + i]
+    h = g.change_basis(p)
+    assert h.grading_element_in_levi() is expected
+    dec = h.levi_decomposition()
+    assert (dec.E_r == {}) is expected
+    assert dec.s.dim + dec.r.dim == n
+
+
 def test_simple_ideals_simple_and_split():
     g = sl2()
     whole = Subspace(g, [{i: Q(1)} for i in range(3)])
