@@ -23,15 +23,17 @@ choice never changes a result that is read off the reduced row echelon
 form (RREF), which is unique: the pivot columns, ``kernel_basis`` and
 ``solve``.  Everything is deterministic.
 
-A tall kernel system, at least four rows per unknown, is solved from a
-head of two rows per unknown.  A head of full column rank proves the
-kernel is 0; otherwise each remaining row is checked against the head's
-kernel by exact dot products, and only the rows that fail are eliminated
-with the head.  A passing row vanishes on ker(head), which contains the
-kernel of the head and the failing rows, so both systems have the same
-kernel, row space and RREF: the answer is the same, byte for byte.
-Repeated rows then cost a dot product each, not an elimination cascade.
-``solve`` and ``rank`` eliminate every row.
+``kernel_basis`` has one path, a head and a checked tail.  It
+eliminates the first two rows per unknown.  A head of full column rank
+proves the kernel is 0; otherwise each remaining row is checked against
+the head's kernel by exact dot products, and only the rows that fail are
+eliminated, together with the head's echelon rows, which span the same
+row space as the head.  A passing row vanishes on ker(head), which
+contains the kernel of the head and the failing rows, so both systems
+have the same kernel, row space and RREF: the answer is the same, byte
+for byte, as eliminating every row.  Repeated rows then cost a dot
+product each, not an elimination cascade.  ``solve`` and ``rank``
+eliminate every row.
 
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
@@ -233,9 +235,7 @@ def _back_eliminate(pivots, pivot_rows):
     return rows
 
 
-# kernel_basis: a system of at least _TALL * ncols rows is tall, and its
-# head is its first _HEAD * ncols rows
-_TALL = 4
+# kernel_basis: the head of a system is its first _HEAD * ncols rows
 _HEAD = 2
 
 
@@ -249,16 +249,15 @@ def kernel_basis(rows, ncols):
     the coordinates of a member of the span are its entries at the free
     columns divided by those of the vectors.
 
-    A tall system, at least ``_TALL * ncols`` rows, is solved from its
-    first ``_HEAD * ncols`` rows plus the rest of the rows that fail a
-    check against their kernel (module docstring).
+    The system is solved from its first ``_HEAD * ncols`` rows plus the
+    rest of the rows that fail a check against their kernel (module
+    docstring).
     """
     rows = list(rows)
-    if len(rows) < _TALL * ncols:
-        return _kernel_basis(rows, ncols)
     head = _HEAD * ncols
-    basis = _kernel_basis(rows[:head], ncols)
-    if not basis:
+    pivots, pivot_rows, _ = row_echelon(map(_int_row, rows[:head]), ncols)
+    basis = _read_kernel(pivots, pivot_rows, ncols)
+    if not basis or len(rows) <= head:
         return basis
     entries = {}  # column -> [(vector, entry)] over the head's kernel
     for t, vec in enumerate(basis):
@@ -272,15 +271,15 @@ def kernel_basis(rows, ncols):
             for t, e in entries.get(c, ()):
                 dots[t] += x * e
         if any(dots):
-            failing.append(row)
+            failing.append(_int_row(row))
     if not failing:
         return basis
-    return _kernel_basis(rows[:head] + failing, ncols)
+    pivots, pivot_rows, _ = row_echelon(pivot_rows + failing, ncols)
+    return _read_kernel(pivots, pivot_rows, ncols)
 
 
-def _kernel_basis(rows, ncols):
-    """``kernel_basis`` by eliminating every row."""
-    pivots, pivot_rows, _ = row_echelon(map(_int_row, rows), ncols)
+def _read_kernel(pivots, pivot_rows, ncols):
+    """The ``kernel_basis`` vectors read off the echelon rows of a system."""
     # free column f -> (pivot, lead, entry) of every reduced row touching it
     touching = {}
     for p, (cols, vals) in zip(pivots, _back_eliminate(pivots, pivot_rows)):

@@ -5,6 +5,28 @@ class LeviTanakaError(Exception):
     """Base class for all domain errors."""
 
 
+class InputError(ValueError):
+    """Malformed input file; the message names the bad or missing field."""
+
+
+def json_field(obj, key, kind):
+    """obj[key] of a JSON object, checked to hold a value of type ``kind``.
+
+    ``kind`` is ``list``, ``dict`` or ``int`` (a JSON true or false is no
+    int).  Raises InputError naming the field when the object is not an
+    object, or the field is missing or of another type.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object holding field {key!r}")
+    if key not in obj:
+        raise InputError(f"field {key!r} is missing")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        noun = {list: "a list", dict: "an object", int: "an integer"}[kind]
+        raise InputError(f"field {key!r} must be {noun}")
+    return value
+
+
 class DegenerateFormError(LeviTanakaError):
     """Hermitian form has a nonzero joint kernel; carries a witness vector."""
 

@@ -34,9 +34,16 @@ degree-paired: trace(ad x_i ad x_j) is summed only where
 d_i + d_j = 0, since ad x_i ad x_j shifts every degree by d_i + d_j and
 so has no diagonal otherwise.  That rests on degree additivity, which is
 checked once per algebra; a table that fails it raises rather than
-getting a wrong Killing form.  ``validate`` checks Jacobi on every
-triple, one pass over the ad-columns per pair, in int arithmetic on the
-table scaled by the lcm of its denominators.  Every structural claim an
+getting a wrong Killing form.  ``validate`` checks Jacobi one pass over
+the ad-columns per pair, in int arithmetic on the table scaled by the
+lcm of its denominators, and only where faithfulness to g_-1 cannot
+prove it.  Call a degree D faithful when y in g_D and [y, g_-1] = 0 force
+y = 0 (``unfaithful_degrees``).  For a degree-additive antisymmetric
+bracket whose Jacobiator J vanishes on every triple that meets g_-1 and
+on every triple of unfaithful total degree, J vanishes: with x in g_-1,
+[x, J(a, b, c)] is a sum of Jacobiators of total degree one less, so by
+induction on the total degree J(a, b, c) is killed by g_-1 and is 0 in a
+faithful degree (proof in ``validate``).  Every structural claim an
 operation returns is re-verified by membership and rank tests before it
 is handed back; a failed certificate raises
 ``InternalConsistencyError``, which ``python -O`` keeps.
@@ -45,17 +52,20 @@ is handed back; a failed certificate raises
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
 from . import elimination
 from .errors import (
+    InputError,
     InternalConsistencyError,
     LiftFailedError,
     NilradicalUnsupportedError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
+    json_field,
 )
 from .matrices import ExactMatrix
 from .scalars import rat_from_str, rat_to_str
@@ -112,8 +122,18 @@ def _combination(coeffs, vectors, base=None):
 
 def _exact(c):
     """A rational as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
     c = Q(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _json_rational(x, field):
+    """A rational read from JSON, such as "p/q"; an error names the field."""
+    try:
+        return rat_from_str(x)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"field {field}: {exc}") from None
 
 
 def _add_ad(out, ci, coef, y):
@@ -187,6 +207,8 @@ class GradedLieAlgebra:
                 raise ValueError(f"J is {J.nrows}x{J.ncols}, "
                                  f"degree -1 block has dim {d}")
         self.J = J
+        self._j_rows = None
+        self._unfaithful = None
         self._cols = None
         self._bad_degrees = None
         self._killing_rows = None
@@ -249,15 +271,43 @@ class GradedLieAlgebra:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check degree additivity, Jacobi on all triples, and J^2 = -Id."""
+        """Check degree additivity, Jacobi and J^2 = -Id.
+
+        Jacobi is scanned only where faithfulness to g_-1 cannot prove it
+        (``unfaithful_degrees``): on the triples that meet g_-1 and on those
+        whose total degree is unfaithful.  For a degree-additive bracket
+        that certifies every triple.  Write J(a, b, c) for the Jacobiator
+        [a, [b, c]] + [b, [c, a]] + [c, [a, b]].  Every antisymmetric
+        bracket satisfies
+
+            [a, J(b,c,d)] - [b, J(a,c,d)] + [c, J(a,b,d)] - [d, J(a,b,c)]
+              = J([a,b],c,d) - J([a,c],b,d) + J([a,d],b,c)
+                + J([b,c],a,d) - J([b,d],a,c) + J([c,d],a,b).
+
+        Put d = x in g_-1 and let J vanish on the triples that meet g_-1:
+        [x, J(a,b,c)] = -(J([a,x],b,c) - J([b,x],a,c) + J([c,x],a,b)),
+        and each term on the right has total degree one less than (a, b, c).
+        Induct upward on the total degree D of the basis triples; below the
+        lowest one there is none.  An unfaithful D is scanned.  At a faithful
+        D the right side vanishes by induction, so J(a, b, c), which lies in
+        g_D, is killed by g_-1 and is 0 (N. Tanaka, J. Math. Kyoto Univ. 10,
+        1970, for transitivity).
+
+        A table that is not degree-additive, or a failure of the filtered
+        scan, gets the full scan, which reports the lexicographically first
+        failing triple: the report is the same as a scan of every triple.
+        """
         report = ValidationReport()
         deg = self.degrees
-        for i, j, k in self._degree_violations():
+        bad = self._degree_violations()
+        for i, j, k in bad:
             report.add("degree_additivity",
                        f"[{self.names[i]},{self.names[j]}] hits degree "
                        f"{deg[k]} != {deg[i]}+{deg[j]}",
                        triple=(i, j, k))
-        triple = self._jacobi_failure()
+        triple = None if bad else self._jacobi_failure(self.unfaithful_degrees())
+        if bad or triple is not None:
+            triple = self._jacobi_failure()
         if triple is not None:
             i, j, k = triple
             report.add("jacobi",
@@ -265,11 +315,49 @@ class GradedLieAlgebra:
                        f"{self.names[j]},{self.names[k]})",
                        triple=triple)
             return report
-        if self.J is not None:
-            d = self.J.nrows
-            if self.J * self.J != ExactMatrix.identity(d).scale(Q(-1)):
+        jrows = self.j_rows()
+        for r, row in enumerate(jrows or ()):
+            square = {}
+            for t, a in row.items():
+                for c, b in jrows[t].items():
+                    square[c] = square.get(c, 0) + a * b
+            if {c: x for c, x in square.items() if x} != {r: -1}:
                 report.add("J_square", "J^2 != -Id on the degree -1 block")
+                break
         return report
+
+    def j_rows(self):
+        """The rows of J as sparse {col: value} dicts of exact scalars.
+
+        Columns and rows are positions in the degree -1 block; computed
+        once per algebra.  None when the algebra carries no J.
+        """
+        if self._j_rows is None and self.J is not None:
+            self._j_rows = [{c: _exact(x) for c, x in enumerate(self.J.row(r)) if x}
+                            for r in range(self.J.nrows)]
+        return self._j_rows
+
+    def unfaithful_degrees(self):
+        """The degrees D with some y != 0 in g_D and [y, g_-1] = 0.
+
+        The other degrees are faithful; a degree with no basis vector is.
+        Decided by one rank test per degree, [y, e_b] side by side over
+        the e_b of g_-1, and computed once per algebra.  ``validate`` and
+        ``prolongation.transitivity_check`` read it.
+        """
+        if self._unfaithful is None:
+            n = self.dim
+            cols = self._columns()
+            block1 = self.degree_indices(-1)
+            out = set()
+            for d, count in self.degree_dims().items():
+                rows = [{b * n + k: c for b, y in enumerate(block1)
+                         for k, c in cols[i].get(y, {}).items()}
+                        for i in self.degree_indices(d)]
+                if elimination.rank(rows, len(block1) * n) != count:
+                    out.add(d)
+            self._unfaithful = frozenset(out)
+        return self._unfaithful
 
     def _degree_violations(self):
         """Table entries (i, j, k) with deg k != deg i + deg j, found once."""
@@ -279,19 +367,27 @@ class GradedLieAlgebra:
                                  for k in comp if deg[k] != deg[i] + deg[j]]
         return self._bad_degrees
 
-    def _jacobi_failure(self):
-        """The first triple i < j < k, in lexicographic order, failing Jacobi.
+    def _jacobi_failure(self, unfaithful=None):
+        """A triple i < j < k failing Jacobi, or None.
+
+        Without ``unfaithful`` every triple is scanned and the first
+        failing one in lexicographic order is reported.  With it, a pair
+        (i, j) outside g_-1 is scanned only against the k in g_-1 and the
+        k whose total degree d_i + d_j + d_k is in ``unfaithful``
+        (``validate``), and the first failure found is reported.
 
         One pass per pair (i, j) sums the three terms of the Jacobi sum
         [e_i, [e_j, e_k]] - [e_j, [e_i, e_k]] - [[e_i, e_j], e_k] for every
-        k > j at once, keyed by k * dim + t for the coefficient of e_t;
-        the smallest failing k of the first failing pair is reported.
-        The sum is quadratic in the structure constants, so it runs on
-        the constants times the lcm L of their denominators: the sums
-        are L**2 times the true ones, zero at the same places, and ints.
+        scanned k > j at once, keyed by k * dim + t for the coefficient of
+        e_t.  Each ad-column is kept sorted by k, once per set of scanned
+        degrees of k, so a slice k > j starts at a ``bisect``.  The sum is
+        quadratic in the structure constants, so it runs on the constants
+        times the lcm L of their denominators: the sums are L**2 times the
+        true ones, zero at the same places, and ints.
         """
         cols = self._columns()
         n = self.dim
+        deg = self.degrees
         lcm = 1
         for comp in self.table.values():
             for c in comp.values():
@@ -301,35 +397,51 @@ class GradedLieAlgebra:
             cols = [{j: {k: c.numerator * (lcm // c.denominator)
                          for k, c in comp.items()}
                      for j, comp in ci.items()} for ci in cols]
+        views = {}  # degrees of k -> per ad-column the sorted k of those degrees
+
+        def view(degrees):
+            if degrees not in views:
+                views[degrees] = [[k for k in sorted(ci) if deg[k] in degrees]
+                                  for ci in cols]
+            return views[degrees]
+
+        present = tuple(sorted(set(deg)))
+        every = view(present)
+        scanned = {}  # d_i + d_j -> the view for a pair outside g_-1
+        for s in {a + b for a in present for b in present}:
+            scanned[s] = every if unfaithful is None else view(tuple(
+                d for d in present if d == -1 or s + d in unfaithful))
         for i in range(n):
             ci = cols[i]
             for j in range(i + 1, n):
                 cj = cols[j]
+                scan = every if -1 in (deg[i], deg[j]) else scanned[deg[i] + deg[j]]
                 acc = {}
-                for k, cjk in cj.items():
-                    if k > j:
-                        base = k * n
-                        for m, c in cjk.items():
-                            cim = ci.get(m)
-                            if cim:
-                                for t, c2 in cim.items():
-                                    acc[base + t] = acc.get(base + t, 0) + c * c2
-                for k, cik in ci.items():
-                    if k > j:
-                        base = k * n
-                        for m, c in cik.items():
-                            cjm = cj.get(m)
-                            if cjm:
-                                for t, c2 in cjm.items():
-                                    acc[base + t] = acc.get(base + t, 0) - c * c2
+                ks = scan[j]
+                for k in ks[bisect_right(ks, j):]:
+                    base = k * n
+                    for m, c in cj[k].items():
+                        cim = ci.get(m)
+                        if cim:
+                            for t, c2 in cim.items():
+                                acc[base + t] = acc.get(base + t, 0) + c * c2
+                ks = scan[i]
+                for k in ks[bisect_right(ks, j):]:
+                    base = k * n
+                    for m, c in ci[k].items():
+                        cjm = cj.get(m)
+                        if cjm:
+                            for t, c2 in cjm.items():
+                                acc[base + t] = acc.get(base + t, 0) - c * c2
                 cij = ci.get(j)
                 if cij:
                     for m, c in cij.items():
-                        for k, cmk in cols[m].items():
-                            if k > j:
-                                base = k * n
-                                for t, c2 in cmk.items():
-                                    acc[base + t] = acc.get(base + t, 0) - c * c2
+                        cm = cols[m]
+                        ks = scan[m]
+                        for k in ks[bisect_right(ks, j):]:
+                            base = k * n
+                            for t, c2 in cm[k].items():
+                                acc[base + t] = acc.get(base + t, 0) - c * c2
                 failing = [key for key, v in acc.items() if v]
                 if failing:
                     return i, j, min(failing) // n
@@ -367,9 +479,11 @@ class GradedLieAlgebra:
                 for l, col in cols[j].items():
                     # contribution sum_k ad_i[l, k] ad_j[k, l]
                     for k, c in col.items():
-                        c2 = ci.get(k, {}).get(l)
-                        if c2:
-                            s += c * c2
+                        cik = ci.get(k)
+                        if cik:
+                            c2 = cik.get(l)
+                            if c2:
+                                s += c * c2
                 if s:
                     rows[i][j] = rows[j][i] = _exact(s)
         self._killing_rows = rows
@@ -618,6 +732,13 @@ class GradedLieAlgebra:
         them modulo the radical, and the factor algebra is g / radical in
         those coordinates.  Its Killing form is certified nondegenerate,
         so g / radical is semisimple.  Worked out once per algebra.
+
+        When the radical is 0 the rank test is not repeated: ``radical``
+        has computed r = [g, g]^K, the Killing-orthogonal of [g, g], exactly.
+        K(x, g) = 0 gives K(x, [g, g]) = 0, so x lies in r = 0: K is
+        nondegenerate, and g / r = g is semisimple by Cartan's criterion.
+        The factor algebra is g on its basis in degree order, so its
+        Killing rank is dim g.  Whenever r != 0 the rank is certified.
         """
         if self._quotient is not None:
             return self._quotient
@@ -647,7 +768,7 @@ class GradedLieAlgebra:
                     q_table[(a, b)] = comp
         s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)],
                                  [self.degrees[i] for i in complement_idx], q_table)
-        if elimination.rank(s_alg.killing_rows(), nq) != nq:
+        if rad.dim and elimination.rank(s_alg.killing_rows(), nq) != nq:
             raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
         self._quotient = (complement_idx, q_coords, s_alg)
         return self._quotient
@@ -877,18 +998,30 @@ class GradedLieAlgebra:
 
     @classmethod
     def from_json(cls, obj):
+        """An algebra from its ``to_json`` object.
+
+        A malformed or missing field raises InputError naming it.
+        """
+        names = json_field(obj, "basis", list)
+        degrees = json_field(obj, "degrees", list)
         table = {}
-        for i, j, k, c in obj["brackets"]:
+        for t, entry in enumerate(json_field(obj, "brackets", list)):
+            if not (isinstance(entry, list) and len(entry) == 4
+                    and all(type(x) is int for x in entry[:3])):
+                raise InputError(f"field 'brackets' entry {t} must be "
+                                 f"[i, j, k, coefficient] with integer i, j, k")
+            i, j, k, c = entry
             comp = table.setdefault((i, j), {})
             if k in comp:
-                raise ValueError(f"duplicate bracket entry ({i},{j},{k})")
-            comp[k] = rat_from_str(c)
+                raise InputError(f"duplicate bracket entry ({i},{j},{k})")
+            comp[k] = _json_rational(c, f"'brackets' entry {t}")
         jmat = None
         if obj.get("J") is not None:
-            r = obj["J"]["rows"]
-            entries = [rat_from_str(x) for x in obj["J"]["entries"]]
+            r = json_field(json_field(obj, "J", dict), "rows", int)
+            entries = [_json_rational(x, "'J' entries")
+                       for x in json_field(obj["J"], "entries", list)]
             jmat = ExactMatrix(r, len(entries) // r if r else 0, entries)
-        return cls(obj["basis"], obj["degrees"], table, jmat)
+        return cls(names, degrees, table, jmat)
 
     def dump(self, path):
         with open(path, "w") as fh:

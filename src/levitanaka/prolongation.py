@@ -27,11 +27,21 @@ every other vector of that layer is zero, so the coordinate of [u, v] on
 it is the action at that one column divided by the vector's entry there.
 The action [[u, v], x] is formed once per source x of a free column, and
 every free column with that source is read off it.  The reading is certified, not assumed:
-the assembled algebra is re-validated in full, and Jacobi on (u, v, x)
-for every x in m is exactly the statement that [u, v] acts on m as
-computed (which fixes [u, v], by transitivity), including [u, v] = 0 past
-the top degree.  A failed re-validation raises
+the assembled algebra is re-validated, and Jacobi on (u, v, x) for every
+x in m is exactly the statement that [u, v] acts on m as computed (which
+fixes [u, v], by transitivity), including [u, v] = 0 past the top
+degree.  ``validate`` scans Jacobi on every triple that meets g_-1 and on
+every triple whose total degree is not faithful to g_-1, and the
+faithful degrees prove the rest (the lemma in ``graded``): in a
+transitive prolongation every degree but -2 is faithful, as the rank
+test that ``transitivity_check`` reports certifies.  A failed re-validation raises
 ``InternalConsistencyError``.  The grading element is computed last.
+
+Layer p's equations are sparse integer rows: J's entries come as ints
+from ``GradedLieAlgebra.j_rows``, the brackets from the table, and the
+columns from one map per source x.  At p = 0 the rows saying that u
+commutes with J come first, so the head that ``kernel_basis`` eliminates
+holds them and the derivation rows that follow pass its check.
 """
 
 from __future__ import annotations
@@ -128,46 +138,63 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
         put(i, j, dict(comp))
 
     def layout(p):
+        """Layer p's columns: cols[x][k] for source x and target k, and keys."""
         cols = {}
+        keys = []
         for s in (-1, -2):
             for k in by_degree.get(s + p, ()):
                 for x in by_degree[s]:
-                    cols[x, k] = len(cols)
-        return cols
+                    cols.setdefault(x, {})[k] = len(keys)
+                    keys.append((x, k))
+        return cols, keys
 
-    def solve_layer(p, cols):
+    def solve_layer(p, cols, ncols):
         rows = []
+        if p == 0:
+            # u commutes with J on g_-1: (U J - J U) = 0 on (target y, source x).
+            # These rows go first, into kernel_basis's head: after the
+            # derivation rows every one of them fails the check on the tail
+            jrows = m.j_rows()
+            jcols = [{} for _ in block1]
+            for t, row in enumerate(jrows):
+                for a, v in row.items():
+                    jcols[a][t] = v
+            for a, x in enumerate(block1):
+                colx = cols[x]
+                for b, y in enumerate(block1):
+                    eq = {}
+                    for t, v in jcols[a].items():
+                        c = cols[block1[t]][y]
+                        eq[c] = eq.get(c, 0) + v
+                    for t, v in jrows[b].items():
+                        c = colx[block1[t]]
+                        eq[c] = eq.get(c, 0) - v
+                    rows.append(eq)
         # [u, [x, y]] - [[u, x], y] - [x, [u, y]] = 0, one row per target k
         for a, x in enumerate(block1):
             adx = ad[x]
+            colx = cols.get(x, {})
             for y in sources[a + 1:]:
                 eqs = {}
-                terms = [(k, (w, k), c) for w, c in adx.get(y, {}).items()
-                         for k in by_degree.get(degrees[w] + p, ())]
-                terms += [(k, (x, t), -c) for t in by_degree.get(degrees[x] + p, ())
-                          for k, c in ad[t].get(y, {}).items()]
-                terms += [(k, (y, s), -c) for s in by_degree.get(degrees[y] + p, ())
-                          for k, c in adx.get(s, {}).items()]
-                for k, key, c in terms:
-                    eq = eqs.setdefault(k, {})
-                    eq[cols[key]] = eq.get(cols[key], 0) + c
+                for w, c in adx.get(y, {}).items():
+                    for k, col in cols.get(w, {}).items():
+                        eq = eqs.setdefault(k, {})
+                        eq[col] = eq.get(col, 0) + c
+                for t, col in colx.items():
+                    for k, c in ad[t].get(y, {}).items():
+                        eq = eqs.setdefault(k, {})
+                        eq[col] = eq.get(col, 0) - c
+                for s, col in cols.get(y, {}).items():
+                    for k, c in adx.get(s, {}).items():
+                        eq = eqs.setdefault(k, {})
+                        eq[col] = eq.get(col, 0) - c
                 rows += eqs.values()
-        if p == 0:
-            # u commutes with J on g_-1: (U J - J U) = 0 on (target y, source x)
-            jm = m.J
-            for a, x in enumerate(block1):
-                for b, y in enumerate(block1):
-                    eq = {}
-                    for t, z in enumerate(block1):
-                        eq[cols[z, y]] = eq.get(cols[z, y], 0) + jm.entry(t, a)
-                        eq[cols[x, z]] = eq.get(cols[x, z], 0) - jm.entry(b, t)
-                    rows.append(eq)
-        return elimination.kernel_basis(rows, len(cols))
+        return elimination.kernel_basis(rows, ncols)
 
     terminated_at = None
     for p in range(max_degree + 1):
-        cols = layout(p)
-        basis = solve_layer(p, cols)
+        cols, keys = layout(p)
+        basis = solve_layer(p, cols, len(keys))
         if not basis:
             terminated_at = p
             break
@@ -178,18 +205,17 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
         degrees += [p] * len(basis)
         ad += [{} for _ in basis]
         for g, v in zip(by_degree[p], basis):
-            for x in sources:
-                comp = {k: -v[cols[x, k]] for k in by_degree.get(degrees[x] + p, ())
-                        if v[cols[x, k]]}
+            for x, colx in cols.items():
+                comp = {k: -v[c] for k, c in colx.items() if v[c]}
                 if comp:
                     put(x, g, comp)
-        key_of = list(cols)
         last = [max(c for c, x in enumerate(v) if x) for v in basis]
-        free.append([(*key_of[f], v[f]) for f, v in zip(last, basis)])
+        free.append([(*keys[f], v[f]) for f, v in zip(last, basis)])
     if terminated_at == 0:
         raise InternalConsistencyError("degree 0 lost the grading derivation (bug)")
     # all higher layers vanish: check one extra degree
-    if solve_layer(terminated_at + 1, layout(terminated_at + 1)):
+    cols, keys = layout(terminated_at + 1)
+    if solve_layer(terminated_at + 1, cols, len(keys)):
         raise InternalConsistencyError(
             "prolongation did not stabilize after a zero layer")
 
@@ -234,15 +260,11 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
 
 
 def transitivity_check(result: ProlongationResult) -> TransitivityReport:
-    """Certify ad(X)|_{g_{-1}} is injective on every nonnegative layer."""
-    alg = result.algebra
-    block1 = alg.degree_indices(-1)
-    for p in range(max(alg.degrees) + 1):
-        idx = alg.degree_indices(p)
-        # row of X: [X, e_b] for each e_b in g_-1, side by side
-        rows = [{b * alg.dim + k: c for b, y in enumerate(block1)
-                 for k, c in alg.bracket_elements(i, y).items()}
-                for i in idx]
-        if elimination.rank(rows, len(block1) * alg.dim) != len(idx):
-            return TransitivityReport(False, p)
-    return TransitivityReport(True)
+    """Certify ad(X)|_{g_{-1}} is injective on every nonnegative layer.
+
+    The rank test is ``GradedLieAlgebra.unfaithful_degrees``, which
+    ``validate`` has already run on an assembled prolongation; the first
+    unfaithful degree p >= 0 is reported.
+    """
+    bad = [p for p in result.algebra.unfaithful_degrees() if p >= 0]
+    return TransitivityReport(not bad, min(bad) if bad else None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import DegenerateFormError, NotFundamentalError
+from .errors import DegenerateFormError, InputError, NotFundamentalError, json_field
 from .graded import GradedLieAlgebra
 from .matrices import ExactMatrix
 from .scalars import GaussRational
@@ -157,10 +157,35 @@ class HermitianFormSystem:
 
     @classmethod
     def from_json(cls, obj):
-        n = obj["n"]
-        comps = [ExactMatrix(n, n, [GaussRational.from_json(x) for x in flat])
-                 for flat in obj["components"]]
-        return cls(n, obj["k"], comps)
+        """A form system from its ``to_json`` object.
+
+        A malformed or missing field raises InputError naming it.
+        """
+        n = json_field(obj, "n", int)
+        k = json_field(obj, "k", int)
+        if n < 0 or k < 0:
+            raise InputError("fields 'n' and 'k' must be non-negative")
+        flats = json_field(obj, "components", list)
+        if len(flats) != k:
+            raise InputError(f"field 'components' holds {len(flats)} matrices, "
+                             f"not k = {k}")
+        comps = []
+        for a, flat in enumerate(flats):
+            if not isinstance(flat, list) or len(flat) != n * n:
+                raise InputError(f"field 'components' matrix {a} must be a list "
+                                 f"of n * n = {n * n} entries")
+            entries = []
+            for x in flat:
+                if not (isinstance(x, dict) and "re" in x and "im" in x):
+                    raise InputError(
+                        f"field 'components' matrix {a} holds {json.dumps(x)}, "
+                        'not {"re": "p/q", "im": "p/q"}')
+                try:
+                    entries.append(GaussRational.from_json(x))
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"field 'components' matrix {a}: {exc}") from None
+            comps.append(ExactMatrix(n, n, entries))
+        return cls(n, k, comps)
 
     def dump(self, path):
         with open(path, "w") as fh:

@@ -1,7 +1,12 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import levitanaka
 from levitanaka.cli import main
 from levitanaka.corpus import counterexample_quadric
 from levitanaka.quadric import diagonal_form
@@ -301,3 +306,127 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, tmp_path, monkey
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+@pytest.mark.parametrize("command, change, field", [
+    ("prolong", lambda obj: obj["brackets"].__setitem__(0, [0, 1]), "'brackets' entry 0"),
+    ("prolong", lambda obj: obj.pop("brackets"), "'brackets' is missing"),
+    ("analyze-quadric", lambda obj: obj.pop("components"), "'components' is missing"),
+    ("analyze-quadric", lambda obj: obj["components"][0].__setitem__(0, "1"),
+     "'components' matrix 0"),
+])
+def test_schema_errors_name_the_field(capsys, tmp_path, command, change, field):
+    form = diagonal_form([1])
+    obj = form.to_json() if command == "analyze-quadric" else form.build_m_minus().to_json()
+    change(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: field " + field) and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+# -- the process entry: python -m levitanaka.cli and the console script ------
+
+SRC = os.path.dirname(os.path.dirname(levitanaka.__file__))
+# a certificate that fails inside prolong, for exit code 3
+FAIL_PROLONG = ("import levitanaka.prolongation as p\n"
+                "from levitanaka.errors import InternalConsistencyError\n"
+                "def broken(*args, **kwargs):\n"
+                "    raise InternalConsistencyError('forced failure')\n"
+                "p.prolong = broken\n")
+
+
+def _entry_point():
+    """(module, function) of the console script in pyproject.toml."""
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as fh:
+        match = re.search(r'^levitanaka = "([\w.]+):(\w+)"$', fh.read(), re.M)
+    return match.groups()
+
+
+def _process(how, argv, prelude="", stdout=subprocess.PIPE):
+    """Run the CLI in a fresh interpreter, as ``python -m`` or the console script.
+
+    The console script is the wrapper pip writes: import the entry point
+    and ``sys.exit`` with its value.  With a prelude, ``python -m`` is
+    replayed through ``runpy``, which is what ``-m`` runs.  Output is block
+    buffered, as it is for users, not forced unbuffered.
+    """
+    if how == "module" and not prelude:
+        cmd = [sys.executable, "-m", "levitanaka.cli", *argv]
+    elif how == "module":
+        cmd = [sys.executable, "-c", prelude + "import runpy\n"
+               "runpy.run_module('levitanaka.cli', run_name='__main__', alter_sys=True)\n",
+               *argv]
+    else:
+        module, func = _entry_point()
+        cmd = [sys.executable, "-c", prelude + f"import sys\nfrom {module} import {func}\n"
+               f"sys.argv[0] = 'levitanaka'\nsys.exit({func}())\n", *argv]
+    return subprocess.run(cmd, env=_env(), stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120)
+
+
+def _env():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return env
+
+
+@pytest.mark.parametrize("case", ["ok", "degenerate", "missing", "certificate"])
+def test_main_module_and_console_script_agree(capsys, tmp_path, monkeypatch, case):
+    path = tmp_path / "form.json"
+    (diagonal_form([1, 0, 1]) if case == "degenerate" else diagonal_form([1, -1])).dump(path)
+    argv = ["analyze-quadric", str(tmp_path / "absent.json") if case == "missing" else str(path)]
+    prelude = ""
+    if case == "certificate":
+        from levitanaka import cli
+        from levitanaka.errors import InternalConsistencyError
+
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("forced failure")
+
+        monkeypatch.setattr(cli, "prolong", broken)
+        prelude = FAIL_PROLONG
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == {"ok": 0, "degenerate": 1, "missing": 2, "certificate": 3}[case]
+    for how in ("module", "script"):
+        proc = _process(how, argv, prelude)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+            (code, out, err), how
+
+
+def test_large_report_arrives_complete_through_a_pipe(capsys):
+    # the process exits without heap teardown; what main wrote must be flushed
+    assert main(["tables", "--max-rank", "8"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) > 60000
+    for how in ("module", "script"):
+        proc = _process(how, ["tables", "--max-rank", "8"])
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, out, b""), how
+
+
+def test_reader_closing_early_causes_no_hang_and_no_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "levitanaka.cli", "tables"],
+                            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the report is written
+    proc.stdout = None
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in err.decode() and err.count(b"\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_exits_nonzero_with_one_line(tmp_path):
+    # a small report sits in the stdout buffer until the exit flushes it;
+    # on a full device that flush fails, which must not end in exit 0
+    path = tmp_path / "form.json"
+    diagonal_form([1, -1]).dump(path)
+    for how in ("module", "script"):
+        with open("/dev/full", "w") as full:
+            proc = _process(how, ["analyze-quadric", str(path)], stdout=full)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, how
+        assert err == "output error: No space left on device\n", how

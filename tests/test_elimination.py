@@ -192,18 +192,24 @@ def test_kernel_and_solve_are_canonical(case):
 
 
 @st.composite
-def tall_systems(draw):
-    """(rows, ncols, case): at least 4 * ncols rows, head = the first 2 * ncols.
+def headed_systems(draw):
+    """(rows, ncols, case) for the head of the first 2 * ncols rows.
 
     Rows are repeats of a few source rows, duplicated and scaled by +-1,
     2, -3 or 1/2.  In case "full_head" the head starts with a triangular
-    block of full column rank.  Otherwise the head repeats up to ncols - 1
-    sources that are zero at the last column (some keep it as a zero
-    key), so it misses part of the space.  In case "failing_tail" the
-    tail also repeats up to 3 new sources, nonzero at the last column.
+    block of full column rank.  In cases "failing_tail" and "all_pass"
+    the head repeats up to ncols - 1 sources that are zero at the last
+    column (some keep it as a zero key), so it misses part of the space;
+    in case "failing_tail" the tail also repeats up to 3 new sources,
+    nonzero at the last column.  In case "low_head" the head repeats one
+    source and the tail brings ncols - 1 new sources with distinct
+    leading columns, so the head misses the rank by at least ncols - 2
+    rows.  These four have at least 4 * ncols rows.  In case "short"
+    there are at most 2 * ncols rows: the head is the whole system.
     """
-    ncols = draw(st.integers(1, 6))
-    case = draw(st.sampled_from(["failing_tail", "full_head", "all_pass"]))
+    case = draw(st.sampled_from(["failing_tail", "full_head", "all_pass",
+                                 "low_head", "short"]))
+    ncols = draw(st.integers(4 if case == "low_head" else 1, 6))
     values = draw(st.sampled_from([st.integers(-9, 9), small_rats]))
     entry = st.one_of(st.just(0), values)
     nonzero = values.filter(bool)
@@ -221,6 +227,14 @@ def tall_systems(draw):
                               min_size=count, max_size=count))
         return [{c: k * x for c, x in r.items()} for r, k in picks]
 
+    if case == "short":
+        return [row(ncols) for _ in range(draw(st.integers(0, 2 * ncols)))], ncols, case
+    if case == "low_head":
+        head = repeats([row(ncols)], 2 * ncols)
+        fresh = [{**{c: x for c, x in row(ncols).items() if c > i}, i: draw(nonzero)}
+                 for i in range(ncols - 1)]
+        tail = fresh + repeats(head + fresh, draw(st.integers(ncols + 1, 3 * ncols)))
+        return head + draw(st.permutations(tail)), ncols, case
     sources = [row(last) for _ in range(draw(st.integers(1, max(1, last))))]
     head = []
     if case == "full_head":
@@ -237,21 +251,28 @@ def tall_systems(draw):
     return head + draw(st.permutations(tail)), ncols, case
 
 
-@given(tall_systems())
-@settings(max_examples=150, deadline=None)
+@given(headed_systems())
+@settings(max_examples=200, deadline=None)
 def test_tall_kernel_from_head_and_checked_tail(case):
     rows, ncols, kind = case
-    assert len(rows) >= 4 * ncols
     head_rank = elimination.rank(rows[:2 * ncols], ncols)
     full_rank = elimination.rank(rows, ncols)
+    if kind == "short":
+        assert len(rows) <= 2 * ncols
+    else:
+        assert len(rows) >= 4 * ncols
     if kind == "full_head":
         assert head_rank == ncols
     elif kind == "all_pass":
         assert head_rank == full_rank < ncols
-    else:
+    elif kind == "low_head":
+        assert head_rank <= 1 and full_rank - head_rank >= ncols - 2
+    elif kind == "failing_tail":
         assert head_rank < full_rank
     basis = elimination.kernel_basis(rows, ncols)
-    assert basis == elimination._kernel_basis(rows, ncols)
+    # the same rows rotated: another head, other failing rows, same basis
+    half = len(rows) // 2
+    assert elimination.kernel_basis(rows[half:] + rows[:half], ncols) == basis
     assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
 
 

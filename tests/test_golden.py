@@ -33,6 +33,7 @@ from test_graded import (
     algebra_a_with_denominators,
     sl2_semidirect_adjoint,
     sl2_sl2,
+    transvected_counterexample,
 )
 
 Q = Fraction
@@ -376,3 +377,22 @@ def test_heisenberg_9_prolongation_and_levi_bytes():
     assert (dec.s.dim, dec.r.dim, dec.E_r) == (120, 0, {})
     assert _sha(json.dumps([dec.s.dim, dec.r.dim, _strs([dec.E_s, dec.E_r], g.dim)])) == \
         "6e223795b1f4e5c6c9b753ec72104cb5f43e2551a6a74f40c0f7c65527432645"
+
+
+# two more transvected copies of the n=7, k=8 quadric: other layer
+# systems, with other coefficients, than in the corpus coordinates
+@pytest.mark.parametrize("moves, analyze_digest, prolong_digest", [
+    ([["z", 1, 5, 1, -1], ["z", 6, 0, 0, 1], ["t", 3, 1, 1], ["t", 5, 7, -1]],
+     "1c0f7c03fc26b4275dc2f677da0c032573545a7caa7afc50de817d75789d3f11",
+     "67d1a3b432697d65334b23253db4bf9096e3163bb2026eb8c0a754764330fda6"),
+    ([["z", 2, 4, -1, 1], ["z", 4, 3, 1, 0], ["t", 0, 2, -1], ["t", 6, 5, 1]],
+     "df232806e97f458048d364a01ed521f1b29ae74707545f14adb021592623e7e3",
+     "7f911cc76a514ba5b574a5f27a421dcdd26c12038f2da5f4a29622edc0e8bcae"),
+], ids=["copy_a", "copy_b"])
+def test_transvected_counterexample_report_bytes(capsys, tmp_path, moves,
+                                                 analyze_digest, prolong_digest):
+    form = transvected_counterexample(moves)
+    code, out = _cli_bytes(capsys, tmp_path, form.dump, "analyze-quadric")
+    assert (code, _sha(out)) == (0, analyze_digest)
+    code, out = _cli_bytes(capsys, tmp_path, form.build_m_minus().dump, "prolong")
+    assert (code, _sha(out)) == (0, prolong_digest)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import levitanaka
@@ -20,7 +20,8 @@ from levitanaka.errors import (
 from levitanaka.graded import GradedLieAlgebra, Subspace
 from levitanaka.matrices import ExactMatrix
 from levitanaka.prolongation import prolong
-from levitanaka.quadric import diagonal_form
+from levitanaka.quadric import HermitianFormSystem, diagonal_form
+from levitanaka.scalars import GaussRational
 
 from naive_oracle import bracket as naive_bracket
 from naive_oracle import jacobi_first_failure, killing_matrix
@@ -123,6 +124,29 @@ def algebra_a_with_denominators():
     return a.change_basis(p)
 
 
+def transvected_counterexample(moves):
+    """The n=7, k=8 quadric of the corpus after a list of transvections.
+
+    ["z", i, j, re, im] is z -> P z with P = I + (re + im i) E_ij, each
+    component A becoming P* A P; ["t", a, b, c] is A_a += c A_b.  Both are
+    invertible changes of coordinates, so the quadric's algebra is the same
+    up to isomorphism.
+    """
+    form = corpus.counterexample_quadric().payload
+    n = form.n
+    comps = list(form.components)
+    for move in moves:
+        if move[0] == "z":
+            _, i, j, re, im = move
+            p = ExactMatrix.identity(n)
+            p.entries[i * n + j] = GaussRational(re, im)
+            comps = [p.conj_transpose() * m * p for m in comps]
+        else:
+            _, a, b, c = move
+            comps[a] = comps[a] + comps[b].scale(c)
+    return HermitianFormSystem(n, form.k, comps)
+
+
 def test_validate_certificates():
     assert sl2().validate().ok
     assert heisenberg3().validate().ok
@@ -168,6 +192,14 @@ def _oracle_algebra(name):
         return algebra_a_with_denominators()
     if name == "sheared_semidirect":
         return sl2_semidirect_adjoint(shear=True)
+    if name == "counterexample":
+        return prolong(corpus.counterexample_quadric().payload.build_m_minus()).algebra
+    if name == "o8_sl2_double":
+        return corpus.o8_sl2_example("double").payload
+    if name == "counterexample_copy":
+        form = transvected_counterexample([["z", 2, 4, -1, 1], ["z", 4, 3, 1, 0],
+                                           ["t", 0, 2, -1], ["t", 6, 5, 1]])
+        return prolong(form.build_m_minus()).algebra
     return prolong(diagonal_form([1, -1]).build_m_minus()).algebra
 
 
@@ -189,6 +221,127 @@ def test_validate_reports_the_oracle_first_jacobi_violation(name, data):
     assert [v["triple"] for v in rep.violations] == \
         ([] if expected is None else [expected])
     assert all(v["check"] == "jacobi" for v in rep.violations)
+
+
+@given(st.sampled_from(["counterexample", "counterexample_copy", "algebra_a"]),
+       st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_filtered_jacobi_scan_reports_the_oracle_first_failure(name, add, data):
+    # validate scans Jacobi only where faithfulness to g_-1 cannot prove
+    # it; after one structure constant moves, or one entry of the right
+    # degree is added, it must still report the oracle's first failure
+    g = _oracle_algebra(name)
+    table = {key: dict(comp) for key, comp in g.table.items()}
+    if add:
+        (i, j), comp = data.draw(st.sampled_from(sorted(table.items())))
+        k = data.draw(st.sampled_from([k for k in g.degree_indices(
+            g.degrees[i] + g.degrees[j]) if k not in comp] or [None]))
+        assume(k is not None)
+        comp[k] = data.draw(st.sampled_from([-1, 1, 2, Q(1, 2)]))
+    else:
+        i, j, k = data.draw(st.sampled_from(
+            [(i, j, k) for (i, j), comp in sorted(table.items()) for k in sorted(comp)]))
+        table[i, j][k] += data.draw(st.sampled_from([-1, 1, 2, Q(-1, 3)]))
+    bad = GradedLieAlgebra(g.names, g.degrees, table, g.J)
+    expected = jacobi_first_failure(bad.table, bad.dim)
+    rep = bad.validate()
+    assert [v["triple"] for v in rep.violations] == \
+        ([] if expected is None else [expected])
+    assert all(v["check"] == "jacobi" for v in rep.violations)
+
+
+@pytest.mark.parametrize("name, unfaithful", [
+    ("counterexample", {-2}),  # faithful: -1, 0, 1, 2
+    ("algebra_a", {-2, 0}),  # faithful: -1, 1, 2
+    ("o8_sl2_double", {-4, -3, -1, 0, 1, 3}),  # faithful: -2, 2, 4
+])
+def test_unfaithful_degrees(name, unfaithful):
+    g = _oracle_algebra(name)
+    assert g.unfaithful_degrees() == unfaithful
+    assert g.validate().ok
+
+
+def test_jacobi_with_no_faithful_degree_scans_every_triple():
+    # no degree -1 part: no present degree is faithful, and the filtered
+    # scan is the full one on every single-constant change
+    table = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1},
+             (3, 4): {4: 2}, (3, 5): {5: -2}, (4, 5): {3: 1}}
+    degrees = [0, 2, -2, 0, 2, -2]
+    g = GradedLieAlgebra([f"x{i}" for i in range(6)], degrees, table)
+    assert g.unfaithful_degrees() == {-2, 0, 2}
+    assert g.validate().ok
+    for (i, j), comp in table.items():
+        for k in comp:
+            for delta in (-1, 1, 2):
+                moved = {key: dict(c) for key, c in table.items()}
+                moved[i, j][k] += delta
+                bad = GradedLieAlgebra(g.names, degrees, moved)
+                expected = jacobi_first_failure(bad.table, bad.dim)
+                assert bad._jacobi_failure(bad.unfaithful_degrees()) == expected
+                assert bad._jacobi_failure() == expected
+                assert [v["triple"] for v in bad.validate().violations] == \
+                    ([] if expected is None else [expected])
+
+
+@st.composite
+def skew_brackets(draw):
+    """(n, table): a random antisymmetric bracket, no Jacobi, no grading."""
+    n = draw(st.integers(2, 5))
+    coeff = st.integers(-3, 3)
+    table = {(i, j): {k: c for k, c in enumerate(
+        draw(st.lists(coeff, min_size=n, max_size=n))) if c}
+        for i in range(n) for j in range(i + 1, n)}
+    return n, table
+
+
+@given(skew_brackets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_jacobiator_identity_on_random_skew_brackets(case, data):
+    # the one algebraic fact validate's faithful-degree lemma rests on
+    n, table = case
+
+    def br(x, y):
+        return naive_bracket(table, n, x, y)
+
+    def add(*vectors):
+        return [sum(xs) for xs in zip(*vectors)]
+
+    def neg(v):
+        return [-x for x in v]
+
+    def jac(a, b, c):
+        return add(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b)))
+
+    a, b, c, d = ([int(t == s) for t in range(n)]
+                  for s in data.draw(st.lists(st.integers(0, n - 1), min_size=4,
+                                              max_size=4)))
+    lhs = add(br(a, jac(b, c, d)), neg(br(b, jac(a, c, d))),
+              br(c, jac(a, b, d)), neg(br(d, jac(a, b, c))))
+    rhs = add(jac(br(a, b), c, d), neg(jac(br(a, c), b, d)), jac(br(a, d), b, c),
+              jac(br(b, c), a, d), neg(jac(br(b, d), a, c)), jac(br(c, d), a, b))
+    assert lhs == rhs
+
+
+def test_levi_quotient_skips_the_killing_rank_when_the_radical_is_0(monkeypatch):
+    # r = 0 certifies a nondegenerate Killing form, so the quotient g / r = g
+    # builds no Killing rows of its own; with r != 0 it is still certified
+    built = []
+    killing_rows = GradedLieAlgebra.killing_rows
+
+    def counted(self):
+        built.append(self)
+        return killing_rows(self)
+
+    monkeypatch.setattr(GradedLieAlgebra, "killing_rows", counted)
+    heis = prolong(diagonal_form([1, 1, -1]).build_m_minus()).algebra
+    assert heis.grading_element_in_levi() is True
+    assert heis.radical().dim == 0
+    assert built and all(alg is heis for alg in built)
+    built.clear()
+    g = prolong(corpus.counterexample_quadric().payload.build_m_minus()).algebra
+    assert g.grading_element_in_levi() is False
+    quotient = g._levi_quotient()[2]
+    assert any(alg is quotient for alg in built)
 
 
 def test_killing_rows_match_the_all_pairs_oracle():
