@@ -39,6 +39,12 @@ from .rootdata import dynkin_edges, root_system
 REAL_FORMS = ("A III", "A IV", "D Ib", "D IIIb", "E II", "E III")
 ALL_FORMS = REAL_FORMS + ("COMPLEX",)
 
+# the largest rank FactorDescriptor.from_json accepts.  Building a root
+# system costs about rank^4 steps: at rank 64 one factor classifies in
+# 0.6-0.8 s (A) and 1.0-1.6 s (D) end to end on a 2-core x86-64 VM, A_100
+# takes 3.4 s and A_200 did not finish in 60 s.
+MAX_FILE_RANK = 64
+
 
 def node(i: int, primed: bool = False) -> str:
     return f"a{i}'" if primed else f"a{i}"
@@ -245,8 +251,8 @@ class FactorDescriptor:
 
     @classmethod
     def from_json(cls, obj):
-        """A descriptor from its JSON object; a malformed field raises
-        ValueError naming it."""
+        """A descriptor from its JSON object; a malformed field, or a rank
+        above ``MAX_FILE_RANK``, raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError("a factor must be a JSON object")
         for key in ("family", "form", "rank", "phi"):
@@ -261,6 +267,9 @@ class FactorDescriptor:
                 continue
             if type(value) is not int:  # bool is an int subclass; true is no rank
                 raise ValueError(f"factor field {key!r} must be an integer")
+        if obj["rank"] > MAX_FILE_RANK:
+            raise ValueError(f"factor field 'rank' is {obj['rank']}; ranks above "
+                             f"{MAX_FILE_RANK} are not supported")
         phi = obj["phi"]
         if not isinstance(phi, list) or not all(isinstance(n, str) for n in phi):
             raise ValueError("factor field 'phi' must be a list of node names")

@@ -5,7 +5,8 @@ canonical JSON (sorted keys, no timestamps) so identical inputs produce
 byte-identical reports; --pretty switches to an indented rendering.
 
 Exit codes: 0 success, 1 domain failure (with a witness in the report),
-2 input error, 3 internal consistency failure.
+2 input error, 3 internal consistency failure or a report that could not
+be written.
 """
 
 from __future__ import annotations
@@ -40,16 +41,28 @@ from .quadric import HermitianFormSystem
 from .scalars import rat_to_str
 
 
+class _OutputError(Exception):
+    """The report could not be written: a closed pipe, a full disk."""
+
+
+def _output_error_line(exc: OSError) -> str:
+    where = f": {exc.filename}" if exc.filename else ""
+    return f"output error: {exc.strerror or exc}{where}\n"
+
+
 def _emit(report, args) -> None:
     if args.pretty:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutputError(_output_error_line(exc)) from None
 
 
 def _fail_input(message: str) -> int:
@@ -290,6 +303,9 @@ def main(argv=None) -> int:
     except LeviTanakaError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 3
+    except _OutputError as exc:
+        sys.stderr.write(str(exc))
+        return 3
     except Exception as exc:
         # a defect of the program, not of its input: one line, no traceback
         message = " ".join(str(exc).split())
@@ -317,7 +333,7 @@ def run():
     except OSError as exc:
         code = code or 3
         try:
-            os.write(2, f"output error: {exc.strerror or exc}\n".encode())
+            os.write(2, _output_error_line(exc).encode())
         except OSError:
             pass
     os._exit(code)

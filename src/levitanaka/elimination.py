@@ -37,16 +37,17 @@ eliminate every row.
 
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
-(``ratio``); input vectors may mix the two.  Kernel vectors are read off
-one fraction-free back-elimination of the echelon rows.
+(``scalars.ratio``); input vectors may mix the two.  Kernel vectors are
+read off one fraction-free back-elimination of the echelon rows.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd
+
+from .scalars import ratio
 
 
 def combine(pcols, pvals, rcols, rvals):
@@ -208,12 +209,6 @@ def rank(rows, ncols) -> int:
     """Rank of sparse {col: value} rows."""
     pivots, _, _ = row_echelon(map(_int_row, rows), ncols)
     return len(pivots)
-
-
-def ratio(num, den):
-    """num/den as an int when den divides num, else as a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
 
 
 def _back_eliminate(pivots, pivot_rows):

@@ -17,11 +17,11 @@ of degree 0.  The uniqueness of E certifies that the degree-0 centre is
 1962, for [g, rad g] inside the nilradical and for Levi factors).
 
 Everything is exact.  The scalars are Python ints, and ``Fraction``s
-only where some division left a remainder: the table stores integral
-constants as ints, and the results of ``elimination`` come through its
-``ratio``.  An element of the algebra has one form, going in and coming
-out: a sparse ``{index: value}`` dict of its nonzero coordinates.  That
-holds for ``bracket`` and ``ad``, ``Subspace.vectors``, the grading
+only where some division left a remainder: the table stores its
+constants through ``scalars.exact``, and divisions go through
+``scalars.ratio``.  An element of the algebra has one form, going in and
+coming out: a sparse ``{index: value}`` dict of its nonzero coordinates.
+That holds for ``bracket`` and ``ad``, ``Subspace.vectors``, the grading
 element and the Levi decomposition's ``E_s`` and ``E_r`` (zero is
 ``{}``), so ``bracket``, ``ad`` and the echelon spans cost time in
 proportion to the nonzero entries, not to the dimension.  The batch
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -68,9 +67,7 @@ from .errors import (
     json_field,
 )
 from .matrices import ExactMatrix
-from .scalars import rat_from_str, rat_to_str
-
-Q = Fraction
+from .scalars import exact, rat_from_str, rat_to_str
 
 
 def _sparse(v):
@@ -118,14 +115,6 @@ def _combination(coeffs, vectors, base=None):
         for k, x in vectors[t].items():
             out[k] = out.get(k, 0) + c * x
     return {k: x for k, x in out.items() if x}
-
-
-def _exact(c):
-    """A rational as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Q(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _json_rational(x, field):
@@ -196,7 +185,7 @@ class GradedLieAlgebra:
                 continue
             if i > j:
                 i, j, comp = j, i, {k: -c for k, c in comp.items()}
-            clean = {k: _exact(c) for k, c in comp.items() if c}
+            clean = {k: exact(c) for k, c in comp.items() if c}
             if clean:
                 if (i, j) in self.table:
                     raise ValueError(f"duplicate bracket entry ({i},{j})")
@@ -333,7 +322,7 @@ class GradedLieAlgebra:
         once per algebra.  None when the algebra carries no J.
         """
         if self._j_rows is None and self.J is not None:
-            self._j_rows = [{c: _exact(x) for c, x in enumerate(self.J.row(r)) if x}
+            self._j_rows = [{c: exact(x) for c, x in enumerate(self.J.row(r)) if x}
                             for r in range(self.J.nrows)]
         return self._j_rows
 
@@ -485,7 +474,7 @@ class GradedLieAlgebra:
                             if c2:
                                 s += c * c2
                 if s:
-                    rows[i][j] = rows[j][i] = _exact(s)
+                    rows[i][j] = rows[j][i] = exact(s)
         self._killing_rows = rows
         return rows
 
@@ -950,7 +939,7 @@ class GradedLieAlgebra:
         n = self.dim
         if p.nrows != n or p.ncols != n:
             raise ValueError("basis change must be square of matching size")
-        cols = [{i: _exact(x) for i, x in enumerate(p.col(j)) if x}
+        cols = [{i: exact(x) for i, x in enumerate(p.col(j)) if x}
                 for j in range(n)]
         new_basis = elimination.Echelon(n, cols)
         if new_basis.rank != n:

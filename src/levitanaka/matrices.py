@@ -1,5 +1,11 @@
 """Dense exact matrices over the rationals or Gaussian rationals.
 
+Entries are ints where they are integral, Fractions where not (both
+through ``scalars.exact``), or ``GaussRational``s; divisions go through
+``scalars.ratio``.  A product walks the nonzero entries of each row of
+the left factor against the nonzero entries of the right factor's rows,
+so the many zeros of a sparse form cost nothing.
+
 Rank, kernel and solve go through the sparse eliminator, which takes
 the nonzero entries of each row as a {col: value} dict.  A
 Gaussian-rational matrix is reduced by restriction of scalars: each
@@ -12,16 +18,12 @@ canonical kernel vectors and free-unknowns-zero solutions carry over.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import elimination
-from .scalars import GaussRational
+from .scalars import GaussRational, exact, ratio
 
 
 def _as_scalar(x):
-    if isinstance(x, GaussRational):
-        return x
-    return Fraction(x)
+    return x if type(x) is GaussRational else exact(x)
 
 
 class ExactMatrix:
@@ -51,11 +53,11 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols, [Fraction(0)] * (nrows * ncols))
+        return cls(nrows, ncols, [0] * (nrows * ncols))
 
     @classmethod
     def column(cls, vec):
@@ -103,18 +105,15 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         n, m, k = self.nrows, other.ncols, self.ncols
+        right = [[(j, b) for j, b in enumerate(other.row(t)) if b] for t in range(k)]
         out = []
         for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                s = None
-                for t in range(k):
-                    a = ri[t]
-                    if not a:
-                        continue
-                    term = a * other.entries[t * m + j]
-                    s = term if s is None else s + term
-                out.append(s if s is not None else Fraction(0))
+            sums = [0] * m
+            for a, nonzero in zip(self.row(i), right):
+                if a:
+                    for j, b in nonzero:
+                        sums[j] += a * b
+            out += sums
         return ExactMatrix(n, m, out)
 
     def apply(self, vec):
@@ -130,7 +129,7 @@ class ExactMatrix:
                     continue
                 term = a * x
                 s = term if s is None else s + term
-            out.append(s if s is not None else Fraction(0))
+            out.append(s if s is not None else 0)
         return out
 
     def transpose(self):
@@ -167,7 +166,7 @@ class ExactMatrix:
         for i in range(self.nrows):
             row = {c: x for c, x in enumerate(self.row(i)) if x}
             if augment is not None and augment[i]:
-                row[self.ncols] = Fraction(augment[i])
+                row[self.ncols] = exact(augment[i])
             if row:
                 rows.append(row)
         return rows
@@ -194,10 +193,10 @@ class ExactMatrix:
                 # (imaginary-part) free column repeats the even one times i
                 f = max(c for c, x in enumerate(v) if x)
                 if f % 2 == 0:
-                    out.append(_from_real([Fraction(x, v[f]) for x in v]))
+                    out.append(_from_real([ratio(x, v[f]) for x in v]))
             return out
         basis = elimination.kernel_basis(self._rows(), self.ncols)
-        return [[Fraction(v) for v in vec] for vec in basis]
+        return [list(vec) for vec in basis]
 
     def kernel(self):
         """Basis of the right null space as column matrices."""
@@ -222,11 +221,11 @@ class ExactMatrix:
             raise ValueError("determinant of non-square matrix")
         rows = self.to_rows()
         n = self.nrows
-        det = Fraction(1) if not self.is_gaussian() else GaussRational(1)
+        det = 1 if not self.is_gaussian() else GaussRational(1)
         for c in range(n):
             piv = next((r for r in range(c, n) if rows[r][c]), None)
             if piv is None:
-                return det * 0
+                return _as_scalar(det * 0)
             if piv != c:
                 rows[c], rows[piv] = rows[piv], rows[c]
                 det = -det
@@ -234,9 +233,9 @@ class ExactMatrix:
             inv = rows[c][c]
             for r in range(c + 1, n):
                 if rows[r][c]:
-                    f = rows[r][c] / inv
+                    f = ratio(rows[r][c], inv)
                     rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-        return det
+        return _as_scalar(det)
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"

@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 
 from . import elimination
 from .errors import InternalConsistencyError, NonIntegralPairingError
+from .scalars import ratio
 
 Q = Fraction
 
@@ -255,10 +256,10 @@ class RootSystem:
     def coroot_pairing(self, alpha, lam) -> int:
         """<alpha^vee, lam> = 2(alpha, lam)/(alpha, alpha) of ambient vectors,
         for lam in the weight lattice."""
-        value = 2 * _dot(alpha, lam) / _dot(alpha, alpha)
-        if value.denominator != 1:
+        value = ratio(2 * _dot(alpha, lam), _dot(alpha, alpha))
+        if type(value) is not int:
             raise NonIntegralPairingError(f"pairing {value} is not an integer")
-        return int(value)
+        return value
 
     def __repr__(self):
         return f"RootSystem({self.family}, {self.rank})"

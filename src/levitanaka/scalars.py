@@ -1,7 +1,10 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-Rationals are ``fractions.Fraction`` values: arbitrary precision, always
-in lowest terms, positive denominator.  ``GaussRational`` is a pair of
+A rational is an ``int`` when it is integral and a ``fractions.Fraction``
+(lowest terms, positive denominator) otherwise.  ``exact`` is the one
+normaliser that brings a value to that form, and ``ratio`` the one exact
+division: Python's ``/`` on two ints gives a float, so no other code in
+the package divides with ``/``.  ``GaussRational`` is a pair of such
 rationals re + im*i with field arithmetic and conjugation.
 
 Serialization: rationals as "p/q" strings ("/q" omitted when q == 1),
@@ -13,17 +16,49 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rat_to_str(x: Fraction) -> str:
+def exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def ratio(num, den):
+    """num / den exactly: an int when den divides num, never a float.
+
+    Operands are ints, Fractions or Gaussian rationals; ZeroDivisionError
+    when den is zero.
+    """
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    q = num / den  # not two ints, so exact
+    return q if type(q) is GaussRational else exact(q)
+
+
+def rat_to_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" (or a number); ValueError on malformed text or q == 0."""
+def rat_from_str(s: str):
+    """Parse "p/q" (or a number); ValueError on malformed text or q == 0.
+
+    A plain integer, ASCII digits with an optional minus sign, is read by
+    ``int()``; any other text by ``Fraction``, which decides what parses.
+    """
+    if type(s) is str:
+        digits = s[1:] if s[:1] == "-" else s
+        if digits.isdigit() and digits.isascii():
+            return int(s)
     try:
-        return Fraction(s)
+        return exact(Fraction(s))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
@@ -34,14 +69,15 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = exact(re)
+        self.im = exact(im)
 
     @staticmethod
     def _coerce(value):
-        if isinstance(value, GaussRational):
+        t = type(value)
+        if t is GaussRational:
             return value
-        if isinstance(value, (int, Fraction)):
+        if t is int or t is Fraction:
             return GaussRational(value)
         return None
 
@@ -81,14 +117,14 @@ class GaussRational:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational((self.re * o.re + self.im * o.im) / n,
-                             (self.im * o.re - self.re * o.im) / n)
+        return GaussRational(ratio(self.re * o.re + self.im * o.im, n),
+                             ratio(self.im * o.re - self.re * o.im, n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return ratio(o, self)
 
     def __neg__(self):
         return GaussRational(-self.re, -self.im)
@@ -96,9 +132,9 @@ class GaussRational:
     def conjugate(self):
         return GaussRational(self.re, -self.im)
 
-    def norm(self) -> Fraction:
+    def norm(self):
         """Field norm re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
+        return exact(self.re * self.re + self.im * self.im)
 
     def is_real(self) -> bool:
         return self.im == 0

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 Q = Fraction
 
 
 def rref(mat):
-    """Reduced row echelon form (in place copy); returns (rows, pivots)."""
-    rows = [list(r) for r in mat]
+    """Reduced row echelon form (in place copy); returns (rows, pivots).
+
+    Int entries are lifted to Fractions first, so that ``/`` stays
+    exact; Gaussian entries divide exactly as they are.
+    """
+    rows = [[Q(x) if type(x) is int else x for x in r] for r in mat]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -57,6 +62,29 @@ def kernel(mat, ncols):
 
 def mat_rank(mat):
     return len(rref(mat)[1])
+
+
+def mat_mul(a, b):
+    """Product of dense row lists by the textbook triple loop."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Q(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def det(mat):
+    """Determinant by the Leibniz sum over all permutations: no division."""
+    n = len(mat)
+    total = Q(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Q(sign)
+        for i in range(n):
+            term = term * mat[i][perm[i]]
+        total = total + term
+    return total
 
 
 class NaiveProlongation:

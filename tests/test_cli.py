@@ -201,6 +201,30 @@ def test_classify_factor_schema_names_the_field(capsys, tmp_path, change, field)
     assert f"field {field!r}" in err and "Traceback" not in err
 
 
+def test_classify_rank_is_bounded(capsys, tmp_path):
+    from levitanaka.classify import MAX_FILE_RANK
+    from levitanaka.rootdata import root_system
+
+    assert MAX_FILE_RANK == 64
+    path = tmp_path / "factors.json"
+    for factor in ({"family": "A", "rank": 65, "form": "COMPLEX", "phi": ["a1"]},
+                   {"family": "D", "rank": 65, "form": "D IIIb", "phi": ["a1"]}):
+        path.write_text(json.dumps([factor]))
+        builds = root_system.cache_info().misses
+        code = main(["classify", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "field 'rank' is 65" in err and "Traceback" not in err
+        # refused before any root system is built
+        assert root_system.cache_info().misses == builds
+    path.write_text(json.dumps([{"family": "A", "rank": 64, "form": "A IV",
+                                 "p": 1, "q": 64, "phi": ["a1"]}]))
+    code, out = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    row = json.loads(out)["checks"][0]
+    assert row["admissible"] and row["kind"] == 2 and row["w0_reverses_E"]
+
+
 def test_tables_rank4(capsys):
     code, out = run_cli(capsys, "tables", "--max-rank", "4")
     assert code == 0
@@ -416,6 +440,15 @@ def test_reader_closing_early_causes_no_hang_and_no_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 3
     assert "Traceback" not in err.decode() and err.count(b"\n") == 1
+    # the reader's failure, named as such: not an internal error
+    assert err == b"output error: Broken pipe\n"
+
+
+def test_unwritable_out_path_is_an_output_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["tables", "--max-rank", "4", "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"output error: No such file or directory: {target}\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

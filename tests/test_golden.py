@@ -396,3 +396,16 @@ def test_transvected_counterexample_report_bytes(capsys, tmp_path, moves,
     assert (code, _sha(out)) == (0, analyze_digest)
     code, out = _cli_bytes(capsys, tmp_path, form.build_m_minus().dump, "prolong")
     assert (code, _sha(out)) == (0, prolong_digest)
+
+
+# the forms themselves: P* A P over Gaussian integers, through ExactMatrix
+# products, for the two copies above
+@pytest.mark.parametrize("moves, digest", [
+    ([["z", 1, 5, 1, -1], ["z", 6, 0, 0, 1], ["t", 3, 1, 1], ["t", 5, 7, -1]],
+     "d93c89435aa3963edf7a0e8cebc340c1a2b6e45b052c193935d57a1cc4f810a6"),
+    ([["z", 2, 4, -1, 1], ["z", 4, 3, 1, 0], ["t", 0, 2, -1], ["t", 6, 5, 1]],
+     "15cd389beb1f92fd8228a13f16b389662198a7704e021d6b1dfa6f796678b6c7"),
+], ids=["copy_a", "copy_b"])
+def test_transvected_counterexample_form_bytes(moves, digest):
+    form = transvected_counterexample(moves)
+    assert _sha(json.dumps(form.to_json(), sort_keys=True)) == digest

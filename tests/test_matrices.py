@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from levitanaka.matrices import ExactMatrix
 from levitanaka.scalars import GaussRational
 
+from naive_oracle import det as naive_det
 from naive_oracle import kernel as naive_kernel
+from naive_oracle import mat_mul as naive_mul
 from naive_oracle import mat_rank as naive_rank
 
 Q = Fraction
@@ -125,3 +127,56 @@ def test_matrix_product_and_apply():
     assert a.apply([Q(1), Q(1)]) == [Q(3), Q(7)]
     with pytest.raises(ValueError):
         a.apply([Q(1)])
+
+
+# -- sparse products and det against the textbook loops of naive_oracle --
+
+# mostly zeros, as in the quadric forms; ints, Fractions and Gaussian rationals
+_rational_entries = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                              st.fractions(min_value=-9, max_value=9,
+                                           max_denominator=4))
+_gaussian_entries = st.one_of(_rational_entries,
+                              st.builds(GaussRational, _rational_entries,
+                                        _rational_entries))
+
+
+def _dense(draw, nrows, ncols, entries):
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _parts(x):
+    return (x.re, x.im) if isinstance(x, GaussRational) else (x, 0)
+
+
+def _check_entry(x, want):
+    """Same value; never a float; each part an int exactly when integral."""
+    for part, w in zip(_parts(x), _parts(want)):
+        assert type(part) in (int, Fraction)
+        assert part == w
+        assert (type(part) is int) == (Fraction(w).denominator == 1)
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_naive_triple_loop(data, gaussian):
+    entries = _gaussian_entries if gaussian else _rational_entries
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = _dense(data.draw, n, k, entries)
+    b = _dense(data.draw, k, m, entries)
+    got = (ExactMatrix.from_rows(a) * ExactMatrix.from_rows(b)).to_rows()
+    want = naive_mul(a, b)
+    for row, want_row in zip(got, want):
+        for x, w in zip(row, want_row):
+            _check_entry(x, w)
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_det_matches_leibniz_sum(data, gaussian):
+    entries = _gaussian_entries if gaussian else _rational_entries
+    n = data.draw(st.integers(1, 4))
+    a = _dense(data.draw, n, n, entries)
+    m = ExactMatrix.from_rows(a)
+    got = m.det()
+    assert (type(got) is GaussRational) == m.is_gaussian()
+    _check_entry(got, naive_det(a))
