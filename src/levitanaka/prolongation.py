@@ -49,6 +49,7 @@ from __future__ import annotations
 from . import elimination
 from .errors import CapReachedError, InternalConsistencyError, PreconditionError
 from .graded import GradedLieAlgebra
+from .scalars import ratio
 
 
 class ProlongationResult:
@@ -246,7 +247,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                     for g, k, scale in reads:
                         c = col.get(k)
                         if c:
-                            comp[g] = elimination.ratio(c, scale)
+                            comp[g] = ratio(c, scale)
                 if comp:
                     put(gu, gv, comp)
 

@@ -14,14 +14,11 @@ on the degree -1 part and J acting as multiplication by i.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import DegenerateFormError, InputError, NotFundamentalError, json_field
 from .graded import GradedLieAlgebra
 from .matrices import ExactMatrix
 from .scalars import GaussRational
-
-Q = Fraction
 
 
 class HermitianFormSystem:
@@ -123,10 +120,10 @@ class HermitianFormSystem:
                     put(a, b, im)
                     put(n + a, n + b, im)
                 put(a, n + b, [-x for x in re])
-        jrows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
+        jrows = [[0] * (2 * n) for _ in range(2 * n)]
         for a in range(n):
-            jrows[n + a][a] = Q(1)
-            jrows[a][n + a] = Q(-1)
+            jrows[n + a][a] = 1
+            jrows[a][n + a] = -1
         return GradedLieAlgebra(names, degrees, table,
                                 ExactMatrix.from_rows(jrows))
 

@@ -39,8 +39,6 @@ def ratio(num, den):
 
 
 def rat_to_str(x) -> str:
-    if type(x) is int:
-        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -50,13 +48,8 @@ def rat_to_str(x) -> str:
 def rat_from_str(s: str):
     """Parse "p/q" (or a number); ValueError on malformed text or q == 0.
 
-    A plain integer, ASCII digits with an optional minus sign, is read by
-    ``int()``; any other text by ``Fraction``, which decides what parses.
+    ``Fraction`` decides what parses; the value comes back through ``exact``.
     """
-    if type(s) is str:
-        digits = s[1:] if s[:1] == "-" else s
-        if digits.isdigit() and digits.isascii():
-            return int(s)
     try:
         return exact(Fraction(s))
     except ZeroDivisionError:

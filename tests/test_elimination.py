@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levitanaka import elimination
-from levitanaka.scalars import GaussRational
+from levitanaka.scalars import GaussRational, ratio
 
 from naive_oracle import kernel, rref
 
@@ -403,5 +403,5 @@ def test_echelon_unique_coords_and_add_flags():
                 half.coords({0: 1, 1: Q(7, 2), 2: 3}), *half.basis):
         assert all(_exact_scalar(x) for x in out.values())
     assert half.coords({0: 1, 1: Q(7, 2), 2: 3}) == {0: Q(1, 2), 1: 1}
-    assert elimination.ratio(6, -3) == -2 and type(elimination.ratio(6, -3)) is int
-    assert elimination.ratio(3, -6) == Q(-1, 2)
+    assert ratio(6, -3) == -2 and type(ratio(6, -3)) is int
+    assert ratio(3, -6) == Q(-1, 2)

@@ -226,23 +226,20 @@ def test_tampered_layer_bracket_is_caught_under_python_O(tmp_path):
     # an InternalConsistencyError (exit 3, no traceback) that -O keeps
     script = textwrap.dedent("""
         import sys
-        from levitanaka import elimination, prolongation
+        from levitanaka import prolongation, scalars
         from levitanaka.cli import main
         from levitanaka.errors import InternalConsistencyError
         from levitanaka.quadric import diagonal_form
 
         class FirstReadTampered:
-            # prolongation's view of elimination; ratio is the coordinate read
+            # prolongation's ratio: the coordinate read
             def __init__(self, mode):
                 self.mode = mode
                 self.reads = 0
 
-            def __getattr__(self, name):
-                return getattr(elimination, name)
-
-            def ratio(self, num, den):
+            def __call__(self, num, den):
                 self.reads += 1
-                out = elimination.ratio(num, den)
+                out = scalars.ratio(num, den)
                 if self.reads > 1:
                     return out
                 return out + 1 if self.mode == "shift" else 0
@@ -250,14 +247,14 @@ def test_tampered_layer_bracket_is_caught_under_python_O(tmp_path):
         print("optimize", sys.flags.optimize)
         m = diagonal_form([1, -1]).build_m_minus()
         for mode in ("shift", "drop"):
-            prolongation.elimination = tampered = FirstReadTampered(mode)
+            prolongation.ratio = tampered = FirstReadTampered(mode)
             try:
                 prolongation.prolong(m)
             except InternalConsistencyError as exc:
                 print(mode, tampered.reads > 0, str(exc).split(":")[0])
             else:
                 print(mode, "not raised")
-        prolongation.elimination = FirstReadTampered("shift")
+        prolongation.ratio = FirstReadTampered("shift")
         diagonal_form([1, -1]).dump(sys.argv[1])
         print("exit", main(["analyze-quadric", sys.argv[1]]))
     """)

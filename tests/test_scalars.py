@@ -125,7 +125,7 @@ def test_ratio_is_exact_and_int_where_integral(a, b):
     _int_where_integral(exact(a), Fraction(a))
 
 
-# -- rat_from_str: Fraction's reading, with plain integers read by int() --
+# -- rat_from_str: Fraction's reading, an int where integral --
 
 rational_texts = (
     st.text(alphabet="0123456789-+/ _.eE٣", max_size=8)
