@@ -39,10 +39,11 @@ from .rootdata import dynkin_edges, root_system
 REAL_FORMS = ("A III", "A IV", "D Ib", "D IIIb", "E II", "E III")
 ALL_FORMS = REAL_FORMS + ("COMPLEX",)
 
-# the largest rank FactorDescriptor.from_json accepts.  Building a root
-# system costs about rank^4 steps: at rank 64 one factor classifies in
-# 0.6-0.8 s (A) and 1.0-1.6 s (D) end to end on a 2-core x86-64 VM, A_100
-# takes 3.4 s and A_200 did not finish in 60 s.
+# the largest rank FactorDescriptor.from_json and ``tables --max-rank``
+# accept.  Building a root system costs about rank^4 steps: at rank 64 one
+# factor classifies in 0.6-0.8 s (A) and 1.0-1.6 s (D) end to end on a
+# 2-core x86-64 VM, A_100 takes 3.4 s and A_200 did not finish in 60 s;
+# ``tables --max-rank 64`` takes about 47 s and 218 MB peak RSS there.
 MAX_FILE_RANK = 64
 
 
@@ -220,24 +221,9 @@ class FactorDescriptor:
     def is_complex(self) -> bool:
         return self.form == "COMPLEX"
 
-    def nodes(self) -> frozenset:
-        return self._diagram.nodes
-
-    def compact_nodes(self) -> frozenset:
-        return self._diagram.compact
-
-    def epsilon(self) -> dict:
-        return dict(self._diagram.eps)
-
-    def components(self):
-        return list(self._diagram.components)
-
     def root_system(self):
         """Root system of one diagram copy."""
         return self._diagram.roots
-
-    def highest_root_coeff(self, name) -> int:
-        return self._diagram.coeff[name]
 
     # -- serialization -------------------------------------------------------
 
@@ -319,12 +305,8 @@ def phi_is_admissible(d: FactorDescriptor) -> bool:
     constraint to protect).  Decided once per descriptor.
     """
     if d._admissible is None:
-        d._admissible = _phi_conditions_hold(d)
+        d._admissible = d._diagram.admits(d.phi)
     return d._admissible
-
-
-def _phi_conditions_hold(d: FactorDescriptor) -> bool:
-    return d._diagram.admits(d.phi)
 
 
 def grading_data(d: FactorDescriptor) -> GradingData:

@@ -18,6 +18,7 @@ import sys
 
 from . import corpus as corpus_mod
 from .classify import (
+    MAX_FILE_RANK,
     FactorDescriptor,
     grading_data,
     phi_is_admissible,
@@ -82,6 +83,23 @@ def _report(command, input_echo, checks, degree_dims=None, verdicts=None):
     }
 
 
+def _prolong_checked(m, command, echo, checks, args):
+    """prolong m, appending the "prolongation" check to checks.
+
+    A prolongation that fails (the degree cap, a precondition) emits the
+    report up to that check and returns None; the command then exits 1.
+    """
+    try:
+        result = prolong(m, max_degree=args.max_degree)
+    except (CapReachedError, PreconditionError) as exc:
+        checks.append({"name": "prolongation", "status": "fail",
+                       "witness": str(exc)})
+        _emit(_report(command, echo, checks), args)
+        return None
+    checks.append({"name": "prolongation", "status": "pass", "witness": None})
+    return result
+
+
 def cmd_analyze_quadric(args) -> int:
     if args.max_degree < 0:
         return _fail_input("--max-degree must be non-negative")
@@ -96,14 +114,9 @@ def cmd_analyze_quadric(args) -> int:
     if m is None:
         _emit(_report("analyze-quadric", echo, checks), args)
         return 1
-    try:
-        result = prolong(m, max_degree=args.max_degree)
-    except (CapReachedError, PreconditionError) as exc:
-        checks.append({"name": "prolongation", "status": "fail",
-                       "witness": str(exc)})
-        _emit(_report("analyze-quadric", echo, checks), args)
+    result = _prolong_checked(m, "analyze-quadric", echo, checks, args)
+    if result is None:
         return 1
-    checks.append({"name": "prolongation", "status": "pass", "witness": None})
     trans = transitivity_check(result)
     checks.append({"name": "transitivity",
                    "status": "pass" if trans.ok else "fail",
@@ -136,14 +149,9 @@ def cmd_prolong(args) -> int:
         return _fail_input(str(exc))
     echo = {"path": args.path, "dim": algebra.dim}
     checks = []
-    try:
-        result = prolong(algebra, max_degree=args.max_degree)
-    except (CapReachedError, PreconditionError) as exc:
-        checks.append({"name": "prolongation", "status": "fail",
-                       "witness": str(exc)})
-        _emit(_report("prolong", echo, checks), args)
+    result = _prolong_checked(algebra, "prolong", echo, checks, args)
+    if result is None:
         return 1
-    checks.append({"name": "prolongation", "status": "pass", "witness": None})
     report = _report("prolong", echo, checks, degree_dims=result.degree_dims)
     report["algebra"] = result.algebra.to_json()
     _emit(report, args)
@@ -217,8 +225,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    if args.max_rank < 4:
-        return _fail_input("--max-rank must be at least 4")
+    if not 4 <= args.max_rank <= MAX_FILE_RANK:
+        return _fail_input(f"--max-rank must be between 4 and {MAX_FILE_RANK}")
     table = regenerate_tables(args.max_rank)
     report = _report("tables", {"max_rank": args.max_rank},
                      checks=[{"name": "oracle_agrees_with_lists",

@@ -493,10 +493,6 @@ class GradedLieAlgebra:
             self._derived = elimination.Echelon(self.dim, self.table.values())
         return self._derived
 
-    def derived_subalgebra_basis(self):
-        """Echelon basis of [g, g], sparse."""
-        return self._derived_span().basis
-
     def graded_components(self, vectors):
         """Split a graded subspace's spanning set into homogeneous bases.
 
@@ -530,7 +526,7 @@ class GradedLieAlgebra:
         """
         if self._radical is not None:
             return self._radical
-        derived = self.derived_subalgebra_basis()
+        derived = self._derived_span().basis
         if derived:
             rows = [self._killing_apply(d) for d in derived]
             basis = elimination.kernel_basis(rows, self.dim)
@@ -681,6 +677,33 @@ class GradedLieAlgebra:
 
     # -- subalgebra extraction ------------------------------------------
 
+    def _restricted(self, vecs):
+        """(degrees, table) of the bracket on the span of ``vecs``.
+
+        The vectors must be homogeneous and independent, and their span
+        bracket-closed; the table is in their coordinates.  Raises
+        ValueError otherwise.  ``subalgebra`` and ``change_basis`` both
+        build their algebra from it.
+        """
+        degs = []
+        for v in vecs:
+            present = {self.degrees[i] for i in v}
+            if len(present) != 1:
+                raise ValueError("basis vector is not degree-homogeneous")
+            degs.append(present.pop())
+        span = elimination.Echelon(self.dim, vecs)
+        if span.rank != len(vecs):
+            raise ValueError("basis is singular: its vectors are linearly dependent")
+        table = {}
+        for a, b in combinations(range(len(vecs)), 2):
+            w = self.bracket(vecs[a], vecs[b])
+            if w:
+                coords = span.coords(w)
+                if coords is None:
+                    raise ValueError("span is not bracket-closed")
+                table[(a, b)] = coords
+        return degs, table
+
     def subalgebra(self, vectors):
         """Structure constants of a bracket-closed homogeneous span.
 
@@ -688,28 +711,8 @@ class GradedLieAlgebra:
         basis is ``vectors[i]`` in the parent's coordinates.
         """
         vecs = list(vectors)
-        d = len(vecs)
-        degs = []
-        for v in vecs:
-            present = {self.degrees[i] for i in v}
-            if len(present) != 1:
-                raise ValueError("subalgebra basis vector is not homogeneous")
-            degs.append(present.pop())
-        span = elimination.Echelon(self.dim, vecs)
-        if span.rank != d:
-            raise ValueError("subalgebra basis is not linearly independent")
-        table = {}
-        for a in range(d):
-            for b in range(a + 1, d):
-                w = self.bracket(vecs[a], vecs[b])
-                if not w:
-                    continue
-                coords = span.coords(w)
-                if coords is None:
-                    raise ValueError("span is not bracket-closed")
-                table[(a, b)] = coords
-        names = [f"v{a}" for a in range(d)]
-        return GradedLieAlgebra(names, degs, table), vecs
+        degs, table = self._restricted(vecs)
+        return GradedLieAlgebra([f"v{a}" for a in range(len(vecs))], degs, table), vecs
 
     # -- Levi decomposition ----------------------------------------------
 
@@ -907,7 +910,12 @@ class GradedLieAlgebra:
         return LeviDecomposition(s_sub, rad, e_s, e_r, s_alg)
 
     def simple_ideals(self, sub: Subspace):
-        """Split a semisimple subalgebra into its simple ideals."""
+        """Split a semisimple subalgebra into its simple ideals.
+
+        The split has no simplicity certificate yet: an ideal is kept
+        whole when the ideal of no single basis vector is proper, so a
+        basis in which every vector mixes two ideals comes back as one.
+        """
         result = []
         self._split_simple(sub.vectors, result)
         return [Subspace(self, vecs) for vecs in result]
@@ -939,23 +947,8 @@ class GradedLieAlgebra:
         n = self.dim
         if p.nrows != n or p.ncols != n:
             raise ValueError("basis change must be square of matching size")
-        cols = [{i: exact(x) for i, x in enumerate(p.col(j)) if x}
-                for j in range(n)]
-        new_basis = elimination.Echelon(n, cols)
-        if new_basis.rank != n:
-            raise ValueError("matrix is singular")
-        new_deg = []
-        for col in cols:
-            present = {self.degrees[i] for i in col}
-            if len(present) != 1:
-                raise ValueError("basis-change column is not degree-homogeneous")
-            new_deg.append(present.pop())
-        table = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                w = self.bracket(cols[a], cols[b])
-                if w:
-                    table[(a, b)] = new_basis.coords(w)
+        new_deg, table = self._restricted(
+            [{i: exact(x) for i, x in enumerate(p.col(j)) if x} for j in range(n)])
         jmat = None
         if self.J is not None:
             # J transforms by restriction of the change to the degree -1 block

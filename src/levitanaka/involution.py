@@ -15,19 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import FactorDescriptor, grading_data
-from .errors import (
-    InternalConsistencyError,
-    KindError,
-    NonIntegralPairingError,
-    PreconditionError,
-    WordInvalidError,
-)
-from .matrices import ExactMatrix
+from .errors import KindError, NonIntegralPairingError, WordInvalidError
 
 Q = Fraction
 
 BOTH = "BOTH"
-GAMMA_ONLY = "GAMMA_ONLY"
 GAMMA_PRIME_ONLY = "GAMMA_PRIME_ONLY"
 KIND1_GAMMA = "KIND1_GAMMA"
 KIND1_NONE = "KIND1_NONE"
@@ -44,20 +36,13 @@ _E6_WORD_COEFFS = [
 class OrthogonalWord:
     """Strongly orthogonal positive roots multiplying to w_0.
 
-    ``coeffs`` holds the roots as simple-root coefficient tuples; ``roots``
-    gives them as ambient vectors.
+    ``coeffs`` holds the roots as simple-root coefficient tuples.
     """
 
-    def __init__(self, coeffs, descriptor, family, rank):
+    def __init__(self, coeffs, family, rank):
         self.coeffs = coeffs
-        self.descriptor = descriptor
         self.family = family
         self.rank = rank
-
-    @property
-    def roots(self):
-        rs = self.descriptor.root_system()
-        return [rs.to_ambient(b) for b in self.coeffs]
 
     def __repr__(self):
         return f"OrthogonalWord({self.family}{self.rank}, {len(self.coeffs)} roots)"
@@ -113,9 +98,9 @@ def orthogonal_word(d: FactorDescriptor) -> OrthogonalWord:
     product = mats[0]
     for m in mats[1:]:
         product = _matmul(product, m)
-    if product != rs.w0_on_simple_coeffs():
+    if [tuple(row) for row in product] != rs.w0_rows():
         raise WordInvalidError("word product is not the longest element")
-    return OrthogonalWord(word, d, d.family, d.rank)
+    return OrthogonalWord(word, d.family, d.rank)
 
 
 def _grading_coeffs(d: FactorDescriptor):
@@ -207,45 +192,6 @@ def gamma_case(d: FactorDescriptor) -> str:
     if g.support_indices() == {l - 1, l}:
         return BOTH if l % 4 == 2 else GAMMA_PRIME_ONLY
     return GAMMA_PRIME_ONLY
-
-
-def a_type_gamma(l: int, i: int) -> ExactMatrix:
-    """Explicit (l+1)x(l+1) grading-reversing matrix for A-type factors.
-
-    Antidiagonal identity blocks of size floor(l/2) around a middle block
-    chosen by l mod 4 so the determinant is 1.  Verified: conjugation
-    negates diag(1_i, 0, -1_i), det = 1, fourth power is the identity.
-    """
-    if not 1 <= i or 2 * i >= l + 1:
-        raise PreconditionError("need 1 <= i < (l+1)/2")
-    n = l + 1
-    m = l // 2
-    rows = [[Q(0)] * n for _ in range(n)]
-    for r in range(m):
-        rows[r][l - r] = Q(1)
-        rows[l - r][r] = Q(1)
-    mid = n - 2 * m
-    if mid == 1:
-        rows[m][m] = Q(1) if l % 4 == 0 else Q(-1)
-    else:
-        if l % 4 == 1:
-            rows[m][m] = Q(1)
-            rows[m + 1][m + 1] = Q(1)
-        else:
-            rows[m][m + 1] = Q(1)
-            rows[m + 1][m] = Q(1)
-    gamma = ExactMatrix.from_rows(rows)
-    e = ExactMatrix.from_rows(
-        [[Q(int(r == c)) * (1 if r < i else (-1 if r >= n - i else 0))
-          for c in range(n)] for r in range(n)])
-    if gamma.det() != 1:
-        raise InternalConsistencyError("determinant normalization failed")
-    # gamma^2 = Id for every middle block, so gamma^-1 = gamma
-    if gamma * gamma != ExactMatrix.identity(n):
-        raise InternalConsistencyError("gamma does not square to the identity")
-    if gamma * e * gamma != e.scale(Q(-1)):
-        raise InternalConsistencyError("conjugation does not reverse the grading")
-    return gamma
 
 
 def certificate_report(d: FactorDescriptor) -> dict:

@@ -55,14 +55,6 @@ class ExactMatrix:
     def identity(cls, n):
         return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols, [0] * (nrows * ncols))
-
-    @classmethod
-    def column(cls, vec):
-        return cls(len(vec), 1, list(vec))
-
     # -- access ------------------------------------------------------
 
     def entry(self, i, j):
@@ -115,22 +107,6 @@ class ExactMatrix:
                         sums[j] += a * b
             out += sums
         return ExactMatrix(n, m, out)
-
-    def apply(self, vec):
-        """Matrix times a plain vector (list of scalars)."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.nrows):
-            s = None
-            ri = self.row(i)
-            for a, x in zip(ri, vec):
-                if not a or not x:
-                    continue
-                term = a * x
-                s = term if s is None else s + term
-            out.append(s if s is not None else 0)
-        return out
 
     def transpose(self):
         return ExactMatrix(self.ncols, self.nrows,
@@ -197,10 +173,6 @@ class ExactMatrix:
             return out
         basis = elimination.kernel_basis(self._rows(), self.ncols)
         return [list(vec) for vec in basis]
-
-    def kernel(self):
-        """Basis of the right null space as column matrices."""
-        return [ExactMatrix.column(v) for v in self.kernel_vectors()]
 
     def solve(self, b):
         """Exact x with A x = b (free unknowns zero), or None."""

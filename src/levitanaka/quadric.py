@@ -52,9 +52,6 @@ class HermitianFormSystem:
                      for j in range(self.n)] for i in range(self.n)]
         return ExactMatrix.from_rows(stacked_rows).kernel_vectors()
 
-    def is_nondegenerate(self) -> bool:
-        return not self.joint_kernel()
-
     def real_dependency(self):
         """Real coefficients annihilating the components, or None."""
         rows = []
@@ -67,27 +64,6 @@ class HermitianFormSystem:
         mat = ExactMatrix.from_rows(rows).transpose()
         vecs = mat.kernel_vectors()
         return vecs[0] if vecs else None
-
-    def is_fundamental(self) -> bool:
-        return self.real_dependency() is None
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, z, zprime):
-        """H(z, z') componentwise; arguments are GaussRational vectors."""
-        out = []
-        for m in self.components:
-            s = GaussRational(0)
-            for r in range(self.n):
-                zr = zprime[r].conjugate()
-                if not zr:
-                    continue
-                for c in range(self.n):
-                    a = m.entry(r, c)
-                    if a and z[c]:
-                        s = s + zr * a * z[c]
-            out.append(s)
-        return out
 
     # -- the fundamental graded algebra ---------------------------------
 
@@ -188,11 +164,6 @@ class HermitianFormSystem:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def __repr__(self):
         return f"HermitianFormSystem(n={self.n}, k={self.k})"

@@ -120,10 +120,6 @@ class RootSystem:
             frontier = new_frontier
         return sorted(seen, key=lambda c: (sum(c), c))
 
-    def positive_roots(self):
-        """The positive roots as coefficient tuples, in (height, coeffs) order."""
-        return self._positive
-
     def is_positive_root(self, c) -> bool:
         return tuple(c) in self._positive_set
 
@@ -167,13 +163,10 @@ class RootSystem:
 
     # -- longest element -----------------------------------------------------
 
-    def w0_on_simple_coeffs(self):
-        """Row i: coefficients of w_0(alpha_i) on the simple roots, as lists
-        the caller owns."""
-        return [list(row) for row in self.w0_rows()]
-
     def w0_rows(self):
-        """The cached rows of w_0 as int tuples; the list must not be changed.
+        """Row i: the coefficients of w_0(alpha_i) on the simple roots.
+
+        The rows are int tuples, cached; the list must not be changed.
 
         On the first call the w_0 word comes from the rho descent: rho =
         (1, ..., 1) in fundamental-weight coordinates, and s_i(lam) = lam
@@ -203,16 +196,6 @@ class RootSystem:
                 rows.append(c)
             self._w0 = rows
         return self._w0
-
-    def diagram_involution(self):
-        """The permutation eps with w_0(alpha_i) = -alpha_{eps(i)}."""
-        eps = {}
-        for i, row in enumerate(self.w0_rows()):
-            nz = [(j, c) for j, c in enumerate(row) if c]
-            if len(nz) != 1 or nz[0][1] != -1:
-                raise InternalConsistencyError("w0 is not -(involution)")
-            eps[i] = nz[0][0]
-        return eps
 
     # -- ambient realization (output only) ------------------------------------
 

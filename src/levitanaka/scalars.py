@@ -125,13 +125,6 @@ class GaussRational:
     def conjugate(self):
         return GaussRational(self.re, -self.im)
 
-    def norm(self):
-        """Field norm re^2 + im^2."""
-        return exact(self.re * self.re + self.im * self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -161,6 +154,3 @@ class GaussRational:
     @staticmethod
     def from_json(obj) -> "GaussRational":
         return GaussRational(rat_from_str(obj["re"]), rat_from_str(obj["im"]))
-
-
-GAUSS_I = GaussRational(0, 1)

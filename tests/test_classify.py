@@ -190,7 +190,7 @@ def test_e_coords_epsilon_stable():
     # eps permutes phi and eps(phi), so the indicator vector is eps-stable
     for d, _ in enumerate_descriptors(6):
         g = grading_data(d)
-        eps = d.epsilon()
+        eps = d._diagram.eps
         for n, v in g.e_coords.items():
             assert g.e_coords[eps[n]] == v, d
 

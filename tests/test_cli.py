@@ -237,6 +237,37 @@ def test_tables_usage_error(capsys):
     assert main(["tables", "--max-rank", "3"]) == 2
 
 
+def test_tables_refuses_a_rank_above_the_bound(capsys, monkeypatch):
+    # the bound is classify.MAX_FILE_RANK = 64; rank 65 starts no work
+    from levitanaka import cli
+
+    def no_work(max_rank):
+        raise AssertionError(f"tables started on rank {max_rank}")
+
+    monkeypatch.setattr(cli, "regenerate_tables", no_work)
+    assert main(["tables", "--max-rank", "65"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "--max-rank" in err and "64" in err
+    assert "Traceback" not in err
+
+
+def test_prolongation_failure_reports_alike(capsys, tmp_path, heisenberg_file):
+    m_path = tmp_path / "m.json"
+    diagonal_form([1]).build_m_minus().dump(m_path)
+    failed = {"name": "prolongation", "status": "fail",
+              "witness": "prolongation not terminated: dim g_1 = 2"}
+    for argv, passed in ((["analyze-quadric", heisenberg_file],
+                          ["nondegenerate", "fundamental"]),
+                         (["prolong", str(m_path)], [])):
+        code, out = run_cli(capsys, *argv, "--max-degree", "1")
+        report = json.loads(out)
+        assert code == 1
+        assert report["checks"] == [{"name": n, "status": "pass", "witness": None}
+                                    for n in passed] + [failed]
+        assert report["degree_dims"] is None and report["verdicts"] is None
+
+
 def test_corpus_single_entry(capsys):
     code, out = run_cli(capsys, "corpus", "--only", "heisenberg_1_p")
     assert code == 0

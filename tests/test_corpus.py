@@ -246,8 +246,9 @@ def test_counterexample_entry_form():
     entry = counterexample_quadric()
     h = entry.payload
     assert h.n == 7 and h.k == 8
-    assert h.is_nondegenerate() and h.is_fundamental()
-    assert h.build_m_minus().degree_dims() == entry.expected["m_dims"]
+    m, checks = h.m_minus_with_checks()
+    assert [c["status"] for c in checks] == ["pass", "pass"]
+    assert m.degree_dims() == entry.expected["m_dims"]
 
 
 def test_counterexample_bounds_recorded():

@@ -637,6 +637,22 @@ def test_simple_ideals_simple_and_split():
                 assert ideal.contains(gg.bracket({i: Q(1)}, v))
 
 
+@pytest.mark.xfail(strict=True, reason="simple_ideals has no simplicity "
+                   "certificate; it under-splits a basis that mixes the ideals")
+def test_simple_ideals_split_a_basis_mixing_the_ideals():
+    # sl2 + sl2 with, in each degree, column x -> e_x + e_y and y -> e_x + 2 e_y
+    p = ExactMatrix.identity(6)
+    for x, y in ((0, 3), (1, 4), (2, 5)):
+        p.entries[y * 6 + x] = Q(1)
+        p.entries[x * 6 + y] = Q(1)
+        p.entries[y * 6 + y] = Q(2)
+    g = sl2_sl2().change_basis(p)
+    assert g.validate().ok
+    s = g.levi_decomposition().s
+    assert s.dim == 6
+    assert sorted(i.dim for i in g.simple_ideals(s)) == [3, 3]
+
+
 def test_json_roundtrip():
     h = heisenberg3()
     j = h.to_json()
@@ -736,18 +752,12 @@ def test_certificates_survive_python_O():
         def word_too_short():
             rs = RootSystem("A", 3)
             rs._positive.append(rs._positive[0])
-            return rs.w0_on_simple_coeffs()
+            return rs.w0_rows()
 
         def simple_roots_dropped():
             rs = RootSystem("A", 3)
             rs._positive_set = frozenset(rs._positive[3:])
-            return rs.w0_on_simple_coeffs()
-
-        def w0_row_tampered():
-            rs = RootSystem("A", 3)
-            rs.w0_on_simple_coeffs()
-            rs._w0[0] = (-1, -1, -1)
-            return rs.diagram_involution()
+            return rs.w0_rows()
 
         skewed = GradedLieAlgebra(["h", "e", "f"], [0, 1, 1],
                                   {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
@@ -755,8 +765,7 @@ def test_certificates_survive_python_O():
         for check in (lambda: g._verify_ideal(Subspace(g, [{1: 1}]), "span of e"),
                       lambda: g.graded_components([{0: 1, 1: 1}]),
                       skewed.killing_rows,
-                      highest_not_last, word_too_short, simple_roots_dropped,
-                      w0_row_tampered):
+                      highest_not_last, word_too_short, simple_roots_dropped):
             try:
                 check()
             except InternalConsistencyError as exc:
@@ -774,5 +783,4 @@ def test_certificates_survive_python_O():
                                 "degree-additive: [e,f] hits h",
                                 "highest root candidate not maximal",
                                 "w0 word length is not the number of positive roots",
-                                "w0 image is not a negative root",
-                                "w0 is not -(involution)"]
+                                "w0 image is not a negative root"]

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from levitanaka.classify import FactorDescriptor
-from levitanaka.errors import KindError, PreconditionError
+from levitanaka.errors import AdmissibilityError, KindError
 from levitanaka.involution import (
     BOTH,
     GAMMA_PRIME_ONLY,
     KIND1_GAMMA,
     KIND1_NONE,
-    a_type_gamma,
     gamma_case,
     grading_vector,
     kind1_degree_one_subword,
@@ -27,17 +26,21 @@ def D(family, rank, form, phi, p=None, q=None):
     return FactorDescriptor(family, rank, form, phi, p, q)
 
 
+def _ambient_word(d):
+    """The verified word of d as ambient vectors."""
+    rs = d.root_system()
+    return [rs.to_ambient(b) for b in orthogonal_word(d).coeffs]
+
+
 def test_word_a3():
-    w = orthogonal_word(D("A", 3, "COMPLEX", ["a2"]))
-    assert w.roots == [
+    assert _ambient_word(D("A", 3, "COMPLEX", ["a2"])) == [
         [Q(1), Q(0), Q(0), Q(-1)],   # e1 - e4
         [Q(0), Q(1), Q(-1), Q(0)],   # e2 - e3
     ]
 
 
 def test_word_d5():
-    w = orthogonal_word(D("D", 5, "D Ib", ["a5"]))
-    assert w.roots == [
+    assert _ambient_word(D("D", 5, "D Ib", ["a5"])) == [
         [Q(1), Q(1), Q(0), Q(0), Q(0)],
         [Q(1), Q(-1), Q(0), Q(0), Q(0)],
         [Q(0), Q(0), Q(1), Q(1), Q(0)],
@@ -47,12 +50,12 @@ def test_word_d5():
 
 def test_word_e6_contains_quoted_roots():
     rs = root_system("E6", 6)
-    w = orthogonal_word(D("E6", 6, "E II", ["a1"]))
-    assert len(w.roots) == 4
+    words = _ambient_word(D("E6", 6, "E II", ["a1"]))
+    assert len(words) == 4
     coeff_sets = []
-    for beta in w.roots:
+    for beta in words:
         coeffs = None
-        for c in rs.positive_roots():
+        for c in rs._positive:
             if rs.to_ambient(c) == beta:
                 coeffs = list(c)
         coeff_sets.append(coeffs)
@@ -71,13 +74,13 @@ def test_word_e6_contains_quoted_roots():
 def test_word_verification_passes(d):
     w = orthogonal_word(d)
     rs = root_system(w.family, w.rank)
-    assert [rs.to_ambient(b) for b in w.coeffs] == w.roots
+    assert all(rs.is_positive_root(b) for b in w.coeffs)
     prod = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
     for b in w.coeffs:
         m = rs.reflection(b)
         prod = [[sum(x * m[k][j] for k, x in enumerate(row)) for j in range(rs.rank)]
                 for row in prod]
-    assert prod == rs.w0_on_simple_coeffs()
+    assert [tuple(row) for row in prod] == rs.w0_rows()
 
 
 def kminus(l):
@@ -156,38 +159,70 @@ def test_kind1_half_sum_identity(d):
         assert parity == (2 * _dot(omega, e)) % 2
 
 
+def _a_type_gamma(l, i):
+    """An explicit grading-reversing matrix in SL(l+1) for the A_l grading
+    that phi = {a_i} defines, E = diag(1_i, 0, -1_i): gamma_case's BOTH
+    for A-type factors asserts that such an involutive element exists.
+
+    Antidiagonal identity blocks of size floor(l/2) around a middle block
+    chosen by l mod 4, so that the determinant is 1.
+    """
+    n = l + 1
+    m = l // 2
+    rows = [[0] * n for _ in range(n)]
+    for r in range(m):
+        rows[r][l - r] = rows[l - r][r] = 1
+    if n - 2 * m == 1:
+        rows[m][m] = 1 if l % 4 == 0 else -1
+    elif l % 4 == 1:
+        rows[m][m] = rows[m + 1][m + 1] = 1
+    else:
+        rows[m][m + 1] = rows[m + 1][m] = 1
+    e = ExactMatrix.from_rows([[int(r == c) * (1 if r < i else -1 if r >= n - i else 0)
+                                for c in range(n)] for r in range(n)])
+    return ExactMatrix.from_rows(rows), e
+
+
+def _a_descriptor(l, i):
+    """The A_l factor with phi = {a_i}: A IV for i = 1, else A III with p = i."""
+    return D("A", l, "A IV" if i == 1 else "A III", [f"a{i}"], i, l + 1 - i)
+
+
 def test_a_type_gamma_small():
-    g = a_type_gamma(2, 1)
-    e = ExactMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    g, e = _a_type_gamma(2, 1)
+    assert e == ExactMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
     assert g * e * g == e.scale(Q(-1))
     assert g.det() == 1
+    assert gamma_case(_a_descriptor(2, 1)) == BOTH
 
 
 @pytest.mark.parametrize("l,i", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 1),
                                  (5, 2), (6, 2), (7, 3)])
 def test_a_type_gamma_block_choices(l, i):
-    g = a_type_gamma(l, i)
+    g, e = _a_type_gamma(l, i)
     n = l + 1
     assert g.det() == 1
     identity = ExactMatrix.identity(n)
     g2 = g * g
     assert g2 == identity
     assert g2 * g2 == identity
+    assert g * e * g == e.scale(-1)
+    assert gamma_case(_a_descriptor(l, i)) == BOTH
 
 
 def test_a_type_gamma_precondition():
-    with pytest.raises(PreconditionError):
-        a_type_gamma(5, 3)  # 2i = l + 1
-    with pytest.raises(PreconditionError):
-        a_type_gamma(4, 0)
+    # the witness needs 1 <= i < (l+1)/2; outside it there is no kind-2 factor
+    with pytest.raises(AdmissibilityError):
+        gamma_case(D("A", 5, "A III", ["a3"], 3, 3))  # 2i = l + 1: eps(a3) = a3
+    with pytest.raises(ValueError, match="phi"):
+        D("A", 4, "A IV", ["a0"], 1, 4)  # i = 0: a0 is no node
 
 
 def test_every_listed_kind2_factor_has_a_certificate():
     from levitanaka.classify import enumerate_descriptors, in_kind2_list
-    from levitanaka.involution import GAMMA_ONLY
     for d, kind in enumerate_descriptors(8):
         if kind == 2 and in_kind2_list(d):
-            assert gamma_case(d) in (BOTH, GAMMA_ONLY, GAMMA_PRIME_ONLY), d
+            assert gamma_case(d) in (BOTH, GAMMA_PRIME_ONLY), d
 
 
 def test_certificate_report_serializes():

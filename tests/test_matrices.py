@@ -17,6 +17,11 @@ Q = Fraction
 small_rats = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 
 
+def _apply(m, vec):
+    """m times the column vector vec, as a list."""
+    return [sum(a * x for a, x in zip(m.row(i), vec)) for i in range(m.nrows)]
+
+
 def rand_matrix(draw, max_dim=6):
     nrows = draw(st.integers(1, max_dim))
     ncols = draw(st.integers(1, max_dim))
@@ -30,11 +35,11 @@ matrices = st.composite(rand_matrix)()
 def test_rank_trivial_cases():
     assert ExactMatrix.identity(3).rank() == 3
     assert ExactMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
-    assert ExactMatrix.zeros(4, 7).rank() == 0
+    assert ExactMatrix(4, 7, [0] * 28).rank() == 0
 
 
 def test_kernel_trivial_cases():
-    assert ExactMatrix.identity(2).kernel() == []
+    assert ExactMatrix.identity(2).kernel_vectors() == []
     vecs = ExactMatrix.from_rows([[1, 1]]).kernel_vectors()
     assert len(vecs) == 1
     v = vecs[0]
@@ -56,7 +61,7 @@ def test_kernel_exact_and_independent(m):
     vecs = m.kernel_vectors()
     assert len(vecs) == m.ncols - m.rank()
     for v in vecs:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in _apply(m, v))
     if vecs:
         stacked = ExactMatrix.from_rows(vecs)
         assert stacked.rank() == len(vecs)
@@ -86,10 +91,10 @@ def test_rank_and_kernel_match_naive_rref(m):
 @settings(max_examples=100, deadline=None)
 def test_solve_round_trip(m, data):
     x = data.draw(st.lists(small_rats, min_size=m.ncols, max_size=m.ncols))
-    b = m.apply(x)
+    b = _apply(m, x)
     x2 = m.solve(b)
     assert x2 is not None
-    assert m.apply(x2) == b
+    assert _apply(m, x2) == b
 
 
 def test_gaussian_rank_and_kernel():
@@ -124,9 +129,9 @@ def test_matrix_product_and_apply():
     a = ExactMatrix.from_rows([[1, 2], [3, 4]])
     b = ExactMatrix.from_rows([[0, 1], [1, 0]])
     assert (a * b).to_rows() == [[Q(2), Q(1)], [Q(4), Q(3)]]
-    assert a.apply([Q(1), Q(1)]) == [Q(3), Q(7)]
+    assert (a * ExactMatrix(2, 1, [1, 1])).col(0) == [Q(3), Q(7)]
     with pytest.raises(ValueError):
-        a.apply([Q(1)])
+        a * ExactMatrix(1, 1, [1])
 
 
 # -- sparse products and det against the textbook loops of naive_oracle --

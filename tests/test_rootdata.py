@@ -61,7 +61,7 @@ def test_integer_data_matches_ambient_oracle(family, rank):
     assert rs.cartan_matrix == [
         [int(2 * _dot(a, b) / _dot(a, a)) for b in simple] for a in simple]
     roots = _ambient_closure(simple)
-    assert sorted(roots.values()) == sorted(rs.positive_roots())
+    assert sorted(roots.values()) == sorted(rs._positive)
     for vec, coeffs in roots.items():
         assert rs.to_ambient(coeffs) == list(vec)
 
@@ -85,9 +85,7 @@ def test_integer_data_matches_ambient_oracle(family, rank):
         for i in word:
             a = _ambient_reflect(simple[i], a)
         rows.append([-c for c in roots[tuple(-x for x in a)]])
-    assert rs.w0_on_simple_coeffs() == rows
-    assert rs.diagram_involution() == {
-        i: next(j for j, c in enumerate(row) if c) for i, row in enumerate(rows)}
+    assert rs.w0_rows() == [tuple(row) for row in rows]
 
 
 @pytest.mark.parametrize("family,rank,count", [
@@ -97,7 +95,7 @@ def test_integer_data_matches_ambient_oracle(family, rank):
 ])
 def test_positive_root_counts(family, rank, count):
     rs = RootSystem(family, rank)
-    assert len(rs.positive_roots()) == count
+    assert len(rs._positive) == count
 
 
 @pytest.mark.parametrize("family,rank,coeffs", [
@@ -142,7 +140,7 @@ def test_reflections_orthogonal():
     # x C y^T is invariant exactly when W C W^T = C
     rs = RootSystem("D", 4)
     cartan = rs.cartan_matrix
-    for b in rs.positive_roots():
+    for b in rs._positive:
         m = rs.reflection(b)
         assert _matmul(_matmul(m, cartan), _transpose(m)) == cartan
         assert _matmul(m, m) == _identity(rs.rank)
@@ -152,28 +150,27 @@ def test_reflections_orthogonal():
     ("A", 1), ("A", 2), ("A", 4), ("D", 4), ("D", 5), ("E6", 6)])
 def test_longest_element_involution_and_negativity(family, rank):
     rs = RootSystem(family, rank)
-    w0 = rs.w0_on_simple_coeffs()
+    w0 = [list(row) for row in rs.w0_rows()]
     cartan = rs.cartan_matrix
     assert _matmul(w0, w0) == _identity(rank)
     assert _matmul(_matmul(w0, cartan), _transpose(w0)) == cartan
-    positives = set(rs.positive_roots())
-    for c in rs.positive_roots():
+    positives = set(rs._positive)
+    for c in rs._positive:
         img = tuple(-x for x in _matmul([list(c)], w0)[0])
         assert img in positives
 
 
 def test_diagram_involutions():
-    assert RootSystem("A", 2).diagram_involution() == {0: 1, 1: 0}
-    assert RootSystem("A", 1).diagram_involution() == {0: 0}
-    assert RootSystem("D", 4).diagram_involution() == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert RootSystem("D", 5).diagram_involution() == {0: 0, 1: 1, 2: 2, 3: 4, 4: 3}
-    assert RootSystem("E6", 6).diagram_involution() == \
-        {0: 5, 1: 1, 2: 4, 3: 3, 4: 2, 5: 0}
+    # w_0(alpha_i) = -alpha_eps(i) for the diagram involution eps
+    for family, rank, eps in (("A", 2, [1, 0]), ("A", 1, [0]), ("D", 4, [0, 1, 2, 3]),
+                              ("D", 5, [0, 1, 2, 4, 3]), ("E6", 6, [5, 1, 4, 3, 2, 0])):
+        assert RootSystem(family, rank).w0_rows() == [
+            tuple(-int(j == e) for j in range(rank)) for e in eps]
 
 
 def test_coroot_pairing_basics():
     rs = RootSystem("D", 5)
-    for c in rs.positive_roots():
+    for c in rs._positive:
         v = rs.to_ambient(c)
         assert rs.coroot_pairing(v, v) == 2
     weights = rs.fundamental_weights()
@@ -194,7 +191,7 @@ def test_coroot_pairing_d5_spin_example():
 
 def test_is_root_on_roots_negatives_and_non_roots():
     rs = RootSystem("D", 4)
-    for c in rs.positive_roots():
+    for c in rs._positive:
         assert rs.is_root(c) and rs.is_root([-x for x in c])
         assert not rs.is_root([2 * x for x in c])
         assert rs.is_positive_root(c) and not rs.is_positive_root([-x for x in c])
@@ -224,8 +221,7 @@ def test_non_integral_pairing_raises():
 
 def test_w0_action_on_simple_coeffs():
     rs = RootSystem("A", 3)
-    rows = rs.w0_on_simple_coeffs()
-    assert rows == [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]
+    assert rs.w0_rows() == [(0, 0, -1), (0, -1, 0), (-1, 0, 0)]
 
 
 def test_unsupported_families_rejected():
@@ -239,7 +235,7 @@ def test_unsupported_families_rejected():
 
 def test_positive_roots_have_positive_height_order():
     rs = RootSystem("E6", 6)
-    pos = rs.positive_roots()
+    pos = rs._positive
     heights = [sum(c) for c in pos]
     assert heights == sorted(heights)
     assert heights[0] == 1 and heights[-1] == 11
