@@ -401,12 +401,12 @@ def theorem_membership(d: FactorDescriptor) -> bool:
 
 
 def tilde_s_semisimple(factors) -> bool:
-    """Reversal symmetry of a sum of kind-2 simple factors."""
-    for d in factors:
-        g = grading_data(d)  # raises AdmissibilityError when inadmissible
-        if g.kind != 2:
-            raise KindError(f"{d!r} has kind {g.kind}, expected 2")
-    return all(in_kind2_list(d) for d in factors)
+    """Reversal symmetry of a sum of kind-2 simple factors.
+
+    The general case with no radical: E_r = 0 and no kind-1 ideal, so an
+    empty list raises IncompleteFactorsError too.
+    """
+    return tilde_s_general(factors, [], True)
 
 
 def tilde_s_general(kind2_factors, kind1_factors, e_r_is_zero: bool) -> bool:

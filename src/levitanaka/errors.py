@@ -72,10 +72,6 @@ class NilradicalUnsupportedError(LeviTanakaError):
     """Verified-heuristic nilradical candidate failed its certification."""
 
 
-class LiftFailedError(LeviTanakaError):
-    """A Levi-section correction system was inconsistent (internal bug)."""
-
-
 class AdmissibilityError(LeviTanakaError):
     """Descriptor's node subset violates the admissibility conditions."""
 
@@ -97,7 +93,7 @@ class NonIntegralPairingError(LeviTanakaError):
 
 
 class InternalConsistencyError(LeviTanakaError, AssertionError):
-    """A certificate of a computed result failed (a bug, exit 3).
+    """A certificate failed, or a Levi correction had no solution (a bug, exit 3).
 
     Raised instead of ``assert`` so that ``python -O`` keeps the check;
     it is an AssertionError too, for callers that catch those.

@@ -60,7 +60,6 @@ from . import elimination
 from .errors import (
     InputError,
     InternalConsistencyError,
-    LiftFailedError,
     NilradicalUnsupportedError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
@@ -677,6 +676,11 @@ class GradedLieAlgebra:
 
     # -- subalgebra extraction ------------------------------------------
 
+    def _degree(self, v):
+        """The degree of a homogeneous vector, or None when v mixes degrees or is 0."""
+        present = {self.degrees[i] for i in v}
+        return present.pop() if len(present) == 1 else None
+
     def _restricted(self, vecs):
         """(degrees, table) of the bracket on the span of ``vecs``.
 
@@ -685,12 +689,9 @@ class GradedLieAlgebra:
         ValueError otherwise.  ``subalgebra`` and ``change_basis`` both
         build their algebra from it.
         """
-        degs = []
-        for v in vecs:
-            present = {self.degrees[i] for i in v}
-            if len(present) != 1:
-                raise ValueError("basis vector is not degree-homogeneous")
-            degs.append(present.pop())
+        degs = [self._degree(v) for v in vecs]
+        if None in degs:
+            raise ValueError("basis vector is not degree-homogeneous")
         span = elimination.Echelon(self.dim, vecs)
         if span.rank != len(vecs):
             raise ValueError("basis is singular: its vectors are linearly dependent")
@@ -761,7 +762,8 @@ class GradedLieAlgebra:
         s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)],
                                  [self.degrees[i] for i in complement_idx], q_table)
         if rad.dim and elimination.rank(s_alg.killing_rows(), nq) != nq:
-            raise LiftFailedError("Levi factor has degenerate Killing form (bug)")
+            raise InternalConsistencyError(
+                "Levi factor has degenerate Killing form (bug)")
         self._quotient = (complement_idx, q_coords, s_alg)
         return self._quotient
 
@@ -795,105 +797,72 @@ class GradedLieAlgebra:
     def levi_decomposition(self):
         """Graded Levi-Malcev decomposition; see LeviDecomposition.
 
-        The section of g / radical (``_levi_quotient``) is corrected along
-        the derived series of the radical until it is a subalgebra.
+        The section sigma of g / radical (``_levi_quotient``) is corrected
+        along the derived series R_0 = radical > R_1 > ... > 0 by one linear
+        system per stage k (W. de Graaf, *Lie Algebras: Theory and
+        Algorithms*, 2000): the defects delta(a, b) = [sigma_a, sigma_b] -
+        sum_c c_ab^c sigma_c lie in R_k, and phi_a in R_k of a's degree solves
+        sum_c c_ab^c phi_c - [sigma_a, phi_b] - [phi_a, sigma_b] = delta(a, b)
+        mod R_{k+1} on every pair.  ``solve`` gives the solution with the free
+        unknowns zero, which depends only on the solution set and the order of
+        the unknowns (a, m): a, then the level vectors m of a's degree.  A
+        failure is a bug and raises ``InternalConsistencyError``.
         """
         rad = self.radical()
         complement_idx, q_coords, s_alg = self._levi_quotient()
-        nq = s_alg.dim
-        q_deg = s_alg.degrees
+        nq, q_deg = s_alg.dim, s_alg.degrees
         sigma = [{i: 1} for i in complement_idx]
-
-        def defects():
-            out = {}
-            for a in range(nq):
-                for b in range(a + 1, nq):
-                    delta = _combination(
-                        {c: -x for c, x in s_alg.bracket_elements(a, b).items()},
-                        sigma, self.bracket(sigma[a], sigma[b]))
-                    if delta:
-                        out[(a, b)] = delta
-            return out
-
-        chain = self._radical_series + [Subspace(self, [])]
-        stage = 0
-        delta = defects()
-        while delta:
-            if stage + 1 >= len(chain):
-                raise LiftFailedError("defect survived past the derived series")
-            level = chain[stage]
-            nxt = chain[stage + 1]
-            for d in delta.values():
-                if not level.contains(d):
-                    raise InternalConsistencyError("defect escaped the expected ideal")
-            # unknown phi maps q-basis a into the degree-matching part of level
-            slots = []
-            slot_index = {}
-            level_degree = []
-            for w in level.vectors:
-                wd = {self.degrees[i] for i in w}
-                if len(wd) != 1:
-                    raise InternalConsistencyError(
-                        "radical layer vector is not homogeneous")
-                level_degree.append(wd.pop())
-            for a in range(nq):
-                for m in range(level.dim):
-                    if level_degree[m] == q_deg[a]:
-                        slot_index[(a, m)] = len(slots)
-                        slots.append((a, m))
-            rows = []
-            bcol = len(slots)
-            # reductions mod the next derived ideal
+        pairs = [(a, b, s_alg.bracket_elements(a, b))
+                 for a, b in combinations(range(nq), 2)]
+        series = self._radical_series
+        for stage, level in enumerate(series):
+            delta = {}
+            for a, b, c_ab in pairs:
+                d = _combination({c: -x for c, x in c_ab.items()}, sigma,
+                                 self.bracket(sigma[a], sigma[b]))
+                if d:
+                    delta[a, b] = d
+            if not delta:
+                break
+            if stage + 1 == len(series):
+                raise InternalConsistencyError("defect survived past the derived series")
+            if not all(level.contains(d) for d in delta.values()):
+                raise InternalConsistencyError("defect escaped the expected ideal")
+            nxt = series[stage + 1]
+            level_deg = [self._degree(w) for w in level.vectors]
+            if None in level_deg:
+                raise InternalConsistencyError("radical layer vector is not homogeneous")
+            own = [[m for m, dm in enumerate(level_deg) if dm == d] for d in q_deg]
+            col = {key: t for t, key in enumerate(
+                (a, m) for a in range(nq) for m in own[a])}
+            bcol = len(col)
             level_red = [nxt.reduce(w) for w in level.vectors]
-            sig_red = {}
-            for a in range(nq):
-                for m, w in enumerate(level.vectors):
-                    red = nxt.reduce(self.bracket(sigma[a], w))
-                    if red:
-                        sig_red[(a, m)] = red
+            ad_red = {(a, m): nxt.reduce(self.bracket(sigma[a], level.vectors[m]))
+                      for a in range(nq) for m, dm in enumerate(level_deg) if dm in q_deg}
+            eqs = {}  # ((a, b), coordinate) -> {unknown: coefficient, bcol: rhs}
 
-            # rows for every pair, not only the defective ones: phi must
-            # not create a defect where there was none
-            pairs = [(a, b) for a in range(nq) for b in range(a + 1, nq)]
-            for a, b in pairs:
-                per_coord = {}
+            def add(pair, unknown, vec, coef):
+                for t, x in vec.items():
+                    row = eqs.setdefault((pair, t), {})
+                    row[unknown] = row.get(unknown, 0) + coef * x
 
-                def accumulate(slot, sparse_vec, sign):
-                    for t, x in sparse_vec.items():
-                        d = per_coord.setdefault(t, {})
-                        d[slot] = d.get(slot, 0) + sign * x
-
-                for c, val in s_alg.bracket_elements(a, b).items():
-                    for m in range(level.dim):
-                        slot = slot_index.get((c, m))
-                        if slot is not None and level_red[m]:
-                            accumulate(slot, {t: val * x
-                                              for t, x in level_red[m].items()},
-                                       1)
-                for m in range(level.dim):
-                    slot = slot_index.get((b, m))
-                    if slot is not None and (a, m) in sig_red:
-                        accumulate(slot, sig_red[(a, m)], -1)
-                    slot = slot_index.get((a, m))
-                    if slot is not None and (b, m) in sig_red:
-                        accumulate(slot, sig_red[(b, m)], 1)
-                dvec = delta.get((a, b))
-                rhs_red = nxt.reduce(dvec) if dvec else {}
-                for t in sorted(per_coord.keys() | rhs_red.keys()):
-                    row = {**per_coord.get(t, {}), bcol: rhs_red.get(t, 0)}
-                    if any(row.values()):
-                        rows.append(row)
-            sol = elimination.solve(rows, bcol + 1, bcol)
+            # every pair, not only the defective ones: phi must not make a defect
+            for a, b, c_ab in pairs:
+                for c, x in c_ab.items():
+                    for m in own[c]:
+                        add((a, b), col[c, m], level_red[m], x)
+                for m in own[b]:
+                    add((a, b), col[b, m], ad_red[a, m], -1)
+                for m in own[a]:
+                    add((a, b), col[a, m], ad_red[b, m], 1)
+                add((a, b), bcol, nxt.reduce(delta.get((a, b), {})), 1)
+            sol = elimination.solve(eqs.values(), bcol + 1, bcol)
             if sol is None:
-                raise LiftFailedError(f"correction system inconsistent at stage {stage}")
-            phi = {}
-            for (a, m), slot in slot_index.items():
-                if sol[slot]:
-                    phi.setdefault(a, {})[m] = sol[slot]
-            for a, coeffs in phi.items():
-                sigma[a] = _combination(coeffs, level.vectors, sigma[a])
-            stage += 1
-            delta = defects()
+                raise InternalConsistencyError(
+                    f"correction system inconsistent at stage {stage}")
+            for a in range(nq):
+                phi_a = {m: x for m in own[a] if (x := sol[col[a, m]])}
+                sigma[a] = _combination(phi_a, level.vectors, sigma[a])
 
         s_sub = Subspace(self, sigma)
         try:

@@ -105,15 +105,9 @@ def _check_preconditions(m: GradedLieAlgebra):
     rows = [comp for comp in pairs if comp]
     if elimination.rank(rows, m.dim) != n2:
         raise PreconditionError("input is not fundamental")
-    # nondegenerate: ad is injective on g_-1; row (b, z) holds [a, b]_z over a
-    rows = []
-    for b in block1:
-        per_z = {}
-        for a in block1:
-            for z, c in m.bracket_elements(a, b).items():
-                per_z.setdefault(z, {})[a] = c
-        rows += [per_z[z] for z in block2 if z in per_z]
-    if elimination.rank(rows, m.dim) != n1:
+    # nondegenerate: ad is injective on g_-1, that is degree -1 is faithful;
+    # validate has run the rank test that decides it
+    if -1 in m.unfaithful_degrees():
         raise PreconditionError("input is not nondegenerate")
     return block1, block2
 

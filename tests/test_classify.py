@@ -107,6 +107,13 @@ def test_tilde_s_semisimple_errors():
         tilde_s_semisimple([D("D", 6, "COMPLEX", ["a1"])])  # kind 1
 
 
+def test_tilde_s_semisimple_rejects_an_empty_factor_list():
+    # a Levi factor of a kind-2 algebra contains a kind-2 ideal, also when
+    # the algebra is semisimple
+    with pytest.raises(IncompleteFactorsError, match="must contain a kind-2 ideal"):
+        tilde_s_semisimple([])
+
+
 def test_tilde_s_general_examples():
     kind1 = [D("A", 3, "COMPLEX", ["a2"])]
     kind2 = [D("A", 5, "A III", ["a2"], 2, 4)]

@@ -140,6 +140,20 @@ def test_classify_kind1_only_rejected(capsys, tmp_path):
     assert main(["classify", str(path)]) == 2
 
 
+def test_classify_empty_semisimple_list_rejected(capsys, tmp_path):
+    # the semisimple path rejects a list without a kind-2 factor, with the
+    # same stderr line as the general path
+    errs = []
+    for semisimple in (True, False):
+        path = tmp_path / f"factors_{semisimple}.json"
+        path.write_text(json.dumps({"factors": [], "semisimple": semisimple}))
+        code = main(["classify", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        errs.append(err)
+    assert errs == ["input error: a Levi factor must contain a kind-2 ideal\n"] * 2
+
+
 def test_classify_mixed_list(capsys, tmp_path):
     path = tmp_path / "factors.json"
     path.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -702,6 +703,56 @@ def test_span_certificates_raise():
     singular = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
     with pytest.raises(ValueError, match="singular"):
         g.change_basis(singular)
+
+
+def test_levi_correction_failures_survive_python_O():
+    # the Levi correction's failures are bugs: under -O each one must still
+    # raise InternalConsistencyError (exit 3), not pass silently
+    script = textwrap.dedent("""
+        import json, sys
+        from levitanaka import elimination
+        from levitanaka.errors import InternalConsistencyError
+        from levitanaka.graded import GradedLieAlgebra, Subspace
+        solve = elimination.solve
+
+        def fresh():
+            g = GradedLieAlgebra.from_json(json.loads(sys.argv[1]))
+            g.characteristic_element()  # its solve runs before any is replaced
+            return g
+
+        def radical_series_tampered():
+            g = fresh()
+            g._radical_series = [Subspace(g, g.radical().vectors[:1]), Subspace(g, [])]
+            return g.levi_decomposition()
+
+        def solve_answers(answer):
+            def run():
+                g = fresh()
+                elimination.solve = answer
+                try:
+                    return g.levi_decomposition()
+                finally:
+                    elimination.solve = solve
+            return run
+
+        for check in (radical_series_tampered,
+                      solve_answers(lambda rows, ncols, bcol: None),
+                      solve_answers(lambda rows, ncols, bcol: [0] * bcol)):
+            try:
+                check()
+            except InternalConsistencyError as exc:
+                print(exc)
+            else:
+                print("not raised")
+    """)
+    g = sl2_semidirect_adjoint(shear=True)
+    src = os.path.dirname(os.path.dirname(levitanaka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(g.to_json())],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["defect escaped the expected ideal",
+                                "correction system inconsistent at stage 0",
+                                "defect survived past the derived series"]
 
 
 def _scaled_semidirect():

@@ -100,6 +100,27 @@ def test_precondition_errors():
         prolong(bad2)
 
 
+def test_not_fundamental_precondition():
+    # two degree -2 lines, and [g_-1, g_-1] reaches only the first
+    j = ExactMatrix.from_rows([[0, -1], [1, 0]])
+    m = GradedLieAlgebra(["e1", "Je1", "z1", "z2"], [-1, -1, -2, -2],
+                         {(0, 1): {2: Q(1)}}, j)
+    assert m.validate().ok
+    with pytest.raises(PreconditionError, match="input is not fundamental"):
+        prolong(m)
+
+
+def test_not_nondegenerate_precondition():
+    # g_-1 = <e1, Je1, e2, Je2> with e2 and Je2 central: degree -1 is unfaithful
+    j = ExactMatrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0],
+                               [0, 0, 0, -1], [0, 0, 1, 0]])
+    m = GradedLieAlgebra(["e1", "Je1", "e2", "Je2", "z"], [-1, -1, -1, -1, -2],
+                         {(0, 1): {4: Q(1)}}, j)
+    assert m.validate().ok
+    with pytest.raises(PreconditionError, match="input is not nondegenerate"):
+        prolong(m)
+
+
 def test_j_compatibility_precondition():
     # signature (1,-1) bracket with a J that rotates the two complex lines
     # into each other: [J e1, J Je1] = [e2, Je2] = +t != [e1, Je1] = -t
