@@ -105,9 +105,6 @@ def test_tilde_s_semisimple_errors():
         tilde_s_semisimple([D("A", 5, "A III", ["a3"], 2, 4)])
     with pytest.raises(KindError):
         tilde_s_semisimple([D("D", 6, "COMPLEX", ["a1"])])  # kind 1
-
-
-def test_tilde_s_semisimple_rejects_an_empty_factor_list():
     # a Levi factor of a kind-2 algebra contains a kind-2 ideal, also when
     # the algebra is semisimple
     with pytest.raises(IncompleteFactorsError, match="must contain a kind-2 ideal"):
