@@ -34,6 +34,7 @@ from .errors import (
     KindError,
     LeviTanakaError,
     PreconditionError,
+    json_field,
 )
 from .graded import GradedLieAlgebra
 from .involution import gamma_case, s_property_sufficient
@@ -167,7 +168,8 @@ def cmd_classify(args) -> int:
     if isinstance(blob, list):
         blob = {"factors": blob}
     try:
-        factors = [FactorDescriptor.from_json(f) for f in blob["factors"]]
+        factors = [FactorDescriptor.from_json(f)
+                   for f in json_field(blob, "factors", list)]
     except (ValueError, KeyError, TypeError) as exc:
         return _fail_input(str(exc))
     semisimple = blob.get("semisimple", False)
@@ -184,22 +186,15 @@ def cmd_classify(args) -> int:
         row = {"descriptor": d.to_json(), "admissible": admissible}
         if admissible:
             g = grading_data(d)
-            row["kind"] = g.kind
-            row["w0_reverses_E"] = w0_reverses_E(d)
-            try:
-                row["in_theorem_list"] = theorem_membership(d)
-                row["gamma_case"] = gamma_case(d)
-            except KindError:
-                row["in_theorem_list"] = None
-                row["gamma_case"] = None
-            if g.kind == 2:
-                kind2.append(d)
-            elif g.kind == 1:
-                kind1.append(d)
-            else:
+            if g.kind not in (1, 2):
                 return _fail_input(
                     f"factor {d!r} has kind {g.kind}; only kinds 1 and 2 "
                     "describe Levi factors of quadric algebras")
+            row["kind"] = g.kind
+            row["w0_reverses_E"] = w0_reverses_E(d)
+            row["in_theorem_list"] = theorem_membership(d)
+            row["gamma_case"] = gamma_case(d)
+            (kind2 if g.kind == 2 else kind1).append(d)
         rows.append(row)
     if any(not r["admissible"] for r in rows):
         report = _report("classify", {"path": args.path}, rows,

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, on sparse integer rows.
 
 Every linear question of the package reduces to this module: matrix
-rank, null spaces of derivation systems, characteristic-element and
+rank, null spaces of derivation systems, the grading element and the
 Levi-correction solves (the batch ``row_echelon``), and spans, residuals,
 coordinates and inverses (the incremental ``Echelon``).
 
@@ -32,8 +32,12 @@ row space as the head.  A passing row vanishes on ker(head), which
 contains the kernel of the head and the failing rows, so both systems
 have the same kernel, row space and RREF: the answer is the same, byte
 for byte, as eliminating every row.  Repeated rows then cost a dot
-product each, not an elimination cascade.  ``solve`` and ``rank``
-eliminate every row.
+product each, not an elimination cascade.  ``solve`` is a kernel read:
+the solutions of A x = b are the kernel vectors of [A | b] that are
+nonzero at the right-hand side's column ``bcol``, and the one with free
+unknowns zero is the ``kernel_basis`` vector whose free column is
+``bcol``.  ``rank`` eliminates every row: its systems are wide, and a
+kernel read there would build a dense vector per free column.
 
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
@@ -143,21 +147,13 @@ def _normalize_row(cols, vals):
     return cols, vals
 
 
-def row_echelon(rows, ncols, max_pivot_col=None):
-    """Reduce sparse integer rows; return (pivot_cols, pivot_rows).
+def row_echelon(rows):
+    """Reduce sparse integer rows; return (pivots, pivot_rows).
 
-    ``rows`` is an iterable of (cols, vals) sparse rows.  Columns at or
-    beyond ``max_pivot_col`` are never chosen as pivots (used for the
-    right-hand side of augmented systems); rows whose leading column
-    lands there are returned in the second slot of the result triple.
-
-    Returns (pivots, pivot_rows, residual_rows): ``pivots`` is the sorted
-    list of pivot columns, ``pivot_rows[i]`` the echelon row leading at
-    ``pivots[i]``, and ``residual_rows`` the nonzero rows that lead at a
-    non-pivotable column.
+    ``rows`` is an iterable of (cols, vals) sparse rows.  ``pivots`` is
+    the sorted list of pivot columns and ``pivot_rows[i]`` the echelon
+    row leading at ``pivots[i]``.
     """
-    if max_pivot_col is None:
-        max_pivot_col = ncols
     buckets = {}
     heap = []
     arrival = 0
@@ -180,14 +176,10 @@ def row_echelon(rows, ncols, max_pivot_col=None):
 
     pivots = []
     pivot_rows = []
-    residual = []
     while heap:
         c = heapq.heappop(heap)
         bucket = buckets.pop(c, None)
         if not bucket:
-            continue
-        if c >= max_pivot_col:
-            residual.extend(bucket)
             continue
         best = 0
         if len(bucket) > 1:
@@ -201,13 +193,12 @@ def row_echelon(rows, ncols, max_pivot_col=None):
             ncols_, nvals_ = combine(pcols, pvals, rcols, rvals)
             if ncols_:
                 push(ncols_, nvals_)
-    residual.sort()
-    return pivots, pivot_rows, [(cols, vals) for _, cols, vals in residual]
+    return pivots, pivot_rows
 
 
 def rank(rows, ncols) -> int:
     """Rank of sparse {col: value} rows."""
-    pivots, _, _ = row_echelon(map(_int_row, rows), ncols)
+    pivots, _ = row_echelon(map(_int_row, rows))
     return len(pivots)
 
 
@@ -250,7 +241,7 @@ def kernel_basis(rows, ncols):
     """
     rows = list(rows)
     head = _HEAD * ncols
-    pivots, pivot_rows, _ = row_echelon(map(_int_row, rows[:head]), ncols)
+    pivots, pivot_rows = row_echelon(map(_int_row, rows[:head]))
     basis = _read_kernel(pivots, pivot_rows, ncols)
     if not basis or len(rows) <= head:
         return basis
@@ -269,7 +260,7 @@ def kernel_basis(rows, ncols):
             failing.append(_int_row(row))
     if not failing:
         return basis
-    pivots, pivot_rows, _ = row_echelon(pivot_rows + failing, ncols)
+    pivots, pivot_rows = row_echelon(pivot_rows + failing)
     return _read_kernel(pivots, pivot_rows, ncols)
 
 
@@ -301,24 +292,22 @@ def _read_kernel(pivots, pivot_rows, ncols):
     return basis
 
 
-def solve(rows, ncols_total, bcol):
+def solve(rows, bcol):
     """Exact solution of an augmented sparse system, or None.
 
     ``rows`` are {col: value} dicts spanning [A | b], with the right-hand
-    side at key ``bcol``; all other columns are unknowns.  Free unknowns
-    are set to zero.  Returns a list of length ``bcol`` of ints and
-    Fractions (see ``ratio``), or None when the system is inconsistent.
+    side at key ``bcol``; all other columns are unknowns.  The answer is
+    x = -v[:bcol] / v[bcol] for the ``kernel_basis`` vector v of [A | b]
+    whose free column is ``bcol``, its last one, so the free unknowns are
+    zero.  Returns a list of length ``bcol`` of ints and Fractions (see
+    ``ratio``), or None when ``bcol`` is a pivot: the system is
+    inconsistent.
     """
-    pivots, pivot_rows, residual = row_echelon(map(_int_row, rows), ncols_total,
-                                               max_pivot_col=bcol)
-    if residual:
+    basis = kernel_basis(rows, bcol + 1)
+    if not basis or not basis[-1][bcol]:
         return None
-    out = [0] * bcol
-    for p, (cols, vals) in zip(pivots, _back_eliminate(pivots, pivot_rows)):
-        # lead*x_p + (free unknowns, all zero) + b*x_bcol = 0 with x_bcol = -1
-        if cols[-1] == bcol:
-            out[p] = ratio(vals[-1], vals[0])
-    return out
+    *x, m = basis[-1]
+    return [ratio(-v, m) for v in x]
 
 
 class Echelon:

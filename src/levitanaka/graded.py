@@ -66,7 +66,7 @@ from .errors import (
     json_field,
 )
 from .matrices import ExactMatrix
-from .scalars import exact, rat_from_str, rat_to_str
+from .scalars import exact, rat_from_str, rat_to_str, ratio
 
 
 def _sparse(v):
@@ -632,7 +632,6 @@ class GradedLieAlgebra:
         nun = len(zero_idx)
         cols = self._columns()
         rows = []  # [A | b], b at column nun
-        hom_rows = []  # the coefficient parts A that are nonzero
         for j in range(self.dim):
             per_k = {}
             for pos, i in enumerate(zero_idx):
@@ -641,21 +640,20 @@ class GradedLieAlgebra:
             rhs_deg = self.degrees[j]
             touched = set(per_k) | ({j} if rhs_deg else set())
             for k in sorted(touched):
-                coeffs = per_k.get(k, {})
-                rows.append({**coeffs, nun: rhs_deg if k == j else 0})
-                if coeffs:
-                    hom_rows.append(coeffs)
+                rows.append({**per_k.get(k, {}), nun: rhs_deg if k == j else 0})
         if nun == 0:
             if any(self.degrees):
                 raise NoCharacteristicElementError("degree-0 part is zero")
             return {}
-        sol = elimination.solve(rows, nun + 1, nun)
-        if sol is None:
+        # one reduction of [A | b]: E is read off the kernel vector whose free
+        # column is nun, and the other vectors span the kernel of A
+        basis = elimination.kernel_basis(rows, nun + 1)
+        if not basis or not basis[-1][nun]:
             raise NoCharacteristicElementError("grading is not inner")
-        ambiguity = elimination.kernel_basis(hom_rows, nun)
-        if ambiguity:
-            raise NotUniqueCharacteristicElementError(len(ambiguity))
-        e = {i: sol[pos] for pos, i in enumerate(zero_idx) if sol[pos]}
+        if len(basis) > 1:
+            raise NotUniqueCharacteristicElementError(len(basis) - 1)
+        *x, m = basis[0]
+        e = {i: ratio(-v, m) for i, v in zip(zero_idx, x) if v}
         for j, d in enumerate(self.degrees):
             # [e_j, E] = -p e_j on degree p
             if self.ad(j, e) != ({j: -d} if d else {}):
@@ -856,7 +854,7 @@ class GradedLieAlgebra:
                 for m in own[a]:
                     add((a, b), col[a, m], ad_red[b, m], 1)
                 add((a, b), bcol, nxt.reduce(delta.get((a, b), {})), 1)
-            sol = elimination.solve(eqs.values(), bcol + 1, bcol)
+            sol = elimination.solve(eqs.values(), bcol)
             if sol is None:
                 raise InternalConsistencyError(
                     f"correction system inconsistent at stage {stage}")

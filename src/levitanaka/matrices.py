@@ -182,10 +182,9 @@ class ExactMatrix:
             raise ValueError("right-hand side length mismatch")
         if self.is_gaussian() or any(isinstance(x, GaussRational) for x in b):
             rhs = [part for x in map(_as_gauss, b) for part in (x.re, x.im)]
-            x = elimination.solve(self._real_block()._rows(augment=rhs),
-                                  2 * self.ncols + 1, 2 * self.ncols)
+            x = elimination.solve(self._real_block()._rows(augment=rhs), 2 * self.ncols)
             return None if x is None else _from_real(x)
-        return elimination.solve(self._rows(augment=b), self.ncols + 1, self.ncols)
+        return elimination.solve(self._rows(augment=b), self.ncols)
 
     def det(self):
         """Determinant by dense Gauss elimination (small matrices only)."""

@@ -140,6 +140,34 @@ def test_classify_kind1_only_rejected(capsys, tmp_path):
     assert main(["classify", str(path)]) == 2
 
 
+def test_classify_kind3_factor_rejected(capsys, tmp_path):
+    # an admissible factor of kind 3 describes no Levi factor of a quadric algebra
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps([
+        {"family": "D", "rank": 4, "form": "COMPLEX", "phi": ["a1", "a2'"]},
+    ]))
+    code = main(["classify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith("has kind 3; only kinds 1 and 2 describe Levi factors "
+                        "of quadric algebras\n")
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({}, "field 'factors' is missing"),
+    ({"factors": 5}, "field 'factors' must be a list"),
+    ({"factors": {"a": 1}}, "field 'factors' must be a list"),
+    (None, "expected a JSON object holding field 'factors'"),
+    (5, "expected a JSON object holding field 'factors'"),
+])
+def test_classify_factors_field_is_named(capsys, tmp_path, blob, message):
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps(blob))
+    code = main(["classify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_classify_empty_semisimple_list_rejected(capsys, tmp_path):
     # the semisimple path rejects a list without a kind-2 factor, with the
     # same stderr line as the general path

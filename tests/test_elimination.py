@@ -51,16 +51,16 @@ def test_kernel_vectors_primitive():
 def test_solve_consistent_and_inconsistent():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
     rows = [{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}]
-    assert elimination.solve(rows, 3, 2) == [Q(2), Q(1)]
+    assert elimination.solve(rows, 2) == [Q(2), Q(1)]
     # x + y = 1, x + y = 0 -> inconsistent; a zero right-hand side may be kept
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 0}]
-    assert elimination.solve(rows, 3, 2) is None
+    assert elimination.solve(rows, 2) is None
 
 
 def test_pivot_rule_prefers_small_bit_length():
     # two candidate rows lead column 0 with values 8 and 3: 3 wins
     rows = [([0, 1], [8, 1]), ([0, 2], [3, 1])]
-    pivots, pivot_rows, _ = elimination.row_echelon(rows, 3)
+    pivots, pivot_rows = elimination.row_echelon(rows)
     assert pivots[0] == 0
     assert pivot_rows[0][1][0] == 3
 
@@ -69,7 +69,7 @@ def test_growth_stays_controlled():
     # gcd normalization keeps entries from exploding on a dense-ish system
     rng = random.Random(5)
     rows = random_sparse_rows(rng, 30, 30, density=0.5, scale=4)
-    _, pivot_rows, _ = elimination.row_echelon(rows, 30)
+    _, pivot_rows = elimination.row_echelon(rows)
     worst = max(abs(v).bit_length() for _, vals in pivot_rows for v in vals)
     assert worst < 512
 
@@ -151,7 +151,7 @@ def test_kernel_basis_matches_oracle(case):
 def test_solve_matches_oracle(case):
     rows, ncols = case
     bcol = ncols - 1  # the last column is the right-hand side
-    sol = elimination.solve(rows, ncols, bcol)
+    sol = elimination.solve(rows, bcol)
     ref, pivots = rref(_dense(rows, ncols))
     if bcol in pivots:
         assert sol is None
@@ -186,9 +186,9 @@ def test_kernel_and_solve_are_canonical(case):
     assert elimination.kernel_basis(variant, ncols) == basis
     assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
     bcol = ncols - 1
-    assert elimination.solve(variant, ncols, bcol) == elimination.solve(rows, ncols, bcol)
-    assert elimination.row_echelon(_int_pairs(variant), ncols)[0] == \
-        elimination.row_echelon(_int_pairs(rows), ncols)[0]
+    assert elimination.solve(variant, bcol) == elimination.solve(rows, bcol)
+    assert elimination.row_echelon(_int_pairs(variant))[0] == \
+        elimination.row_echelon(_int_pairs(rows))[0]
 
 
 @st.composite
@@ -274,12 +274,21 @@ def test_tall_kernel_from_head_and_checked_tail(case):
     half = len(rows) // 2
     assert elimination.kernel_basis(rows[half:] + rows[:half], ncols) == basis
     assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
+    # the last column as a right-hand side: solve through the same head and tail
+    bcol = ncols - 1
+    ref, pivots = rref(_dense(rows, ncols))
+    expected = None
+    if bcol not in pivots:
+        expected = [Q(0)] * bcol
+        for r, p in enumerate(pivots):
+            expected[p] = ref[r][bcol]
+    assert elimination.solve(rows, bcol) == expected
 
 
 def test_pivot_rule_prefers_fewer_entries_on_equal_bits():
     # both candidates lead column 0 with bit length 2; the shorter row wins
     rows = [([0, 1, 2], [3, 1, 1]), ([0, 2], [-2, 5])]
-    pivots, pivot_rows, _ = elimination.row_echelon(rows, 3)
+    pivots, pivot_rows = elimination.row_echelon(rows)
     assert pivots[0] == 0
     assert pivot_rows[0] == ([0, 2], [-2, 5])
 

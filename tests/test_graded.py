@@ -452,11 +452,11 @@ def test_characteristic_element_is_computed_once(monkeypatch):
     e = g.characteristic_element()
     g.levi_decomposition()
     assert g.characteristic_element() is e
-    # an ambiguous grading element raises every time, from one solve
+    # an ambiguous grading element raises every time, from one reduction
     calls = []
-    solve = elimination.solve
-    monkeypatch.setattr(elimination, "solve",
-                        lambda *args: calls.append(1) or solve(*args))
+    kernel_basis = elimination.kernel_basis
+    monkeypatch.setattr(elimination, "kernel_basis",
+                        lambda *args: calls.append(1) or kernel_basis(*args))
     g = sl2_plus_center()
     for _ in range(2):
         with pytest.raises(NotUniqueCharacteristicElementError):
@@ -517,6 +517,19 @@ def test_characteristic_element_not_unique():
     g = sl2_plus_center()
     with pytest.raises(NotUniqueCharacteristicElementError):
         g.characteristic_element()
+
+
+def test_ambiguity_dim_counts_the_degree_0_center():
+    # sl2 plus c central degree-0 lines: E is determined up to a c-dim center
+    table = {(0, 1): {1: Q(2)}, (0, 2): {2: Q(-2)}, (1, 2): {0: Q(1)}}
+    dims = []
+    for c in (1, 2, 3):
+        names = ["h", "e", "f"] + [f"z{i}" for i in range(c)]
+        g = GradedLieAlgebra(names, [0, 1, -1] + [0] * c, table)
+        with pytest.raises(NotUniqueCharacteristicElementError) as exc:
+            g.characteristic_element()
+        dims.append(exc.value.ambiguity_dim)
+    assert dims == [1, 2, 3]
 
 
 def test_center():
@@ -736,8 +749,8 @@ def test_levi_correction_failures_survive_python_O():
             return run
 
         for check in (radical_series_tampered,
-                      solve_answers(lambda rows, ncols, bcol: None),
-                      solve_answers(lambda rows, ncols, bcol: [0] * bcol)):
+                      solve_answers(lambda rows, bcol: None),
+                      solve_answers(lambda rows, bcol: [0] * bcol)):
             try:
                 check()
             except InternalConsistencyError as exc:
