@@ -237,6 +237,17 @@ def test_tables_rank8_report_bytes(capsys):
         "ebb2c6b76ee1da3c56296de56fee35f6323efd4bc9276de11840a1bb6541721c"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["corpus"],
+     "1da82aacec175bea97beb86a6f25715b98f67d5a03771ede2806cafe90b30aaa"),
+    (["corpus", "--run-all"],
+     "9fd566de3982848f3a518b83ecec38d04619e3ecfa6be5b18361696c99e7ce35"),
+], ids=["shallow", "run_all"])
+def test_corpus_report_bytes(capsys, argv, digest):
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
 CLASSIFY_MIXED_FACTORS = [
     {"family": "A", "rank": 5, "form": "A III", "phi": ["a2"], "p": 2, "q": 4},
     {"family": "D", "rank": 4, "form": "COMPLEX", "phi": ["a3", "a4'"]},
