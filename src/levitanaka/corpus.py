@@ -568,7 +568,9 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
 
     Returns a list of {"name", "status", "witness"} dicts; "witness" is
     null on success and carries the mismatch on failure.  Deep mode adds
-    the prolongation- and radical-level checks.
+    the prolongation- and radical-level checks, and its (S~) and
+    S-sufficiency verdicts read E_r and the radical off the computed
+    algebra; shallow mode takes them from the expectations.
     """
     checks = []
 
@@ -656,13 +658,15 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
 
     if "kind2_descriptors" in exp and exp["kind2_descriptors"]:
         kind2, kind1 = _descriptors_from_expected(entry)
-        compare("tilde_s_verdict",
-                tilde_s_general(kind2, kind1,
-                                exp.get("E_r_zero", exp.get("radical_dim", 1) == 0
-                                        or entry.kind == "quadric")),
+        if deep:
+            e_r_zero = algebra.grading_element_in_levi()
+            semisimple = rad.dim == 0
+        else:
+            semisimple = exp.get("radical_dim") == 0
+            e_r_zero = exp.get("E_r_zero", semisimple)
+        compare("tilde_s_verdict", tilde_s_general(kind2, kind1, e_r_zero),
                 exp["has_tilde_s"])
         compare("s_sufficient_verdict",
-                s_property_sufficient(kind2, kind1,
-                                      exp.get("radical_dim") == 0),
+                s_property_sufficient(kind2, kind1, semisimple),
                 exp["s_sufficient"])
     return checks

@@ -23,21 +23,23 @@ choice never changes a result that is read off the reduced row echelon
 form (RREF), which is unique: the pivot columns, ``kernel_basis`` and
 ``solve``.  Everything is deterministic.
 
-``kernel_basis`` has one path, a head and a checked tail.  It
-eliminates the first two rows per unknown.  A head of full column rank
-proves the kernel is 0; otherwise each remaining row is checked against
-the head's kernel by exact dot products, and only the rows that fail are
-eliminated, together with the head's echelon rows, which span the same
-row space as the head.  A passing row vanishes on ker(head), which
-contains the kernel of the head and the failing rows, so both systems
-have the same kernel, row space and RREF: the answer is the same, byte
-for byte, as eliminating every row.  Repeated rows then cost a dot
-product each, not an elimination cascade.  ``solve`` is a kernel read:
-the solutions of A x = b are the kernel vectors of [A | b] that are
-nonzero at the right-hand side's column ``bcol``, and the one with free
-unknowns zero is the ``kernel_basis`` vector whose free column is
-``bcol``.  ``rank`` eliminates every row: its systems are wide, and a
-kernel read there would build a dense vector per free column.
+``kernel_basis`` has one path, a head and a checked tail.  Its rows may
+be any iterable, and it draws them lazily: it eliminates the first two
+rows per unknown.  A head of full column rank proves the kernel is 0,
+and no further row is drawn; otherwise each remaining row is drawn in
+turn and checked against the head's kernel by exact dot products, and
+only the rows that fail are kept and eliminated, together with the
+head's echelon rows, which span the same row space as the head.  A
+passing row vanishes on ker(head), which contains the kernel of the head
+and the failing rows, so both systems have the same kernel, row space
+and RREF: the answer is the same, byte for byte, as eliminating every
+row.  Repeated rows then cost a dot product each, not an elimination
+cascade.  ``solve`` is a kernel read: the solutions of A x = b are the
+kernel vectors of [A | b] that are nonzero at the right-hand side's
+column ``bcol``, and the one with free unknowns zero is the
+``kernel_basis`` vector whose free column is ``bcol``.  ``rank``
+eliminates every row: its systems are wide, and a kernel read there
+would build a dense vector per free column.
 
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from itertools import islice
 from math import gcd
 
 from .scalars import ratio
@@ -235,15 +238,16 @@ def kernel_basis(rows, ncols):
     the coordinates of a member of the span are its entries at the free
     columns divided by those of the vectors.
 
-    The system is solved from its first ``_HEAD * ncols`` rows plus the
-    rest of the rows that fail a check against their kernel (module
-    docstring).
+    ``rows`` may be any iterable, such as a generator.  The system is
+    solved from its first ``_HEAD * ncols`` rows plus the rest of the
+    rows that fail a check against their kernel (module docstring); the
+    rest is drawn one row at a time, and only when the head leaves a
+    kernel.
     """
-    rows = list(rows)
-    head = _HEAD * ncols
-    pivots, pivot_rows = row_echelon(map(_int_row, rows[:head]))
+    rows = iter(rows)
+    pivots, pivot_rows = row_echelon(map(_int_row, islice(rows, _HEAD * ncols)))
     basis = _read_kernel(pivots, pivot_rows, ncols)
-    if not basis or len(rows) <= head:
+    if not basis:
         return basis
     entries = {}  # column -> [(vector, entry)] over the head's kernel
     for t, vec in enumerate(basis):
@@ -251,7 +255,7 @@ def kernel_basis(rows, ncols):
             if x:
                 entries.setdefault(c, []).append((t, x))
     failing = []
-    for row in rows[head:]:
+    for row in rows:
         dots = [0] * len(basis)
         for c, x in row.items():
             for t, e in entries.get(c, ()):

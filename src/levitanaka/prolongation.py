@@ -41,7 +41,14 @@ Layer p's equations are sparse integer rows: J's entries come as ints
 from ``GradedLieAlgebra.j_rows``, the brackets from the table, and the
 columns from one map per source x.  At p = 0 the rows saying that u
 commutes with J come first, so the head that ``kernel_basis`` eliminates
-holds them and the derivation rows that follow pass its check.
+holds them and the derivation rows that follow pass its check.  The
+equations are generated, not stored: ``kernel_basis`` draws them one at
+a time, keeps its head and the tail rows that fail its check, and draws
+none past the head when the head has full column rank (on the n=7, k=8
+quadric, 536 of layer 3's 3,134 rows are ever built).  The table, the
+ad-column map and the free-column reads are working maps of
+``_assemble``; they are released when it returns the assembled algebra,
+which holds its own copy, before the certificates run.
 """
 
 from __future__ import annotations
@@ -117,6 +124,23 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
     if max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     block1, block2 = _check_preconditions(m)
+    # the working maps of _assemble are released when it returns: only the
+    # algebra's own copy is alive while it is validated
+    algebra, terminated_at = _assemble(m, block1, block2, max_degree)
+    rep = algebra.validate()
+    if not rep.ok:
+        raise InternalConsistencyError(
+            f"assembled prolongation invalid: {rep.violations[0]}")
+    e = algebra.characteristic_element()
+    return ProlongationResult(algebra, algebra.degree_dims(), e, terminated_at)
+
+
+def _assemble(m, block1, block2, max_degree):
+    """Solve the layers of g and read the brackets between them.
+
+    Returns the assembled, not yet validated, algebra and the degree of
+    the first vanishing layer.
+    """
     sources = block1 + block2
     names = list(m.names)
     degrees = list(m.degrees)
@@ -143,8 +167,8 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                     keys.append((x, k))
         return cols, keys
 
-    def solve_layer(p, cols, ncols):
-        rows = []
+    def layer_rows(p, cols):
+        """Layer p's equations, generated one at a time for kernel_basis."""
         if p == 0:
             # u commutes with J on g_-1: (U J - J U) = 0 on (target y, source x).
             # These rows go first, into kernel_basis's head: after the
@@ -164,7 +188,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                     for t, v in jrows[b].items():
                         c = colx[block1[t]]
                         eq[c] = eq.get(c, 0) - v
-                    rows.append(eq)
+                    yield eq
         # [u, [x, y]] - [[u, x], y] - [x, [u, y]] = 0, one row per target k
         for a, x in enumerate(block1):
             adx = ad[x]
@@ -183,13 +207,12 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                     for k, c in adx.get(s, {}).items():
                         eq = eqs.setdefault(k, {})
                         eq[col] = eq.get(col, 0) - c
-                rows += eqs.values()
-        return elimination.kernel_basis(rows, ncols)
+                yield from eqs.values()
 
     terminated_at = None
     for p in range(max_degree + 1):
         cols, keys = layout(p)
-        basis = solve_layer(p, cols, len(keys))
+        basis = elimination.kernel_basis(layer_rows(p, cols), len(keys))
         if not basis:
             terminated_at = p
             break
@@ -210,7 +233,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
         raise InternalConsistencyError("degree 0 lost the grading derivation (bug)")
     # all higher layers vanish: check one extra degree
     cols, keys = layout(terminated_at + 1)
-    if solve_layer(terminated_at + 1, cols, len(keys)):
+    if elimination.kernel_basis(layer_rows(terminated_at + 1, cols), len(keys)):
         raise InternalConsistencyError(
             "prolongation did not stabilize after a zero layer")
 
@@ -245,13 +268,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
                 if comp:
                     put(gu, gv, comp)
 
-    algebra = GradedLieAlgebra(names, degrees, table, m.J)
-    rep = algebra.validate()
-    if not rep.ok:
-        raise InternalConsistencyError(
-            f"assembled prolongation invalid: {rep.violations[0]}")
-    e = algebra.characteristic_element()
-    return ProlongationResult(algebra, algebra.degree_dims(), e, terminated_at)
+    return GradedLieAlgebra(names, degrees, table, m.J), terminated_at
 
 
 def transitivity_check(result: ProlongationResult) -> TransitivityReport:

@@ -222,6 +222,42 @@ def test_grading_element_in_levi_agrees_with_levi_on_the_corpus():
         "o8_sl2_minus-half": False}
 
 
+def _verdicts(checks):
+    return {c["name"]: c for c in checks if c["name"].endswith("_verdict")}
+
+
+def test_deep_tilde_s_verdict_reads_the_computed_e_r():
+    # no E_r_zero or radical_dim expectation: the verdict must come from the
+    # algebra, whose E_r is not 0, not from the entry being a quadric
+    base = counterexample_quadric()
+    expected = {"m_dims": base.expected["m_dims"],
+                "prolong_dims": base.expected["prolong_dims"],
+                "kind2_descriptors": [["A", 2, "A IV", ["a1"], 1, 2]],
+                "has_tilde_s": False, "s_sufficient": True}
+    entry = CorpusEntry("counterexample_no_e_r", "quadric", base.payload,
+                        expected, {})
+    checks = run_checks(entry, deep=True)
+    assert all(c["status"] == "pass" for c in checks), checks
+    assert set(_verdicts(checks)) == {"tilde_s_verdict", "s_sufficient_verdict"}
+
+
+def test_deep_s_sufficient_verdict_reads_the_computed_radical():
+    # no radical_dim expectation, and factors for which only semisimplicity
+    # makes the sufficient condition hold
+    base = heisenberg(1, (1,))
+    expected = {k: v for k, v in base.expected.items() if k != "radical_dim"}
+    expected.update(kind2_descriptors=[["D", 4, "COMPLEX", ["a3", "a4'"]]],
+                    kind1_descriptors=[["A", 1, "COMPLEX", ["a1"]]],
+                    s_sufficient=True)
+    entry = CorpusEntry("heisenberg_1_p_no_radical", "quadric", base.payload,
+                        expected, {})
+    assert _verdicts(run_checks(entry, deep=True))["s_sufficient_verdict"] == \
+        {"name": "s_sufficient_verdict", "status": "pass", "witness": None}
+    # shallow mode has no radical to read: the expectations decide
+    assert _verdicts(run_checks(entry))["s_sufficient_verdict"]["witness"] == \
+        {"got": False, "want": True}
+
+
 def test_heisenberg_entries_prolong_to_frozen_dims():
     for n, sig in [(1, (1,)), (2, (1, 1)), (2, (1, -1))]:
         entry = heisenberg(n, sig)

@@ -148,6 +148,35 @@ def test_kernel_basis_matches_oracle(case):
 
 @given(sparse_systems())
 @settings(max_examples=300, deadline=None)
+def test_kernel_basis_reads_a_generator_as_a_list(case):
+    rows, ncols = case
+    assert elimination.kernel_basis((row for row in rows), ncols) == \
+        elimination.kernel_basis(rows, ncols)
+
+
+def test_kernel_basis_draws_no_row_past_a_full_rank_head():
+    ncols = 3
+    head = [{0: 1, 1: 2}, {1: 1, 2: -1}, {2: 3}, {0: 1}, {1: 1}, {0: 2, 2: 1}]
+    drawn = []
+
+    def rows(tail):
+        for row in head + tail:
+            drawn.append(row)
+            yield row
+
+    assert len(head) == 2 * ncols
+    assert elimination.kernel_basis(rows([{0: 1, 2: 5}] * 10), ncols) == []
+    assert drawn == head
+    # a head that leaves a kernel: every tail row is drawn and checked
+    drawn.clear()
+    head[:] = [{0: 1, 1: 2}] * 6
+    tail = [{0: 2, 1: 4}] * 9 + [{2: 1}]
+    assert elimination.kernel_basis(rows(tail), ncols) == [[-2, 1, 0]]
+    assert drawn == head + tail
+
+
+@given(sparse_systems())
+@settings(max_examples=300, deadline=None)
 def test_solve_matches_oracle(case):
     rows, ncols = case
     bcol = ncols - 1  # the last column is the right-hand side
@@ -273,6 +302,8 @@ def test_tall_kernel_from_head_and_checked_tail(case):
     # the same rows rotated: another head, other failing rows, same basis
     half = len(rows) // 2
     assert elimination.kernel_basis(rows[half:] + rows[:half], ncols) == basis
+    # drawn lazily from a generator: the same head, the same checked tail
+    assert elimination.kernel_basis(iter(rows), ncols) == basis
     assert basis == [_primitive(v) for v in kernel(_dense(rows, ncols), ncols)]
     # the last column as a right-hand side: solve through the same head and tail
     bcol = ncols - 1
