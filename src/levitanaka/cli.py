@@ -7,6 +7,10 @@ byte-identical reports; --pretty switches to an indented rendering.
 Exit codes: 0 success, 1 domain failure (with a witness in the report),
 2 input error, 3 internal consistency failure or a report that could not
 be written.
+
+``classify``, ``tables`` and ``corpus`` import the modules they run when
+they run, so ``analyze-quadric`` and ``prolong`` load no root-system,
+classification or corpus code: a smaller process.
 """
 
 from __future__ import annotations
@@ -16,18 +20,6 @@ import json
 import os
 import sys
 
-from . import corpus as corpus_mod
-from .classify import (
-    MAX_FILE_RANK,
-    FactorDescriptor,
-    grading_data,
-    phi_is_admissible,
-    regenerate_tables,
-    theorem_membership,
-    tilde_s_general,
-    tilde_s_semisimple,
-    w0_reverses_E,
-)
 from .errors import (
     CapReachedError,
     IncompleteFactorsError,
@@ -37,7 +29,6 @@ from .errors import (
     json_field,
 )
 from .graded import GradedLieAlgebra
-from .involution import gamma_case, s_property_sufficient
 from .prolongation import prolong, transitivity_check
 from .quadric import HermitianFormSystem
 from .scalars import rat_to_str
@@ -160,6 +151,11 @@ def cmd_prolong(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import (FactorDescriptor, grading_data, phi_is_admissible,
+                           theorem_membership, tilde_s_general,
+                           tilde_s_semisimple, w0_reverses_E)
+    from .involution import gamma_case, s_property_sufficient
+
     try:
         with open(args.path) as fh:
             blob = json.load(fh)
@@ -220,6 +216,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .classify import MAX_FILE_RANK, regenerate_tables
+
     if not 4 <= args.max_rank <= MAX_FILE_RANK:
         return _fail_input(f"--max-rank must be between 4 and {MAX_FILE_RANK}")
     table = regenerate_tables(args.max_rank)
@@ -234,17 +232,19 @@ def cmd_tables(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus
+
     if args.only:
         try:
-            entries = [corpus_mod.entry_by_name(args.only)]
+            entries = [corpus.entry_by_name(args.only)]
         except KeyError:
             return _fail_input(f"unknown corpus entry {args.only!r}")
     else:
-        entries = corpus_mod.all_entries()
+        entries = corpus.all_entries()
     matrix = []
     all_ok = True
     for entry in entries:
-        checks = corpus_mod.run_checks(entry, deep=args.run_all)
+        checks = corpus.run_checks(entry, deep=args.run_all)
         ok = all(c["status"] == "pass" for c in checks)
         all_ok = all_ok and ok
         matrix.append({"entry": entry.name, "status": "pass" if ok else "fail",

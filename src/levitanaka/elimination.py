@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 
 from .scalars import ratio
@@ -247,7 +247,8 @@ def kernel_basis(rows, ncols):
     rows = iter(rows)
     pivots, pivot_rows = row_echelon(map(_int_row, islice(rows, _HEAD * ncols)))
     basis = _read_kernel(pivots, pivot_rows, ncols)
-    if not basis:
+    first = next(rows, None) if basis else None
+    if first is None:
         return basis
     entries = {}  # column -> [(vector, entry)] over the head's kernel
     for t, vec in enumerate(basis):
@@ -255,7 +256,7 @@ def kernel_basis(rows, ncols):
             if x:
                 entries.setdefault(c, []).append((t, x))
     failing = []
-    for row in rows:
+    for row in chain((first,), rows):
         dots = [0] * len(basis)
         for c, x in row.items():
             for t, e in entries.get(c, ()):

@@ -335,12 +335,11 @@ class GradedLieAlgebra:
         """
         if self._unfaithful is None:
             n = self.dim
-            cols = self._columns()
             block1 = self.degree_indices(-1)
             out = set()
             for d, count in self.degree_dims().items():
                 rows = [{b * n + k: c for b, y in enumerate(block1)
-                         for k, c in cols[i].get(y, {}).items()}
+                         for k, c in self.bracket_elements(i, y).items()}
                         for i in self.degree_indices(d)]
                 if elimination.rank(rows, len(block1) * n) != count:
                     out.add(d)
@@ -371,9 +370,10 @@ class GradedLieAlgebra:
         degrees of k, so a slice k > j starts at a ``bisect``.  The sum is
         quadratic in the structure constants, so it runs on the constants
         times the lcm L of their denominators: the sums are L**2 times the
-        true ones, zero at the same places, and ints.
+        true ones, zero at the same places, and ints.  Those scaled columns
+        are built from the table, not from ``_columns()``, so only one copy
+        of the ad-columns is alive during the scan.
         """
-        cols = self._columns()
         n = self.dim
         deg = self.degrees
         lcm = 1
@@ -381,10 +381,15 @@ class GradedLieAlgebra:
             for c in comp.values():
                 if type(c) is not int:
                     lcm = lcm // gcd(lcm, c.denominator) * c.denominator
-        if lcm != 1:
-            cols = [{j: {k: c.numerator * (lcm // c.denominator)
-                         for k, c in comp.items()}
-                     for j, comp in ci.items()} for ci in cols]
+        if lcm == 1:
+            cols = self._columns()
+        else:
+            cols = [{} for _ in range(n)]
+            for (i, j), comp in self.table.items():
+                comp = {k: c.numerator * (lcm // c.denominator)
+                        for k, c in comp.items()}
+                cols[i][j] = comp
+                cols[j][i] = {k: -c for k, c in comp.items()}
         views = {}  # degrees of k -> per ad-column the sorted k of those degrees
 
         def view(degrees):
@@ -663,13 +668,18 @@ class GradedLieAlgebra:
 
     def center(self) -> Subspace:
         cols = self._columns()
-        per = {}
-        for i in range(self.dim):
-            for j, comp in cols[i].items():
-                for k, c in comp.items():
-                    per.setdefault((j, k), {})[i] = c
-        rows = [per[key] for key in sorted(per)]
-        basis = elimination.kernel_basis(rows, self.dim)
+
+        def rows():
+            # [x, e_j] = 0 at each e_k, in (j, k) order, one j at a time
+            for j in range(self.dim):
+                per_k = {}
+                for i, ci in enumerate(cols):
+                    for k, c in ci.get(j, {}).items():
+                        per_k.setdefault(k, {})[i] = c
+                for k in sorted(per_k):
+                    yield per_k[k]
+
+        basis = elimination.kernel_basis(rows(), self.dim)
         return Subspace(self, [_sparse(v) for v in basis])
 
     # -- subalgebra extraction ------------------------------------------

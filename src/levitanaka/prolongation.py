@@ -47,8 +47,9 @@ a time, keeps its head and the tail rows that fail its check, and draws
 none past the head when the head has full column rank (on the n=7, k=8
 quadric, 536 of layer 3's 3,134 rows are ever built).  The table, the
 ad-column map and the free-column reads are working maps of
-``_assemble``; they are released when it returns the assembled algebra,
-which holds its own copy, before the certificates run.
+``_assemble``: the ad-column map and the reads are released before the
+algebra is built from the table, which the algebra copies, and the table
+when ``_assemble`` returns, before the certificates run.
 """
 
 from __future__ import annotations
@@ -268,6 +269,9 @@ def _assemble(m, block1, block2, max_degree):
                 if comp:
                     put(gu, gv, comp)
 
+    # released before the constructor copies the table; targets is unbound
+    # when no pair exists
+    ad = free = targets = None
     return GradedLieAlgebra(names, degrees, table, m.J), terminated_at
 
 

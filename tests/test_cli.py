@@ -281,17 +281,38 @@ def test_tables_usage_error(capsys):
 
 def test_tables_refuses_a_rank_above_the_bound(capsys, monkeypatch):
     # the bound is classify.MAX_FILE_RANK = 64; rank 65 starts no work
-    from levitanaka import cli
+    from levitanaka import classify
 
     def no_work(max_rank):
         raise AssertionError(f"tables started on rank {max_rank}")
 
-    monkeypatch.setattr(cli, "regenerate_tables", no_work)
+    # cmd_tables imports regenerate_tables when it runs, from classify
+    monkeypatch.setattr(classify, "regenerate_tables", no_work)
     assert main(["tables", "--max-rank", "65"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "--max-rank" in err and "64" in err
     assert "Traceback" not in err
+
+
+def test_analyze_quadric_loads_no_classification_code(tmp_path):
+    # analyze-quadric runs no root system, classification or corpus code,
+    # and a fresh interpreter that runs it must not import that code either
+    path = tmp_path / "counterexample.json"
+    counterexample_quadric().payload.dump(path)
+    script = ("import sys\n"
+              "from levitanaka import cli\n"
+              f"code = cli.main(['analyze-quadric', {str(path)!r}, '--out', "
+              f"{str(tmp_path / 'report.json')!r}])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('levitanaka.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, *loaded = proc.stdout.decode().split()
+    assert code == "0"
+    assert "levitanaka.prolongation" in loaded
+    for name in ("classify", "rootdata", "corpus", "involution"):
+        assert f"levitanaka.{name}" not in loaded
 
 
 def test_prolongation_failure_reports_alike(capsys, tmp_path, heisenberg_file):

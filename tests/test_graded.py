@@ -177,6 +177,25 @@ def test_validate_jacobi_violation():
     assert "triple" in rep.violations[0]
 
 
+def test_validate_scans_fractions_without_the_exact_ad_columns(monkeypatch):
+    # with a Fraction constant the Jacobi scan runs on integer columns built
+    # from the table, and no exact copy of the ad-columns is built beside them
+    g = algebra_a_with_denominators()
+    assert any(type(c) is not int for comp in g.table.values() for c in comp.values())
+    table = {key: dict(comp) for key, comp in g.table.items()}
+    comp = table[min(table)]
+    comp[min(comp)] += Q(1, 3)
+    bad = GradedLieAlgebra(g.names, g.degrees, table, g.J)
+
+    def no_columns(self):
+        raise AssertionError("validate built the exact ad-columns")
+
+    monkeypatch.setattr(GradedLieAlgebra, "_columns", no_columns)
+    assert g.validate().ok
+    rep = bad.validate()
+    assert [v["check"] for v in rep.violations] == ["jacobi"]
+
+
 def test_validate_j_block_mismatch():
     J = ExactMatrix.from_rows([[0, -1], [1, 0]])
     with pytest.raises(ValueError, match="J is 2x2, degree -1 block has dim 3"):

@@ -6,7 +6,8 @@ wraps it, or when ``tests/test_golden.py`` or ``tests/test_acceptance.py``
 pins it.  The scan is by name: a function counts as reached when its name
 is referenced, as a name, an attribute, an imported name or a dotted
 string such as the tracer's ``"HermitianFormSystem.joint_kernel"``,
-anywhere in those files.
+anywhere in those files outside its own definition: a recursive call or
+a local variable of the same name does not keep a function alive.
 """
 
 import ast
@@ -24,17 +25,27 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 def _referenced_names():
     names = set()
+
+    def visit(node, enclosing):
+        # enclosing: the names of the functions whose definitions hold node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        found = ()
+        if isinstance(node, ast.Name):
+            found = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            found = (node.attr,)
+        elif isinstance(node, ast.alias):
+            found = (node.name.rsplit(".", 1)[-1],)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            found = node.value.split(".")
+        names.update(name for name in found if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
     for path in READERS:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and DOTTED.fullmatch(node.value):
-                names.update(node.value.split("."))
+        visit(ast.parse(path.read_text()), frozenset())
     return names
 
 
