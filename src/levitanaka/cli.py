@@ -26,6 +26,7 @@ from .errors import (
     KindError,
     LeviTanakaError,
     PreconditionError,
+    check,
     json_field,
 )
 from .graded import GradedLieAlgebra
@@ -75,21 +76,17 @@ def _report(command, input_echo, checks, degree_dims=None, verdicts=None):
     }
 
 
-def _prolong_checked(m, command, echo, checks, args):
-    """prolong m, appending the "prolongation" check to checks.
+def _prolong_checked(m, max_degree):
+    """prolong m: (the "prolongation" check, the result).
 
-    A prolongation that fails (the degree cap, a precondition) emits the
-    report up to that check and returns None; the command then exits 1.
+    A prolongation that fails (the degree cap, a precondition) is a
+    failed check, its message the witness, and a result of None.
     """
     try:
-        result = prolong(m, max_degree=args.max_degree)
+        result = prolong(m, max_degree=max_degree)
     except (CapReachedError, PreconditionError) as exc:
-        checks.append({"name": "prolongation", "status": "fail",
-                       "witness": str(exc)})
-        _emit(_report(command, echo, checks), args)
-        return None
-    checks.append({"name": "prolongation", "status": "pass", "witness": None})
-    return result
+        return check("prolongation", False, str(exc)), None
+    return check("prolongation", True), result
 
 
 def cmd_analyze_quadric(args) -> int:
@@ -103,16 +100,14 @@ def cmd_analyze_quadric(args) -> int:
         return _fail_input(str(exc))
     echo = {"path": args.path, "n": form.n, "k": form.k}
     m, checks = form.m_minus_with_checks()
-    if m is None:
+    result = None
+    if m is not None:
+        prolonged, result = _prolong_checked(m, args.max_degree)
+        checks.append(prolonged)
+    if result is None:
         _emit(_report("analyze-quadric", echo, checks), args)
         return 1
-    result = _prolong_checked(m, "analyze-quadric", echo, checks, args)
-    if result is None:
-        return 1
-    trans = transitivity_check(result)
-    checks.append({"name": "transitivity",
-                   "status": "pass" if trans.ok else "fail",
-                   "witness": None if trans.ok else trans.offending_degree})
+    checks.append(transitivity_check(result))
     alg = result.algebra
     # E_r = 0 is decided by [g, g] membership; no Levi factor is lifted
     in_levi = alg.grading_element_in_levi()
@@ -140,11 +135,11 @@ def cmd_prolong(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail_input(str(exc))
     echo = {"path": args.path, "dim": algebra.dim}
-    checks = []
-    result = _prolong_checked(algebra, "prolong", echo, checks, args)
+    prolonged, result = _prolong_checked(algebra, args.max_degree)
     if result is None:
+        _emit(_report("prolong", echo, [prolonged]), args)
         return 1
-    report = _report("prolong", echo, checks, degree_dims=result.degree_dims)
+    report = _report("prolong", echo, [prolonged], degree_dims=result.degree_dims)
     report["algebra"] = result.algebra.to_json()
     _emit(report, args)
     return 0
@@ -222,10 +217,9 @@ def cmd_tables(args) -> int:
         return _fail_input(f"--max-rank must be between 4 and {MAX_FILE_RANK}")
     table = regenerate_tables(args.max_rank)
     report = _report("tables", {"max_rank": args.max_rank},
-                     checks=[{"name": "oracle_agrees_with_lists",
-                              "status": "pass" if not table["disagreements"]
-                              else "fail",
-                              "witness": table["disagreements"] or None}])
+                     checks=[check("oracle_agrees_with_lists",
+                                   not table["disagreements"],
+                                   table["disagreements"])])
     report["table"] = {"kind_1": table["kind_1"], "kind_2": table["kind_2"]}
     _emit(report, args)
     return 3 if table["disagreements"] else 0

@@ -22,6 +22,7 @@ from .errors import (
     InternalConsistencyError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
+    check,
 )
 from .graded import GradedLieAlgebra
 from .involution import s_property_sufficient
@@ -566,17 +567,16 @@ def _descriptors_from_expected(entry):
 def run_checks(entry: CorpusEntry, deep: bool = False):
     """Evaluate an entry against its expected metadata.
 
-    Returns a list of {"name", "status", "witness"} dicts; "witness" is
-    null on success and carries the mismatch on failure.  Deep mode adds
-    the prolongation- and radical-level checks, and its (S~) and
-    S-sufficiency verdicts read E_r and the radical off the computed
-    algebra; shallow mode takes them from the expectations.
+    Returns a list of report checks (``errors.check``); a failed check's
+    witness carries the mismatch.  Deep mode adds the prolongation- and
+    radical-level checks, and its (S~) and S-sufficiency verdicts read E_r
+    and the radical off the computed algebra; shallow mode takes them from
+    the expectations.
     """
     checks = []
 
     def record(name, ok, witness=None):
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "witness": None if ok else witness})
+        checks.append(check(name, ok, witness))
 
     def compare(name, got, want):
         record(name, got == want, {"got": got, "want": want})
@@ -604,7 +604,7 @@ def run_checks(entry: CorpusEntry, deep: bool = False):
                        result.degree_dims[1] > result.degree_dims[-1]
                        and result.degree_dims[2] > result.degree_dims[-2],
                        {"dims": result.degree_dims})
-            record("transitivity", transitivity_check(result).ok)
+            checks.append(transitivity_check(result))
     else:
         algebra = entry.payload
         record("validates", algebra.validate().ok)

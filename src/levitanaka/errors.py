@@ -1,4 +1,4 @@
-"""Domain error types shared across the package."""
+"""Domain error types shared across the package, and the one report-check form."""
 
 
 class LeviTanakaError(Exception):
@@ -25,6 +25,12 @@ def json_field(obj, key, kind):
         noun = {list: "a list", dict: "an object", int: "an integer"}[kind]
         raise InputError(f"field {key!r} must be {noun}")
     return value
+
+
+def check(name, ok, witness=None):
+    """The report check {"name", "status", "witness"}; a witness only on failure."""
+    return {"name": name, "status": "pass" if ok else "fail",
+            "witness": None if ok else witness}
 
 
 class DegenerateFormError(LeviTanakaError):

@@ -962,6 +962,8 @@ class GradedLieAlgebra:
         A malformed or missing field raises InputError naming it.
         """
         names = json_field(obj, "basis", list)
+        if not all(type(x) is str for x in names):
+            raise InputError("field 'basis' must be a list of names (strings)")
         degrees = json_field(obj, "degrees", list)
         table = {}
         for t, entry in enumerate(json_field(obj, "brackets", list)):

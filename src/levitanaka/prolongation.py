@@ -55,7 +55,8 @@ when ``_assemble`` returns, before the certificates run.
 from __future__ import annotations
 
 from . import elimination
-from .errors import CapReachedError, InternalConsistencyError, PreconditionError
+from .errors import (CapReachedError, InternalConsistencyError, PreconditionError,
+                     check)
 from .graded import GradedLieAlgebra
 from .scalars import ratio
 
@@ -76,17 +77,6 @@ class ProlongationResult:
 
     def __repr__(self):
         return f"ProlongationResult(dims={self.degree_dims})"
-
-
-class TransitivityReport:
-    def __init__(self, ok, offending_degree=None):
-        self.ok = ok
-        self.offending_degree = offending_degree
-
-    def __repr__(self):
-        if self.ok:
-            return "TransitivityReport(certificate)"
-        return f"TransitivityReport(violation at degree {self.offending_degree})"
 
 
 def _check_preconditions(m: GradedLieAlgebra):
@@ -275,12 +265,13 @@ def _assemble(m, block1, block2, max_degree):
     return GradedLieAlgebra(names, degrees, table, m.J), terminated_at
 
 
-def transitivity_check(result: ProlongationResult) -> TransitivityReport:
-    """Certify ad(X)|_{g_{-1}} is injective on every nonnegative layer.
+def transitivity_check(result: ProlongationResult):
+    """The "transitivity" report check of a prolongation.
 
-    The rank test is ``GradedLieAlgebra.unfaithful_degrees``, which
-    ``validate`` has already run on an assembled prolongation; the first
-    unfaithful degree p >= 0 is reported.
+    It passes when ad(X)|_{g_{-1}} is injective on every nonnegative
+    layer.  The rank test is ``GradedLieAlgebra.unfaithful_degrees``, which
+    ``validate`` has already run on an assembled prolongation; a failed
+    check's witness is the first unfaithful degree p >= 0.
     """
     bad = [p for p in result.algebra.unfaithful_degrees() if p >= 0]
-    return TransitivityReport(not bad, min(bad) if bad else None)
+    return check("transitivity", not bad, min(bad, default=None))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import DegenerateFormError, InputError, NotFundamentalError, json_field
+from .errors import (DegenerateFormError, InputError, NotFundamentalError, check,
+                     json_field)
 from .graded import GradedLieAlgebra
 from .matrices import ExactMatrix
 from .scalars import GaussRational
@@ -107,19 +108,17 @@ class HermitianFormSystem:
         """build_m_minus with its two regularity checks as report entries.
 
         Returns (m, checks): checks holds the "nondegenerate" and
-        "fundamental" entries ({"name", "status", "witness"}) up to the
-        first that fails, and m is None when one fails.
+        "fundamental" report checks (``errors.check``) up to the first
+        that fails, and m is None when one fails.
         """
-        nondegenerate = {"name": "nondegenerate", "status": "pass", "witness": None}
-        fundamental = {"name": "fundamental", "status": "pass", "witness": None}
         try:
-            return self.build_m_minus(), [nondegenerate, fundamental]
+            m = self.build_m_minus()
         except DegenerateFormError as exc:
-            nondegenerate.update(status="fail", witness=exc.witness)
-            return None, [nondegenerate]
+            return None, [check("nondegenerate", False, exc.witness)]
         except NotFundamentalError as exc:
-            fundamental.update(status="fail", witness=exc.relation)
-            return None, [nondegenerate, fundamental]
+            return None, [check("nondegenerate", True),
+                          check("fundamental", False, exc.relation)]
+        return m, [check("nondegenerate", True), check("fundamental", True)]
 
     # -- serialization ----------------------------------------------------
 

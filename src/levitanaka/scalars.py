@@ -45,11 +45,15 @@ def rat_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s: str):
-    """Parse "p/q" (or a number); ValueError on malformed text or q == 0.
+def rat_from_str(s: str | int):
+    """Parse "p/q" text or an int; ValueError on malformed text or q == 0.
 
-    ``Fraction`` decides what parses; the value comes back through ``exact``.
+    ``Fraction`` decides what text parses; the value comes back through
+    ``exact``.  Anything but a str or an int (a float is not exact, a
+    bool is no number) is a TypeError.
     """
+    if type(s) is not str and type(s) is not int:
+        raise TypeError(f'a rational is "p/q" text or an integer, not {s!r}')
     try:
         return exact(Fraction(s))
     except ZeroDivisionError:

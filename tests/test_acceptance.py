@@ -211,7 +211,8 @@ def test_criterion_6_structural_suite(corpus_algebras):
         except Exception:
             check("characteristic_element_exists_unique", False)
         if result is not None:
-            check("transitivity_certificate", transitivity_check(result).ok)
+            check("transitivity_certificate",
+                  transitivity_check(result)["status"] == "pass")
         dec = alg.levi_decomposition()
         rad = alg.radical()
         check("levi_r_is_radical", dec.r.dim == rad.dim)

@@ -45,6 +45,20 @@ def test_analyze_quadric_heisenberg(capsys, heisenberg_file):
     assert names["transitivity"] == "pass"
 
 
+def test_analyze_quadric_failed_transitivity(capsys, tmp_path, degree_1_unfaithful):
+    path = tmp_path / "heisenberg_pm.json"
+    diagonal_form([1, -1]).dump(path)
+    code, out = run_cli(capsys, "analyze-quadric", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"][-1] == {"name": "transitivity", "status": "fail",
+                                    "witness": 1}
+    assert [c["status"] for c in report["checks"][:-1]] == ["pass"] * 3
+    # a failed transitivity check still writes the verdicts
+    assert report["verdicts"] == {"grading_element_in_levi": True,
+                                  "levi_dim": 15, "radical_dim": 0}
+
+
 def test_analyze_quadric_degenerate_witness(capsys, degenerate_file):
     code, out = run_cli(capsys, "analyze-quadric", degenerate_file)
     assert code == 1
@@ -432,6 +446,16 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, tmp_path, monkey
     ("analyze-quadric", lambda obj: obj.pop("components"), "'components' is missing"),
     ("analyze-quadric", lambda obj: obj["components"][0].__setitem__(0, "1"),
      "'components' matrix 0"),
+    # JSON floats and booleans are no rationals, and basis names are strings
+    pytest.param("prolong", lambda obj: obj["brackets"][0].__setitem__(3, 0.1),
+                 "'brackets' entry 0", id="prolong-float-coefficient"),
+    pytest.param("analyze-quadric",
+                 lambda obj: obj["components"][0][0].__setitem__("im", 0.5),
+                 "'components' matrix 0", id="analyze-quadric-float-part"),
+    pytest.param("prolong", lambda obj: obj["J"]["entries"].__setitem__(0, True),
+                 "'J' entries", id="prolong-boolean-J-entry"),
+    pytest.param("prolong", lambda obj: obj.__setitem__("basis", [[1], {}, None]),
+                 "'basis'", id="prolong-non-string-names"),
 ])
 def test_schema_errors_name_the_field(capsys, tmp_path, command, change, field):
     form = diagonal_form([1])

@@ -69,6 +69,11 @@ def test_run_checks_on_irregular_forms():
         {"name": "fundamental", "status": "fail", "witness": ["-2", "1"]}]
 
 
+def test_deep_run_checks_report_the_unfaithful_degree(degree_1_unfaithful):
+    checks = run_checks(entry_by_name("heisenberg_2_pm"), deep=True)
+    assert {"name": "transitivity", "status": "fail", "witness": 1} in checks
+
+
 def test_algebra_a_validates_and_dims(algebra_a):
     alg = algebra_a.payload
     assert alg.dim == 70

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import levitanaka
-from levitanaka.errors import CapReachedError, PreconditionError
+from levitanaka.errors import CapReachedError, PreconditionError, check
 from levitanaka.graded import GradedLieAlgebra
 from levitanaka.matrices import ExactMatrix
 from levitanaka.prolongation import prolong, transitivity_check
@@ -33,7 +33,7 @@ def test_heisenberg_prolongations_match_frozen_goldens(n, sig):
     result = prolong(m)
     assert result.degree_dims == HEISENBERG_GOLDENS[(n, sig)]
     assert result.terminated_at == 3
-    assert transitivity_check(result).ok
+    assert transitivity_check(result) == check("transitivity", True)
 
 
 def test_heisenberg_totals():
@@ -154,9 +154,7 @@ def test_transitivity_violation_detected():
     bigger = GradedLieAlgebra(names, degrees, table)
     fake = prolong(m)
     fake.algebra = bigger
-    rep = transitivity_check(fake)
-    assert not rep.ok
-    assert rep.offending_degree == 1
+    assert transitivity_check(fake) == check("transitivity", False, 1)
 
 
 small_ints = st.integers(-2, 2)
@@ -191,7 +189,7 @@ def test_random_quadric_prolongations_are_coherent(h):
     assert dims[-1] == 2 * h.n and dims[-2] == h.k
     assert result.terminated_at <= 3
     assert alg.validate().ok
-    assert transitivity_check(result).ok
+    assert transitivity_check(result) == check("transitivity", True)
     e = result.characteristic_element
     for j, d in enumerate(alg.degrees):
         assert alg.bracket(e, {j: Q(1)}) == ({j: Q(d)} if d else {})
@@ -237,7 +235,7 @@ def test_prolongation_independent_of_basis_listing(form, order):
     result = prolong(relisted)
     assert result.degree_dims == prolong(m).degree_dims
     assert result.algebra.validate().ok
-    assert transitivity_check(result).ok
+    assert transitivity_check(result) == check("transitivity", True)
 
 
 def test_tampered_layer_bracket_is_caught_under_python_O(tmp_path):
