@@ -31,8 +31,8 @@ from functools import lru_cache
 from .errors import (
     AdmissibilityError,
     IncompleteFactorsError,
-    InternalConsistencyError,
     KindError,
+    certify,
 )
 from .rootdata import dynkin_edges, root_system
 
@@ -321,8 +321,7 @@ def grading_data(d: FactorDescriptor) -> GradingData:
     # the E-degree of the highest root, copy by copy
     kinds = {sum(diagram.coeff[n] for n in support & comp)
              for comp in diagram.components}
-    if len(kinds) != 1:
-        raise InternalConsistencyError("copies disagree on the kind")
+    certify(len(kinds) == 1, "copies disagree on the kind")
     d._grading = GradingData(e_coords, kinds.pop())
     return d._grading
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 from . import elimination
 from .classify import FactorDescriptor, tilde_s_general
 from .errors import (
-    InternalConsistencyError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
+    certify,
     check,
 )
 from .graded import GradedLieAlgebra
@@ -228,8 +228,7 @@ def example_algebra_a() -> CorpusEntry:
             if i == j:
                 continue
             coeffs, tr = _sl3_decompose(_commutator(mats[x], mats[y]))
-            if tr != 0:
-                raise InternalConsistencyError(f"sl3 commutator has trace {tr}")
+            certify(tr == 0, lambda: f"sl3 commutator has trace {tr}")
             if not coeffs:
                 continue
             if i < j:
@@ -366,9 +365,8 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
     def v_degree(a, beta):
         sl2_weight = Q(1, 2) if beta == 1 else Q(-1, 2)
         deg = scale * (Q(_O8_DIAG[a - 1]) + sl2_weight + v_shift)
-        if deg.denominator != 1:
-            raise InternalConsistencyError(
-                f"non-integral degree {deg} on x{a}_{beta}")
+        certify(deg.denominator == 1,
+                lambda: f"non-integral degree {deg} on x{a}_{beta}")
         return int(deg)
 
     def v_jvalue(a, beta):
@@ -381,8 +379,7 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
         jsign = None
         if deg == -1:
             jsign = o8_eigenvalue(name, _O8_JDIAG)
-            if jsign not in (1, -1):
-                raise InternalConsistencyError(f"bad J eigenvalue {jsign} on {name}")
+            certify(jsign in (1, -1), lambda: f"bad J eigenvalue {jsign} on {name}")
         b.add(name, deg, jsign)
     b.add("sl2e", scale * 1)
     b.add("sl2f", scale * -1, -1 if scale == 1 else None)
@@ -393,9 +390,7 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
             jsign = None
             if deg == -1:
                 jv = v_jvalue(a, beta)
-                if jv not in (1, -1):
-                    raise InternalConsistencyError(
-                        f"bad J eigenvalue {jv} on x{a}_{beta}")
+                certify(jv in (1, -1), lambda: f"bad J eigenvalue {jv} on x{a}_{beta}")
                 jsign = int(jv)
             b.add(f"x{a}_{beta}", deg, jsign)
     b.add("T", 0)

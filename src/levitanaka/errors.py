@@ -1,4 +1,5 @@
-"""Domain error types shared across the package, and the one report-check form."""
+"""Domain error types shared across the package, the one report-check form
+and the one raise of a failed certificate (``certify``)."""
 
 
 class LeviTanakaError(Exception):
@@ -31,6 +32,16 @@ def check(name, ok, witness=None):
     """The report check {"name", "status", "witness"}; a witness only on failure."""
     return {"name": name, "status": "pass" if ok else "fail",
             "witness": None if ok else witness}
+
+
+def certify(ok, message):
+    """Raise ``InternalConsistencyError(message)`` unless the certificate ``ok`` holds.
+
+    ``message`` is a str, or a zero-argument callable called only on failure:
+    the form for a message that reads failure-only data or is built in a loop.
+    """
+    if not ok:
+        raise InternalConsistencyError(message() if callable(message) else message)
 
 
 class DegenerateFormError(LeviTanakaError):
@@ -73,6 +84,9 @@ class NotUniqueCharacteristicElementError(LeviTanakaError):
         self.ambiguity_dim = ambiguity_dim
         super().__init__(f"grading element determined only up to a {ambiguity_dim}-dim center")
 
+    def __reduce__(self):  # copies and pickles rebuild the same message
+        return type(self), (self.ambiguity_dim,)
+
 
 class NilradicalUnsupportedError(LeviTanakaError):
     """Verified-heuristic nilradical candidate failed its certification."""
@@ -101,6 +115,6 @@ class NonIntegralPairingError(LeviTanakaError):
 class InternalConsistencyError(LeviTanakaError, AssertionError):
     """A certificate failed, or a Levi correction had no solution (a bug, exit 3).
 
-    Raised instead of ``assert`` so that ``python -O`` keeps the check;
-    it is an AssertionError too, for callers that catch those.
+    Raised by ``certify`` alone, not ``assert``, so that ``python -O`` keeps
+    the check; it is an AssertionError too, for callers that catch those.
     """

@@ -45,8 +45,8 @@ on every triple of unfaithful total degree, J vanishes: with x in g_-1,
 induction on the total degree J(a, b, c) is killed by g_-1 and is 0 in a
 faithful degree (proof in ``validate``).  Every structural claim an
 operation returns is re-verified by membership and rank tests before it
-is handed back; a failed certificate raises
-``InternalConsistencyError``, which ``python -O`` keeps.
+is handed back; a failed certificate raises ``InternalConsistencyError``
+through ``errors.certify``, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ from math import gcd
 from . import elimination
 from .errors import (
     InputError,
-    InternalConsistencyError,
     NilradicalUnsupportedError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
+    certify,
     json_field,
 )
 from .matrices import ExactMatrix
@@ -453,11 +453,8 @@ class GradedLieAlgebra:
         if self._killing_rows is not None:
             return self._killing_rows
         bad = self._degree_violations()
-        if bad:
-            i, j, k = bad[0]
-            raise InternalConsistencyError(
-                f"Killing form of a table that is not degree-additive: "
-                f"[{self.names[i]},{self.names[j]}] hits {self.names[k]}")
+        certify(not bad, lambda: "Killing form of a table that is not degree-additive: "
+                "[{},{}] hits {}".format(*(self.names[x] for x in bad[0])))
         n = self.dim
         deg = self.degrees
         cols = self._columns()
@@ -517,8 +514,7 @@ class GradedLieAlgebra:
         out = []
         for d in sorted(by_degree):
             out.extend(span_basis(by_degree[d], self.dim))
-        if len(out) != total:
-            raise InternalConsistencyError("subspace is not graded")
+        certify(len(out) == total, "subspace is not graded")
         return out
 
     def radical(self) -> Subspace:
@@ -541,8 +537,7 @@ class GradedLieAlgebra:
             rad = Subspace(self, self.graded_components(
                 [{i: 1} for i in range(self.dim)]))
         series = self.derived_series(rad)
-        if series[-1].dim != 0:
-            raise InternalConsistencyError("radical candidate is not solvable (bug)")
+        certify(series[-1].dim == 0, "radical candidate is not solvable (bug)")
         self._radical = rad
         self._radical_series = series
         return rad
@@ -557,8 +552,7 @@ class GradedLieAlgebra:
         return True
 
     def _verify_ideal(self, sub: Subspace, label: str):
-        if not self._ad_maps_into(sub, sub):
-            raise InternalConsistencyError(f"{label} is not an ideal (bug)")
+        certify(self._ad_maps_into(sub, sub), f"{label} is not an ideal (bug)")
 
     def derived_series(self, sub: Subspace):
         """sub, [sub,sub], ... down to 0 (strictly decreasing, 0 included)."""
@@ -620,16 +614,19 @@ class GradedLieAlgebra:
         """The unique E in g_0 with [E, x] = p x on each degree-p vector.
 
         Worked out once per algebra, like the radical: every call returns
-        the same {index: value} dict, or raises the same error again.
+        the same {index: value} dict, or raises a fresh copy of the same
+        error.  The cached error holds no traceback, so it keeps no
+        caller's frame alive for the life of the algebra.
         """
         if self._char is None:
             try:
                 self._char = self._solve_characteristic_element()
             except (NoCharacteristicElementError,
                     NotUniqueCharacteristicElementError) as exc:
-                self._char = exc
+                self._char = exc.with_traceback(None)
         if isinstance(self._char, Exception):
-            raise self._char.with_traceback(None)
+            import copy  # only here: at the top it adds to every command's peak RSS
+            raise copy.copy(self._char)
         return self._char
 
     def _solve_characteristic_element(self):
@@ -661,8 +658,7 @@ class GradedLieAlgebra:
         e = {i: ratio(-v, m) for i, v in zip(zero_idx, x) if v}
         for j, d in enumerate(self.degrees):
             # [e_j, E] = -p e_j on degree p
-            if self.ad(j, e) != ({j: -d} if d else {}):
-                raise InternalConsistencyError(
+            certify(self.ad(j, e) == ({j: -d} if d else {}),
                     "characteristic element verification failed")
         return e
 
@@ -754,8 +750,7 @@ class GradedLieAlgebra:
                 q_of_slot[slot] = len(complement_idx)
                 complement_idx.append(i)
         nq = len(complement_idx)
-        if nq + rad.dim != n:
-            raise InternalConsistencyError("complement units do not complete the radical")
+        certify(nq + rad.dim == n, "complement units do not complete the radical")
 
         def q_coords(vec):
             return {q_of_slot[k]: c for k, c in basis.coords(vec).items()
@@ -769,8 +764,7 @@ class GradedLieAlgebra:
                     q_table[(a, b)] = comp
         s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)],
                                  [self.degrees[i] for i in complement_idx], q_table)
-        if rad.dim and elimination.rank(s_alg.killing_rows(), nq) != nq:
-            raise InternalConsistencyError(
+        certify(not rad.dim or elimination.rank(s_alg.killing_rows(), nq) == nq,
                 "Levi factor has degenerate Killing form (bug)")
         self._quotient = (complement_idx, q_coords, s_alg)
         return self._quotient
@@ -832,14 +826,12 @@ class GradedLieAlgebra:
                     delta[a, b] = d
             if not delta:
                 break
-            if stage + 1 == len(series):
-                raise InternalConsistencyError("defect survived past the derived series")
-            if not all(level.contains(d) for d in delta.values()):
-                raise InternalConsistencyError("defect escaped the expected ideal")
+            certify(stage + 1 < len(series), "defect survived past the derived series")
+            certify(all(level.contains(d) for d in delta.values()),
+                    "defect escaped the expected ideal")
             nxt = series[stage + 1]
             level_deg = [self._degree(w) for w in level.vectors]
-            if None in level_deg:
-                raise InternalConsistencyError("radical layer vector is not homogeneous")
+            certify(None not in level_deg, "radical layer vector is not homogeneous")
             own = [[m for m, dm in enumerate(level_deg) if dm == d] for d in q_deg]
             col = {key: t for t, key in enumerate(
                 (a, m) for a in range(nq) for m in own[a])}
@@ -847,27 +839,29 @@ class GradedLieAlgebra:
             level_red = [nxt.reduce(w) for w in level.vectors]
             ad_red = {(a, m): nxt.reduce(self.bracket(sigma[a], level.vectors[m]))
                       for a in range(nq) for m, dm in enumerate(level_deg) if dm in q_deg}
-            eqs = {}  # ((a, b), coordinate) -> {unknown: coefficient, bcol: rhs}
 
-            def add(pair, unknown, vec, coef):
+            def add(eqs, unknown, vec, coef):
                 for t, x in vec.items():
-                    row = eqs.setdefault((pair, t), {})
+                    row = eqs.setdefault(t, {})
                     row[unknown] = row.get(unknown, 0) + coef * x
 
-            # every pair, not only the defective ones: phi must not make a defect
-            for a, b, c_ab in pairs:
-                for c, x in c_ab.items():
-                    for m in own[c]:
-                        add((a, b), col[c, m], level_red[m], x)
-                for m in own[b]:
-                    add((a, b), col[b, m], ad_red[a, m], -1)
-                for m in own[a]:
-                    add((a, b), col[a, m], ad_red[b, m], 1)
-                add((a, b), bcol, nxt.reduce(delta.get((a, b), {})), 1)
-            sol = elimination.solve(eqs.values(), bcol)
-            if sol is None:
-                raise InternalConsistencyError(
-                    f"correction system inconsistent at stage {stage}")
+            def rows():
+                # every pair, not only the defective ones: phi must not make a
+                # defect; each pair's rows are built, then drawn by the solver
+                for a, b, c_ab in pairs:
+                    eqs = {}  # coordinate -> {unknown: coefficient, bcol: rhs}
+                    for c, x in c_ab.items():
+                        for m in own[c]:
+                            add(eqs, col[c, m], level_red[m], x)
+                    for m in own[b]:
+                        add(eqs, col[b, m], ad_red[a, m], -1)
+                    for m in own[a]:
+                        add(eqs, col[a, m], ad_red[b, m], 1)
+                    add(eqs, bcol, nxt.reduce(delta.get((a, b), {})), 1)
+                    yield from eqs.values()
+
+            sol = elimination.solve(rows(), bcol)
+            certify(sol is not None, f"correction system inconsistent at stage {stage}")
             for a in range(nq):
                 phi_a = {m: x for m in own[a] if (x := sol[col[a, m]])}
                 sigma[a] = _combination(phi_a, level.vectors, sigma[a])
@@ -879,10 +873,8 @@ class GradedLieAlgebra:
             return LeviDecomposition(s_sub, rad, None, None, s_alg)
         e_s = _combination(q_coords(e), sigma)
         e_r = _combination({0: 1, 1: -1}, [e, e_s])
-        if not rad.contains(e_r):
-            raise InternalConsistencyError("E_r is not in the radical")
-        if (not e_r) != self.grading_element_in_levi():
-            raise InternalConsistencyError(
+        certify(rad.contains(e_r), "E_r is not in the radical")
+        certify((not e_r) == self.grading_element_in_levi(),
                 "E_r disagrees with the [g, g] membership of E")
         return LeviDecomposition(s_sub, rad, e_s, e_r, s_alg)
 
@@ -909,8 +901,7 @@ class GradedLieAlgebra:
                 continue
             rows = [alg._killing_apply(v) for v in ideal]
             comp = elimination.kernel_basis(rows, d)
-            if len(comp) + di != d:
-                raise InternalConsistencyError("Killing complement has wrong dimension")
+            certify(len(comp) + di == d, "Killing complement has wrong dimension")
             for part in (ideal, [_sparse(cv) for cv in comp]):
                 self._split_simple([_combination(cv, vecs) for cv in part], out)
             return
@@ -962,9 +953,14 @@ class GradedLieAlgebra:
         A malformed or missing field raises InputError naming it.
         """
         names = json_field(obj, "basis", list)
-        if not all(type(x) is str for x in names):
-            raise InputError("field 'basis' must be a list of names (strings)")
+        if not all(type(x) is str for x in names) or len(set(names)) != len(names):
+            raise InputError("field 'basis' must be a list of distinct names (strings)")
         degrees = json_field(obj, "degrees", list)
+        if len(degrees) != len(names):
+            raise InputError("field 'degrees' must hold one degree per basis name")
+        for t, d in enumerate(degrees):
+            if type(d) is not int:
+                raise InputError(f"field 'degrees' entry {t} is not an integer")
         table = {}
         for t, entry in enumerate(json_field(obj, "brackets", list)):
             if not (isinstance(entry, list) and len(entry) == 4
@@ -981,7 +977,11 @@ class GradedLieAlgebra:
             r = json_field(json_field(obj, "J", dict), "rows", int)
             entries = [_json_rational(x, "'J' entries")
                        for x in json_field(obj["J"], "entries", list)]
-            jmat = ExactMatrix(r, len(entries) // r if r else 0, entries)
+            d = degrees.count(-1)
+            if r != d or len(entries) != d * d:
+                raise InputError(f"field 'J' must be {d}x{d} ('rows' {r}, {len(entries)} "
+                                 f"entries): degree -1 block has dim {d}")
+            jmat = ExactMatrix(r, r, entries)
         return cls(names, degrees, table, jmat)
 
     def dump(self, path):

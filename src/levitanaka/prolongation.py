@@ -35,7 +35,8 @@ every triple whose total degree is not faithful to g_-1, and the
 faithful degrees prove the rest (the lemma in ``graded``): in a
 transitive prolongation every degree but -2 is faithful, as the rank
 test that ``transitivity_check`` reports certifies.  A failed re-validation raises
-``InternalConsistencyError``.  The grading element is computed last.
+``InternalConsistencyError`` through ``errors.certify``.  The grading element is
+computed last.
 
 Layer p's equations are sparse integer rows: J's entries come as ints
 from ``GradedLieAlgebra.j_rows``, the brackets from the table, and the
@@ -55,8 +56,7 @@ when ``_assemble`` returns, before the certificates run.
 from __future__ import annotations
 
 from . import elimination
-from .errors import (CapReachedError, InternalConsistencyError, PreconditionError,
-                     check)
+from .errors import CapReachedError, PreconditionError, certify, check
 from .graded import GradedLieAlgebra
 from .scalars import ratio
 
@@ -119,9 +119,7 @@ def prolong(m: GradedLieAlgebra, max_degree: int = 6) -> ProlongationResult:
     # algebra's own copy is alive while it is validated
     algebra, terminated_at = _assemble(m, block1, block2, max_degree)
     rep = algebra.validate()
-    if not rep.ok:
-        raise InternalConsistencyError(
-            f"assembled prolongation invalid: {rep.violations[0]}")
+    certify(rep.ok, lambda: f"assembled prolongation invalid: {rep.violations[0]}")
     e = algebra.characteristic_element()
     return ProlongationResult(algebra, algebra.degree_dims(), e, terminated_at)
 
@@ -220,13 +218,11 @@ def _assemble(m, block1, block2, max_degree):
                     put(x, g, comp)
         last = [max(c for c, x in enumerate(v) if x) for v in basis]
         free.append([(*keys[f], v[f]) for f, v in zip(last, basis)])
-    if terminated_at == 0:
-        raise InternalConsistencyError("degree 0 lost the grading derivation (bug)")
+    certify(terminated_at != 0, "degree 0 lost the grading derivation (bug)")
     # all higher layers vanish: check one extra degree
     cols, keys = layout(terminated_at + 1)
-    if elimination.kernel_basis(layer_rows(terminated_at + 1, cols), len(keys)):
-        raise InternalConsistencyError(
-            "prolongation did not stabilize after a zero layer")
+    above = elimination.kernel_basis(layer_rows(terminated_at + 1, cols), len(keys))
+    certify(not above, "prolongation did not stabilize after a zero layer")
 
     # brackets between layers, read at free columns (module docstring);
     # none is stored at or past the top degree, and the re-validation

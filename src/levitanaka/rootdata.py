@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import elimination
-from .errors import InternalConsistencyError, NonIntegralPairingError
+from .errors import NonIntegralPairingError, certify
 from .scalars import ratio
 
 Q = Fraction
@@ -137,9 +137,7 @@ class RootSystem:
             for i in range(self.rank):
                 up = list(top)
                 up[i] += 1
-                if self.is_root(up):
-                    raise InternalConsistencyError(
-                        "highest root candidate not maximal")
+                certify(not self.is_root(up), "highest root candidate not maximal")
             self._highest = top
         return self._highest
 
@@ -183,16 +181,15 @@ class RootSystem:
                     break
                 lam = [y - lam[i] * a for y, a in zip(lam, self.cartan_matrix[i])]
                 word.append(i)
-            if len(word) != len(self._positive):
-                raise InternalConsistencyError(
+            certify(len(word) == len(self._positive),
                     "w0 word length is not the number of positive roots")
             rows = []
             for i in range(self.rank):
                 c = tuple(int(j == i) for j in range(self.rank))
                 for j in word:
                     c = self.reflect(j, c)
-                if not self.is_positive_root(-x for x in c):
-                    raise InternalConsistencyError("w0 image is not a negative root")
+                certify(self.is_positive_root(-x for x in c),
+                        "w0 image is not a negative root")
                 rows.append(c)
             self._w0 = rows
         return self._w0

@@ -456,6 +456,17 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, tmp_path, monkey
                  "'J' entries", id="prolong-boolean-J-entry"),
     pytest.param("prolong", lambda obj: obj.__setitem__("basis", [[1], {}, None]),
                  "'basis'", id="prolong-non-string-names"),
+    # degrees, J's shape and repeated names are named here, not by the constructor
+    pytest.param("prolong", lambda obj: obj["degrees"].__setitem__(0, "a"),
+                 "'degrees'", id="prolong-string-degree"),
+    pytest.param("prolong", lambda obj: obj["degrees"].pop(),
+                 "'degrees'", id="prolong-degree-missing-for-a-name"),
+    pytest.param("prolong", lambda obj: obj["J"].__setitem__("rows", -1),
+                 "'J'", id="prolong-negative-J-rows"),
+    pytest.param("prolong", lambda obj: obj["J"].__setitem__("rows", 3),
+                 "'J'", id="prolong-J-rows-off-shape"),
+    pytest.param("prolong", lambda obj: obj["basis"].__setitem__(1, obj["basis"][0]),
+                 "'basis'", id="prolong-repeated-names"),
 ])
 def test_schema_errors_name_the_field(capsys, tmp_path, command, change, field):
     form = diagonal_form([1])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,6 +18,7 @@ from levitanaka.errors import (
     NilradicalUnsupportedError,
     NoCharacteristicElementError,
     NotUniqueCharacteristicElementError,
+    certify,
 )
 from levitanaka.graded import GradedLieAlgebra, Subspace
 from levitanaka.matrices import ExactMatrix
@@ -483,6 +485,36 @@ def test_characteristic_element_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: GradedLieAlgebra(["a", "b"], [-1, -1], {}), NoCharacteristicElementError),
+    (sl2_plus_center, NotUniqueCharacteristicElementError),
+])
+def test_a_cached_characteristic_element_failure_keeps_no_caller_frame(make, error):
+    # the cached error holds no traceback, so the frame of a caller that
+    # caught it, and that frame's locals, die when the caller returns
+    class Local:
+        pass
+
+    def caller(g):
+        local = Local()
+        try:
+            g.characteristic_element()
+        except error:
+            return weakref.ref(local)
+
+    g = make()
+    assert [caller(g)() for _ in range(2)] == [None, None]
+    # each call raises a fresh copy: the same class, message and attributes
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            g.characteristic_element()
+        raised.append(exc.value)
+    first, second = raised
+    assert first is not second and type(first) is type(second) is error
+    assert first.args == second.args and vars(first) == vars(second)
+
+
 def test_lower_central_series():
     h = heisenberg3()
     whole = Subspace(h, [{i: Q(1)} for i in range(3)])
@@ -867,3 +899,13 @@ def test_certificates_survive_python_O():
                                 "highest root candidate not maximal",
                                 "w0 word length is not the number of positive roots",
                                 "w0 image is not a negative root"]
+
+
+def test_certify_calls_a_message_callable_only_on_failure():
+    calls = []
+    certify(True, lambda: calls.append(1) or "unused")
+    assert calls == []
+    with pytest.raises(InternalConsistencyError, match="^radical is not an ideal$"):
+        certify(False, "radical is not an ideal")
+    with pytest.raises(InternalConsistencyError, match="^built on failure$"):
+        certify(False, lambda: "built on failure")
