@@ -44,48 +44,49 @@ def certify(ok, message):
         raise InternalConsistencyError(message() if callable(message) else message)
 
 
-class DegenerateFormError(LeviTanakaError):
+class _DataError(LeviTanakaError):
+    """An error whose ``args`` are its data, one value per name of ``fields``,
+    each also an attribute; ``str`` fills ``message`` with them, so a copy or
+    a pickle, which rebuilds the error from ``args``, keeps both."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.__dict__.update(zip(self.fields, args))
+
+    def __str__(self):
+        return self.message.format(**dict(zip(self.fields, self.args)))
+
+
+class DegenerateFormError(_DataError):
     """Hermitian form has a nonzero joint kernel; carries a witness vector."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"degenerate hermitian form, kernel witness {witness}")
+    fields = ("witness",)
+    message = "degenerate hermitian form, kernel witness {witness}"
 
 
-class NotFundamentalError(LeviTanakaError):
+class NotFundamentalError(_DataError):
     """Component matrices are linearly dependent over the reals."""
-
-    def __init__(self, relation):
-        self.relation = relation
-        super().__init__(f"form is not fundamental, dependent combination {relation}")
+    fields = ("relation",)
+    message = "form is not fundamental, dependent combination {relation}"
 
 
 class PreconditionError(LeviTanakaError):
     """An operation was called outside its supported inputs."""
 
 
-class CapReachedError(LeviTanakaError):
+class CapReachedError(_DataError):
     """Prolongation still nonzero at the configured degree cap."""
-
-    def __init__(self, degree, dim):
-        self.degree = degree
-        self.dim = dim
-        super().__init__(f"prolongation not terminated: dim g_{degree} = {dim}")
+    fields = ("degree", "dim")
+    message = "prolongation not terminated: dim g_{degree} = {dim}"
 
 
 class NoCharacteristicElementError(LeviTanakaError):
     """The grading is not induced by any element of the degree-0 part."""
 
 
-class NotUniqueCharacteristicElementError(LeviTanakaError):
+class NotUniqueCharacteristicElementError(_DataError):
     """Grading element exists only up to a nonzero central degree-0 subspace."""
-
-    def __init__(self, ambiguity_dim):
-        self.ambiguity_dim = ambiguity_dim
-        super().__init__(f"grading element determined only up to a {ambiguity_dim}-dim center")
-
-    def __reduce__(self):  # copies and pickles rebuild the same message
-        return type(self), (self.ambiguity_dim,)
+    fields = ("ambiguity_dim",)
+    message = "grading element determined only up to a {ambiguity_dim}-dim center"
 
 
 class NilradicalUnsupportedError(LeviTanakaError):

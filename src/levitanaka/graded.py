@@ -6,6 +6,11 @@ the degree -1 block.  On top of that sit the classical exact tools:
 Killing form, solvable radical, nilpotency series, grading element, a
 graded Levi-Malcev decomposition computed by correcting a section along
 the derived series of the radical, and the split into simple ideals.
+Every derived algebra, a subalgebra, the same algebra in a new basis
+(J included) or g / radical, is read off one ``Echelon`` by
+``_restricted``: the structure constants of a span and the coordinates
+of a vector on its basis modulo an ideal.  A graded span is split into
+degrees by one elimination too (``graded_components``).
 
 Whether the grading element E lies in a graded Levi factor s (E_r = 0 in
 E = E_s + E_r along g = s + r) needs no lifted s: when E is unique,
@@ -100,11 +105,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim})"
-
-
-def span_basis(vectors, ncols):
-    """Reduced row echelon basis of the span of the given vectors."""
-    return elimination.Echelon(ncols, vectors).basis
 
 
 def _combination(coeffs, vectors, base=None):
@@ -497,25 +497,16 @@ class GradedLieAlgebra:
     def graded_components(self, vectors):
         """Split a graded subspace's spanning set into homogeneous bases.
 
-        Returns vectors sorted by (degree, elimination pivot order);
-        raises ``InternalConsistencyError`` if the span is not graded.
+        Returns the reduced rows of the span, one elimination, sorted
+        stably by degree, so by (degree, pivot); raises
+        ``InternalConsistencyError`` if a row mixes degrees.  That decides
+        gradedness: the degree-d part of a reduced row of a graded span
+        lies in the span and has the row's pivot pattern, so it is the row,
+        and homogeneous rows span a graded space.
         """
-        if not vectors:
-            return []
-        total = elimination.Echelon(self.dim, vectors).rank
-        deg = self.degrees
-        by_degree = {}
-        for v in vectors:
-            parts = {}
-            for i, x in v.items():
-                parts.setdefault(deg[i], {})[i] = x
-            for d, part in parts.items():
-                by_degree.setdefault(d, []).append(part)
-        out = []
-        for d in sorted(by_degree):
-            out.extend(span_basis(by_degree[d], self.dim))
-        certify(len(out) == total, "subspace is not graded")
-        return out
+        rows = elimination.Echelon(self.dim, vectors).basis
+        certify(None not in map(self._degree, rows), "subspace is not graded")
+        return sorted(rows, key=self._degree)
 
     def radical(self) -> Subspace:
         """Solvable radical: Killing-orthogonal of the derived algebra.
@@ -571,7 +562,7 @@ class GradedLieAlgebra:
         while current.dim:
             brackets = [w for x, y in pairs(current)
                         for w in (self.bracket(x, y),) if w]
-            nxt = Subspace(self, span_basis(brackets, self.dim))
+            nxt = Subspace(self, elimination.Echelon(self.dim, brackets).basis)
             if nxt.dim >= current.dim:
                 break
             series.append(nxt)
@@ -685,29 +676,39 @@ class GradedLieAlgebra:
         present = {self.degrees[i] for i in v}
         return present.pop() if len(present) == 1 else None
 
-    def _restricted(self, vecs):
-        """(degrees, table) of the bracket on the span of ``vecs``.
+    def _restricted(self, vecs, modulo=()):
+        """(degrees, table, coords) of the span of ``vecs`` modulo the ideal
+        spanned by ``modulo``, read off one ``Echelon``.
 
-        The vectors must be homogeneous and independent, and their span
-        bracket-closed; the table is in their coordinates.  Raises
-        ValueError otherwise.  ``subalgebra`` and ``change_basis`` both
-        build their algebra from it.
+        The vectors must be homogeneous and independent modulo the ideal,
+        and the span of both bracket-closed; ``modulo`` must span an ideal,
+        which is not checked.  ``coords(w)`` gives a member's coordinates
+        on ``vecs``, its part in the ideal dropped (None off the span), and
+        the table is in them.  Raises ValueError otherwise.  ``subalgebra``,
+        ``change_basis`` and ``_levi_quotient`` build from it.
         """
         degs = [self._degree(v) for v in vecs]
         if None in degs:
             raise ValueError("basis vector is not degree-homogeneous")
-        span = elimination.Echelon(self.dim, vecs)
-        if span.rank != len(vecs):
+        m = len(modulo)
+        span = elimination.Echelon(self.dim, [*modulo, *vecs])
+        if span.rank != m + len(vecs):
             raise ValueError("basis is singular: its vectors are linearly dependent")
+
+        def coords(w):
+            c = span.coords(w)
+            return None if c is None else {k - m: x for k, x in c.items() if k >= m}
+
         table = {}
         for a, b in combinations(range(len(vecs)), 2):
             w = self.bracket(vecs[a], vecs[b])
             if w:
-                coords = span.coords(w)
-                if coords is None:
+                comp = coords(w)
+                if comp is None:
                     raise ValueError("span is not bracket-closed")
-                table[(a, b)] = coords
-        return degs, table
+                if comp:
+                    table[(a, b)] = comp
+        return degs, table, coords
 
     def subalgebra(self, vectors):
         """Structure constants of a bracket-closed homogeneous span.
@@ -716,7 +717,7 @@ class GradedLieAlgebra:
         basis is ``vectors[i]`` in the parent's coordinates.
         """
         vecs = list(vectors)
-        degs, table = self._restricted(vecs)
+        degs, table, _ = self._restricted(vecs)
         return GradedLieAlgebra([f"v{a}" for a in range(len(vecs))], degs, table), vecs
 
     # -- Levi decomposition ----------------------------------------------
@@ -725,10 +726,13 @@ class GradedLieAlgebra:
         """g / radical on complement units: (units, q_coords, factor algebra).
 
         The units are basis vectors, taken in degree order, that complete
-        the radical's basis; ``q_coords`` gives a vector's coordinates on
-        them modulo the radical, and the factor algebra is g / radical in
-        those coordinates.  Its Killing form is certified nondegenerate,
-        so g / radical is semisimple.  Worked out once per algebra.
+        the radical's basis, found in one ``Echelon`` pass and certified to
+        complete it.  ``_restricted(units, radical)`` gives the rest:
+        ``q_coords`` gives a vector's coordinates on the units modulo the
+        radical, an ideal, and the factor algebra is g / radical in those
+        coordinates (W. de Graaf, *Lie Algebras: Theory and Algorithms*,
+        2000).  Its Killing form is certified nondegenerate, so g / radical
+        is semisimple.  Worked out once per algebra.
 
         When the radical is 0 the rank test is not repeated: ``radical``
         has computed r = [g, g]^K, the Killing-orthogonal of [g, g], exactly.
@@ -741,29 +745,14 @@ class GradedLieAlgebra:
             return self._quotient
         rad = self.radical()
         n = self.dim
-        complement_idx = []
-        q_of_slot = {}
-        basis = elimination.Echelon(n, rad.vectors)
-        for slot, i in enumerate(sorted(range(n), key=lambda i: self.degrees[i]),
-                                 rad.dim):
-            if basis.add({i: 1}):
-                q_of_slot[slot] = len(complement_idx)
-                complement_idx.append(i)
+        span = elimination.Echelon(n, rad.vectors)
+        complement_idx = [i for i in sorted(range(n), key=lambda i: self.degrees[i])
+                          if span.add({i: 1})]
         nq = len(complement_idx)
         certify(nq + rad.dim == n, "complement units do not complete the radical")
-
-        def q_coords(vec):
-            return {q_of_slot[k]: c for k, c in basis.coords(vec).items()
-                    if k in q_of_slot}
-
-        q_table = {}
-        for a, i in enumerate(complement_idx):
-            for b in range(a + 1, nq):
-                comp = q_coords(self.ad(i, {complement_idx[b]: 1}))
-                if comp:
-                    q_table[(a, b)] = comp
-        s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)],
-                                 [self.degrees[i] for i in complement_idx], q_table)
+        degs, q_table, q_coords = self._restricted(
+            [{i: 1} for i in complement_idx], rad.vectors)
+        s_alg = GradedLieAlgebra([f"s{a}" for a in range(nq)], degs, q_table)
         certify(not rad.dim or elimination.rank(s_alg.killing_rows(), nq) == nq,
                 "Levi factor has degenerate Killing form (bug)")
         self._quotient = (complement_idx, q_coords, s_alg)
@@ -911,25 +900,30 @@ class GradedLieAlgebra:
         """Algebra in the new basis whose j-th vector is column j of p.
 
         Columns must be degree-homogeneous; names are kept positional.
+        The table and J' are read off one ``Echelon`` of the columns
+        (``_restricted``): column b of J' holds the coordinates of J applied
+        to the b-th new vector of degree -1, J applied by its rows.  The
+        degree -1 block must keep its positions.
         """
         n = self.dim
         if p.nrows != n or p.ncols != n:
             raise ValueError("basis change must be square of matching size")
-        new_deg, table = self._restricted(
+        new_deg, table, coords = self._restricted(
             [{i: exact(x) for i, x in enumerate(p.col(j)) if x} for j in range(n)])
         jmat = None
         if self.J is not None:
-            # J transforms by restriction of the change to the degree -1 block
             block = self.degree_indices(-1)
-            new_block = [j for j, d in enumerate(new_deg) if d == -1]
-            if sorted(block) != sorted(new_block):
+            if block != [j for j, d in enumerate(new_deg) if d == -1]:
                 raise ValueError("degree -1 block changed position")
-            sub = ExactMatrix.from_rows(
-                [[p.entry(i, j) for j in new_block] for i in block])
-            # sub is invertible, a diagonal block of the invertible p
-            jsub = self.J * sub
-            jmat = ExactMatrix.from_rows([sub.solve(jsub.col(j))
-                                          for j in range(jsub.ncols)]).transpose()
+            pos = {j: b for b, j in enumerate(block)}
+            rows = [[0] * len(block) for _ in block]
+            for b, j in enumerate(block):
+                x = [p.entry(i, j) for i in block]
+                image = {block[r]: sum(a * x[c] for c, a in jrow.items())
+                         for r, jrow in enumerate(self.j_rows())}
+                for k, v in coords(image).items():
+                    rows[pos[k]][b] = v
+            jmat = ExactMatrix.from_rows(rows)
         return GradedLieAlgebra(list(self.names), new_deg, table, jmat)
 
     # -- serialization -----------------------------------------------------

@@ -64,6 +64,26 @@ def mat_rank(mat):
     return len(rref(mat)[1])
 
 
+def graded_components(vectors, degrees):
+    """Homogeneous bases of the span of {index: value} vectors, by degree.
+
+    The per-degree split: the degree-d parts of the vectors span the
+    degree-d part of a graded span, whose RREF rows are listed degree by
+    degree.  None when the span is not graded: then the parts span more.
+    """
+    n = len(degrees)
+
+    def dense(vecs):
+        return [[v.get(i, 0) for i in range(n)] for v in vecs]
+
+    out = []
+    for d in sorted(set(degrees)):
+        parts = [{i: x for i, x in v.items() if degrees[i] == d} for v in vectors]
+        rows, pivots = rref(dense(parts))
+        out += [{i: x for i, x in enumerate(r) if x} for r in rows[:len(pivots)]]
+    return out if len(out) == mat_rank(dense(vectors)) else None
+
+
 def mat_mul(a, b):
     """Product of dense row lists by the textbook triple loop."""
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Q(0))

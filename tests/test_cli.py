@@ -425,6 +425,31 @@ def test_failed_certificate_exits_3(capsys, tmp_path, monkeypatch):
     assert "subspace is not graded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("DegenerateFormError", {"witness": ["1", "0"]},
+     "degenerate hermitian form, kernel witness ['1', '0']"),
+    ("NotFundamentalError", {"relation": ["-1", "1"]},
+     "form is not fundamental, dependent combination ['-1', '1']"),
+    ("CapReachedError", {"degree": 3, "dim": 5},
+     "prolongation not terminated: dim g_3 = 5"),
+    ("NotUniqueCharacteristicElementError", {"ambiguity_dim": 2},
+     "grading element determined only up to a 2-dim center"),
+])
+def test_data_carrying_errors_survive_copy_and_pickle(name, data, message):
+    # messages surface as report witnesses and on stderr, so a copy (the
+    # cached grading-element error is raised as one) must keep every byte
+    import copy
+    import pickle
+
+    from levitanaka import errors
+
+    exc = getattr(errors, name)(*data.values())
+    for twin in (exc, copy.copy(exc), pickle.loads(pickle.dumps(exc))):
+        assert type(twin) is type(exc)
+        assert str(twin) == message
+        assert {key: getattr(twin, key) for key in data} == data
+
+
 def test_unexpected_exception_exits_3_without_traceback(capsys, tmp_path, monkeypatch):
     from levitanaka import cli
 

@@ -27,6 +27,7 @@ from levitanaka.quadric import HermitianFormSystem, diagonal_form
 from levitanaka.scalars import GaussRational
 
 from naive_oracle import bracket as naive_bracket
+from naive_oracle import graded_components as naive_graded_components
 from naive_oracle import jacobi_first_failure, killing_matrix
 
 Q = Fraction
@@ -753,6 +754,47 @@ def test_levi_correction_keeps_zero_defects_zero():
     dec = a.change_basis(p).levi_decomposition()
     assert dec.s.dim == 16
     assert dec.r.dim == 54
+
+
+@lru_cache(maxsize=None)
+def _spans_algebra(name):
+    return sl2_sl2() if name == "sl2_sl2" else corpus.example_algebra_a().payload
+
+
+@given(st.sampled_from(["sl2_sl2", "algebra_a"]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_graded_components_match_the_per_degree_split(name, data):
+    # sums of homogeneous generators, mostly of several degrees: with the
+    # rescaled generators added the span is graded; fewer sums than
+    # generators mostly span a space that is not, and the split must say so
+    g = _spans_algebra(name)
+    coef = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3)])
+    homogeneous = st.sampled_from(sorted(set(g.degrees))).flatmap(
+        lambda d: st.dictionaries(st.sampled_from(g.degree_indices(d)), coef,
+                                  min_size=1, max_size=3))
+    gens = data.draw(st.lists(homogeneous, min_size=2, max_size=5))
+    whole = data.draw(st.booleans())
+
+    def mix(coeffs):
+        out = {}
+        for t, c in coeffs.items():
+            for i, x in gens[t].items():
+                out[i] = out.get(i, 0) + c * x
+        return {i: x for i, x in out.items() if x}
+
+    sums = st.dictionaries(st.integers(0, len(gens) - 1), coef, min_size=2)
+    vectors = [mix(c) for c in data.draw(st.lists(
+        sums, min_size=1, max_size=5 if whole else len(gens) - 1))]
+    if whole:
+        vectors += [mix({t: data.draw(coef)}) for t in range(len(gens))]
+    vectors += data.draw(st.lists(st.sampled_from(vectors), max_size=3))
+    vectors = data.draw(st.permutations(vectors))
+    expected = naive_graded_components(vectors, g.degrees)
+    if expected is None:
+        with pytest.raises(InternalConsistencyError, match="subspace is not graded"):
+            g.graded_components(vectors)
+    else:
+        assert g.graded_components(vectors) == expected
 
 
 def test_span_certificates_raise():

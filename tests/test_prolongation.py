@@ -88,6 +88,23 @@ def test_functorial_under_coordinate_permutation():
     assert prolong(m2).degree_dims == prolong(m).degree_dims
 
 
+def test_change_basis_conjugates_J_by_the_degree_minus_1_block():
+    # e1 -> e1 + Je2 mixes the degree -1 block and commutes with J neither
+    # way round, so J' = P_b^-1 J P_b differs from J and from P_b J P_b^-1
+    m = diagonal_form([1, -1]).build_m_minus()  # e1, e2, Je1, Je2, t1
+    p = ExactMatrix.identity(5)
+    p.entries[3 * 5 + 0] = Q(1)
+    m2 = m.change_basis(p)
+    pb = ExactMatrix.from_rows([p.row(i)[:4] for i in range(4)])
+    jpb = m.J * pb
+    expected = ExactMatrix.from_rows(
+        [pb.solve(jpb.col(b)) for b in range(4)]).transpose()
+    assert expected != m.J
+    assert m2.J == expected
+    assert m2.validate().ok
+    assert prolong(m2).degree_dims == prolong(m).degree_dims
+
+
 def test_precondition_errors():
     bad = GradedLieAlgebra(["a", "b"], [-1, -2], {})
     with pytest.raises(PreconditionError):
