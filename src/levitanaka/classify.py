@@ -17,10 +17,11 @@ relaxed; see phi_is_admissible.
 
 Everything that depends only on the diagram, not on phi, is worked out
 once per (family, rank, form, p, q) and shared by every descriptor on it
-(_diagram): the nodes, eps, the compact nodes, the components, a
-parent/depth tree for the path between two nodes, and the highest-root
-coefficient of each node.  Admissibility is decided on that table, so the
-enumeration builds a descriptor only for an admissible subset.
+(_diagram): the nodes, eps, the compact nodes, the components, the root
+system, whose neighbour lists are the diagram's edges, and the
+highest-root coefficient of each node.  Admissibility is decided on that
+table, so the enumeration builds a descriptor only for an admissible
+subset.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     KindError,
     certify,
 )
-from .rootdata import dynkin_edges, root_system
+from .rootdata import root_system
 
 REAL_FORMS = ("A III", "A IV", "D Ib", "D IIIb", "E II", "E III")
 ALL_FORMS = REAL_FORMS + ("COMPLEX",)
@@ -92,9 +93,8 @@ def _compact_nodes(form, l, p, q) -> frozenset:
 class _Diagram:
     """The phi-independent data of one diagram, shared by its descriptors.
 
-    Each component (one diagram copy, two for a complex form) is a tree;
-    ``_up`` and ``_depth`` root it at its first node, so the path between
-    two nodes climbs from both ends to where they meet.
+    Each component is one diagram copy (two for a complex form), and
+    ``roots.neighbours`` gives its edges, 0-based, the same in each copy.
     """
 
     def __init__(self, family, rank, form, p, q):
@@ -111,39 +111,6 @@ class _Diagram:
         self.roots = root_system(family, rank)
         top = self.roots.highest_root()
         self.coeff = {n: top[node_index(n) - 1] for n in self.names}
-        adjacent = {}
-        for i, j in dynkin_edges(family, rank):
-            adjacent.setdefault(i, []).append(j)
-            adjacent.setdefault(j, []).append(i)
-        parent, depth = {1: None}, {1: 0}
-        order = [1]
-        for i in order:
-            for j in adjacent.get(i, ()):
-                if j not in parent:
-                    parent[j], depth[j] = i, depth[i] + 1
-                    order.append(j)
-        self._up = {node(i, primed): (None if up is None else node(up, primed))
-                    for primed in copies for i, up in parent.items()}
-        self._depth = {node(i, primed): d
-                       for primed in copies for i, d in depth.items()}
-
-    def path(self, a, b):
-        """The unique path from a to b, or None when they lie in different copies."""
-        if node_primed(a) != node_primed(b):
-            return None
-        up, depth = self._up, self._depth
-        left, right = [a], [b]
-        while depth[a] > depth[b]:
-            a = up[a]
-            left.append(a)
-        while depth[b] > depth[a]:
-            b = up[b]
-            right.append(b)
-        while a != b:
-            a, b = up[a], up[b]
-            left.append(a)
-            right.append(b)
-        return left + right[-2::-1]
 
     def admits(self, phi: frozenset) -> bool:
         """The four conditions of phi_is_admissible on a subset phi of the nodes."""
@@ -156,12 +123,24 @@ class _Diagram:
             for comp in self.components:
                 if comp.isdisjoint(phi) or comp.isdisjoint(eps_phi):
                     return False
-        phi_sorted = sorted(phi)
-        for i, a in enumerate(phi_sorted):
-            for b in phi_sorted[i + 1:]:
-                path = self.path(a, b)
-                if path is not None and eps_phi.isdisjoint(path):
-                    return False
+        # (4): with eps(phi) removed, no phi-node reaches another; only a
+        # copy holding two phi-nodes can join them
+        neighbours = self.roots.neighbours
+        for comp in self.components:
+            if len(phi & comp) < 2:
+                continue
+            ends = {node_index(n) - 1 for n in phi & comp}
+            seen = {node_index(n) - 1 for n in eps_phi & comp}
+            for start in ends:
+                seen.add(start)
+                stack = [start]
+                while stack:
+                    for j in neighbours[stack.pop()]:
+                        if j not in seen:
+                            if j in ends:
+                                return False
+                            seen.add(j)
+                            stack.append(j)
         return True
 
 
@@ -298,7 +277,9 @@ def phi_is_admissible(d: FactorDescriptor) -> bool:
 
     (1) phi avoids the compact nodes; (2) phi and eps(phi) are disjoint;
     (3) every component meets both phi and eps(phi); (4) every path
-    between two phi-nodes passes through eps(phi).  A complex singleton
+    between two phi-nodes passes through eps(phi), that is, once eps(phi)
+    is removed no phi-node is connected to another, which one flood fill
+    per copy holding two phi-nodes decides.  A complex singleton
     sitting at a coefficient-1 node is the one-sided hermitian pattern:
     its grading pairs the node with its mirror copy, so condition (3)
     is waived for it (such factors have kind 1 and no compatibility
@@ -488,7 +469,7 @@ def regenerate_tables(max_rank: int):
     disagreements = []
     for d, kind in enumerate_descriptors(max_rank):
         oracle = w0_reverses_E(d)
-        listed = in_kind2_list(d) if kind == 2 else in_kind1_list(d)
+        listed = theorem_membership(d)
         row = {"descriptor": d.to_json(), "kind": kind, "admissible": True,
                "w0_reverses_E": oracle, "in_theorem_list": listed}
         rows[kind].append(row)

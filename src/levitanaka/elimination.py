@@ -2,8 +2,9 @@
 
 Every linear question of the package reduces to this module: matrix
 rank, null spaces of derivation systems, the grading element and the
-Levi-correction solves (the batch ``row_echelon``), and spans, residuals,
-coordinates and inverses (the incremental ``Echelon``).
+Levi-correction solves (the batch ``kernel_basis``, the one caller of
+``row_echelon``), and spans, residuals, coordinates and inverses (the
+incremental ``Echelon``).
 
 Rows come in as sparse rational dicts ``{col: value}``, which may hold
 zero entries; ``kernel_basis``, ``solve``, ``rank`` and ``Echelon`` all
@@ -37,9 +38,8 @@ row.  Repeated rows then cost a dot product each, not an elimination
 cascade.  ``solve`` is a kernel read: the solutions of A x = b are the
 kernel vectors of [A | b] that are nonzero at the right-hand side's
 column ``bcol``, and the one with free unknowns zero is the
-``kernel_basis`` vector whose free column is ``bcol``.  ``rank``
-eliminates every row: its systems are wide, and a kernel read there
-would build a dense vector per free column.
+``kernel_basis`` vector whose free column is ``bcol``.  ``rank`` is a
+kernel read too: the number of columns less the kernel's dimension.
 
 Scalars handed back (solutions, residuals, coordinates, RREF rows) are
 Python ints, and a ``Fraction`` only where a division leaves a remainder
@@ -199,12 +199,6 @@ def row_echelon(rows):
     return pivots, pivot_rows
 
 
-def rank(rows, ncols) -> int:
-    """Rank of sparse {col: value} rows."""
-    pivots, _ = row_echelon(map(_int_row, rows))
-    return len(pivots)
-
-
 def _back_eliminate(pivots, pivot_rows):
     """Clear every pivot column above its pivot, fraction-free.
 
@@ -313,6 +307,11 @@ def solve(rows, bcol):
         return None
     *x, m = basis[-1]
     return [ratio(-v, m) for v in x]
+
+
+def rank(rows, ncols) -> int:
+    """Rank of sparse {col: value} rows: ``ncols`` less their kernel's dimension."""
+    return ncols - len(kernel_basis(rows, ncols))
 
 
 class Echelon:

@@ -329,22 +329,34 @@ class GradedLieAlgebra:
         """The degrees D with some y != 0 in g_D and [y, g_-1] = 0.
 
         The other degrees are faithful; a degree with no basis vector is.
-        Decided by one rank test per degree, [y, e_b] side by side over
-        the e_b of g_-1, and computed once per algebra.  ``validate`` and
-        ``prolongation.transitivity_check`` read it.
+        Decided by one kernel per degree, over the |g_D| coordinates of y
+        (``_commutant_rows``), and computed once per algebra.  ``validate``
+        and ``prolongation.transitivity_check`` read it.
         """
         if self._unfaithful is None:
-            n = self.dim
             block1 = self.degree_indices(-1)
             out = set()
             for d, count in self.degree_dims().items():
-                rows = [{b * n + k: c for b, y in enumerate(block1)
-                         for k, c in self.bracket_elements(i, y).items()}
-                        for i in self.degree_indices(d)]
-                if elimination.rank(rows, len(block1) * n) != count:
+                rows = self._commutant_rows(self.degree_indices(d), block1)
+                if elimination.kernel_basis(rows, count):
                     out.add(d)
             self._unfaithful = frozenset(out)
         return self._unfaithful
+
+    def _commutant_rows(self, unknowns, against):
+        """The equations [y, e_j] = 0 for each j in ``against``, read off the
+        table, on y = sum of x_t e_i over the indices i of ``unknowns``.
+
+        One {t: coefficient} row per coordinate k of [y, e_j], in (j, k)
+        order, generated for ``kernel_basis`` to draw.
+        """
+        for j in against:
+            per_k = {}
+            for t, i in enumerate(unknowns):
+                for k, c in self.bracket_elements(i, j).items():
+                    per_k.setdefault(k, {})[t] = c
+            for k in sorted(per_k):
+                yield per_k[k]
 
     def _degree_violations(self):
         """Table entries (i, j, k) with deg k != deg i + deg j, found once."""
@@ -654,19 +666,8 @@ class GradedLieAlgebra:
         return e
 
     def center(self) -> Subspace:
-        cols = self._columns()
-
-        def rows():
-            # [x, e_j] = 0 at each e_k, in (j, k) order, one j at a time
-            for j in range(self.dim):
-                per_k = {}
-                for i, ci in enumerate(cols):
-                    for k, c in ci.get(j, {}).items():
-                        per_k.setdefault(k, {})[i] = c
-                for k in sorted(per_k):
-                    yield per_k[k]
-
-        basis = elimination.kernel_basis(rows(), self.dim)
+        every = range(self.dim)
+        basis = elimination.kernel_basis(self._commutant_rows(every, every), self.dim)
         return Subspace(self, [_sparse(v) for v in basis])
 
     # -- subalgebra extraction ------------------------------------------

@@ -33,7 +33,7 @@ fixes [u, v], by transitivity), including [u, v] = 0 past the top
 degree.  ``validate`` scans Jacobi on every triple that meets g_-1 and on
 every triple whose total degree is not faithful to g_-1, and the
 faithful degrees prove the rest (the lemma in ``graded``): in a
-transitive prolongation every degree but -2 is faithful, as the rank
+transitive prolongation every degree but -2 is faithful, as the kernel
 test that ``transitivity_check`` reports certifies.  A failed re-validation raises
 ``InternalConsistencyError`` through ``errors.certify``.  The grading element is
 computed last.
@@ -97,14 +97,12 @@ def _check_preconditions(m: GradedLieAlgebra):
         for b in range(a + 1, n1):
             if m.bracket(jcols[a], jcols[b]) != m.bracket_elements(block1[a], block1[b]):
                 raise PreconditionError("J is not bracket-compatible")
-    # fundamental: [g_-1, g_-1] spans g_-2 (rank rows keep global columns)
-    pairs = [m.bracket_elements(a, b)
-             for i, a in enumerate(block1) for b in block1[i + 1:]]
-    rows = [comp for comp in pairs if comp]
-    if elimination.rank(rows, m.dim) != n2:
+    # fundamental: [g_-1, g_-1] spans g_-2.  m has validated, so degree
+    # additivity leaves only those brackets in its table
+    if elimination.rank(m.table.values(), m.dim) != n2:
         raise PreconditionError("input is not fundamental")
     # nondegenerate: ad is injective on g_-1, that is degree -1 is faithful;
-    # validate has run the rank test that decides it
+    # validate has run the kernel test that decides it
     if -1 in m.unfaithful_degrees():
         raise PreconditionError("input is not nondegenerate")
     return block1, block2
@@ -265,9 +263,10 @@ def transitivity_check(result: ProlongationResult):
     """The "transitivity" report check of a prolongation.
 
     It passes when ad(X)|_{g_{-1}} is injective on every nonnegative
-    layer.  The rank test is ``GradedLieAlgebra.unfaithful_degrees``, which
-    ``validate`` has already run on an assembled prolongation; a failed
-    check's witness is the first unfaithful degree p >= 0.
+    layer.  The test, one kernel per degree, is
+    ``GradedLieAlgebra.unfaithful_degrees``, which ``validate`` has
+    already run on an assembled prolongation; a failed check's witness is
+    the first unfaithful degree p >= 0.
     """
     bad = [p for p in result.algebra.unfaithful_degrees() if p >= 0]
     return check("transitivity", not bad, min(bad, default=None))

@@ -77,7 +77,8 @@ class RootSystem:
             neighbours[i - 1].append(j - 1)
             neighbours[j - 1].append(i - 1)
         self.cartan_matrix = cartan
-        self._neighbours = neighbours
+        # the Dynkin graph, 0-based; reflect and classify read it
+        self.neighbours = neighbours
         self._positive = self._close_simple_roots()
         self._positive_set = frozenset(self._positive)
         self._highest = None
@@ -92,7 +93,7 @@ class RootSystem:
         (Cc)_i = 2 c_i - sum_{j ~ i} c_j, so the new c_i is that sum - c_i.
         """
         out = list(c)
-        out[i] = sum(c[j] for j in self._neighbours[i]) - c[i]
+        out[i] = sum(c[j] for j in self.neighbours[i]) - c[i]
         return tuple(out)
 
     def reflection(self, b):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from levitanaka import classify
@@ -264,3 +266,20 @@ def test_admissibility_and_kind_match_the_naive_oracle_rank8():
     # the enumeration yields the same rows in the same order
     assert [(d.family, d.rank, d.form, d.p, d.q, tuple(sorted(d.phi)), kind)
             for d, kind in enumerate_descriptors(8)] == rows
+
+
+def test_admissibility_of_three_and_four_nodes_matches_the_naive_oracle_rank8():
+    # the enumeration tries only singletons and pairs, but a classify file
+    # may carry any phi: condition (4) must hold between every two of its
+    # nodes, not only the first two
+    subsets = admissible = 0
+    for family, rank, form, p, q in naive_diagrams(8):
+        names = naive_nodes(family, rank, form)
+        for size in (3, 4):
+            for phi in combinations(names, size):
+                subsets += 1
+                expected = naive_admissible(family, rank, form, p, q, phi)
+                d = D(family, rank, form, phi, p, q)
+                assert phi_is_admissible(d) == expected, d
+                admissible += expected
+    assert (subsets, admissible) == (11939, 1008)

@@ -237,6 +237,13 @@ def test_tables_rank8_report_bytes(capsys):
         "ebb2c6b76ee1da3c56296de56fee35f6323efd4bc9276de11840a1bb6541721c"
 
 
+def test_tables_rank12_report_bytes(capsys):
+    # past rank 8: 214 kind-1 rows, 870 kind-2 rows, no disagreement
+    assert main(["tables", "--max-rank", "12"]) == 0
+    assert _sha(capsys.readouterr().out) == \
+        "588d2e11157ee901ab77aebbe8dba68126f76c22a1c764d543a3f0ca0be7cce7"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["corpus"],
      "1da82aacec175bea97beb86a6f25715b98f67d5a03771ede2806cafe90b30aaa"),

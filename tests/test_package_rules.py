@@ -1,4 +1,4 @@
-"""Four rules every source file of ``src/levitanaka`` keeps.
+"""Five rules every source file of ``src/levitanaka`` keeps.
 
 - No bare ``assert``: ``python -O`` strips it, and a certificate must
   raise a domain error instead.
@@ -9,8 +9,11 @@
   is a second form.
 - ``InternalConsistencyError`` is raised by ``errors.certify`` alone; a
   raise of it anywhere else is a second form.
+- ``row_echelon`` is called by ``elimination.kernel_basis`` alone:
+  ``solve`` and ``rank`` read the kernel, so a batch system has one
+  reduction path.
 
-The last three walk each file's syntax tree once per rule, skipping the
+The last four walk each file's syntax tree once per rule, skipping the
 one top-level function the rule allows.
 """
 
@@ -70,3 +73,11 @@ def test_internal_consistency_error_is_raised_by_errors_certify_alone():
             for m in ast.walk(n.exc))
 
     assert _offences(raises_it, "errors.py", "certify") == []
+
+
+def test_row_echelon_is_called_by_kernel_basis_alone():
+    def calls_it(n):
+        return isinstance(n, ast.Call) and \
+            getattr(n.func, "id", getattr(n.func, "attr", None)) == "row_echelon"
+
+    assert _offences(calls_it, "elimination.py", "kernel_basis") == []
