@@ -8,11 +8,13 @@ incremental ``Echelon``).
 
 Rows come in as sparse rational dicts ``{col: value}``, which may hold
 zero entries; ``kernel_basis``, ``solve``, ``rank`` and ``Echelon`` all
-take that form.  Inside, a row is scaled to integers once, by the lcm of
-its denominators (``_int_row``), and becomes a sparse pair (cols, vals):
-strictly increasing column indices with nonzero arbitrary-precision
-integer values.  ``row_echelon`` and ``combine`` are the integer-level
-core on such pairs.  Reduction is fraction-free: ``combine`` forms
+take that form.  A system read off vectors, sum_t x_t v_t = 0, gets its
+rows from ``coefficient_rows``, one per coordinate.  Inside, a row is
+scaled to integers once, by the lcm of its denominators (``_int_row``),
+and becomes a sparse pair (cols, vals): strictly increasing column
+indices with nonzero arbitrary-precision integer values.
+``row_echelon`` and ``combine`` are the integer-level core on such
+pairs.  Reduction is fraction-free: ``combine`` forms
 ``a*row - b*pivot_row`` and divides the result by the gcd of its
 entries, which keeps growth under control while staying exact.  In
 ``row_echelon`` columns are processed left to right;
@@ -307,6 +309,21 @@ def solve(rows, bcol):
         return None
     *x, m = basis[-1]
     return [ratio(-v, m) for v in x]
+
+
+def coefficient_rows(terms):
+    """Rows {t: sum of c * x} of sum c * x_t * v = 0 over terms (t, v, c).
+
+    One row per coordinate k of the sparse vectors v = {k: x}, in
+    increasing k; the coefficients of a repeated unknown are summed and
+    zero entries are kept.
+    """
+    rows = {}
+    for t, vector, c in terms:
+        for k, x in vector.items():
+            row = rows.setdefault(k, {})
+            row[t] = row.get(t, 0) + c * x
+    return [rows[k] for k in sorted(rows)]
 
 
 def rank(rows, ncols) -> int:

@@ -29,12 +29,14 @@ coming out: a sparse ``{index: value}`` dict of its nonzero coordinates.
 That holds for ``bracket`` and ``ad``, ``Subspace.vectors``, the grading
 element and the Levi decomposition's ``E_s`` and ``E_r`` (zero is
 ``{}``), so ``bracket``, ``ad`` and the echelon spans cost time in
-proportion to the nonzero entries, not to the dimension.  The batch
-solvers ``kernel_basis``, ``solve`` and ``rank`` take their rows in the
-same form and answer with dense lists of unknowns; ``_sparse`` turns a
-kernel vector into a dict where one is received.  The Killing form is
-kept as sparse rows of such scalars, which the radical, nilradical,
-Levi certificate and simple ideals read.  The Killing form is
+proportion to the nonzero entries, not to the dimension.  Every linear
+system on such vectors, the centre, the grading element, the radical,
+the nilradical and the Levi correction, gets its rows from
+``elimination.coefficient_rows``; the batch solvers answer with dense
+lists of unknowns, which ``_sparse`` turns into dicts.  The centre and
+the faithful degrees share one kernel per degree (``_commutant``).  The
+Killing form is kept as sparse rows of such scalars, which the radical,
+nilradical, Levi certificate and simple ideals read.  The Killing form is
 degree-paired: trace(ad x_i ad x_j) is summed only where
 d_i + d_j = 0, since ad x_i ad x_j shifts every degree by d_i + d_j and
 so has no diagonal otherwise.  That rests on degree additivity, which is
@@ -202,6 +204,7 @@ class GradedLieAlgebra:
         self._killing_rows = None
         self._radical = None
         self._radical_series = None
+        self._radical_ends = None
         self._derived = None
         self._quotient = None
         self._char = None
@@ -329,19 +332,23 @@ class GradedLieAlgebra:
         """The degrees D with some y != 0 in g_D and [y, g_-1] = 0.
 
         The other degrees are faithful; a degree with no basis vector is.
-        Decided by one kernel per degree, over the |g_D| coordinates of y
-        (``_commutant_rows``), and computed once per algebra.  ``validate``
+        Read off ``_commutant`` against g_-1, once per algebra.  ``validate``
         and ``prolongation.transitivity_check`` read it.
         """
         if self._unfaithful is None:
-            block1 = self.degree_indices(-1)
-            out = set()
-            for d, count in self.degree_dims().items():
-                rows = self._commutant_rows(self.degree_indices(d), block1)
-                if elimination.kernel_basis(rows, count):
-                    out.add(d)
-            self._unfaithful = frozenset(out)
+            self._unfaithful = frozenset(
+                self.degrees[max(v)] for v in self._commutant(self.degree_indices(-1)))
         return self._unfaithful
+
+    def _commutant(self, against):
+        """The canonical kernels of ``_commutant_rows`` on each g_D, as one list
+        of sparse vectors sorted by free column (their last nonzero entry)."""
+        out = []
+        for d in self.degree_dims():
+            idx = self.degree_indices(d)
+            out += [{idx[t]: x for t, x in enumerate(v) if x} for v in
+                    elimination.kernel_basis(self._commutant_rows(idx, against), len(idx))]
+        return sorted(out, key=max)
 
     def _commutant_rows(self, unknowns, against):
         """The equations [y, e_j] = 0 for each j in ``against``, read off the
@@ -351,12 +358,8 @@ class GradedLieAlgebra:
         order, generated for ``kernel_basis`` to draw.
         """
         for j in against:
-            per_k = {}
-            for t, i in enumerate(unknowns):
-                for k, c in self.bracket_elements(i, j).items():
-                    per_k.setdefault(k, {})[t] = c
-            for k in sorted(per_k):
-                yield per_k[k]
+            yield from elimination.coefficient_rows(
+                (t, self.bracket_elements(i, j), 1) for t, i in enumerate(unknowns))
 
     def _degree_violations(self):
         """Table entries (i, j, k) with deg k != deg i + deg j, found once."""
@@ -525,20 +528,17 @@ class GradedLieAlgebra:
 
         Computed once per algebra, like the Killing form; every caller
         gets the same Subspace.  Its derived series, the solvability
-        certificate, is kept for ``levi_decomposition``.
+        certificate, is kept for ``levi_decomposition``, and the columns
+        where its kernel vectors end for ``_levi_quotient``.
         """
         if self._radical is not None:
             return self._radical
-        derived = self._derived_span().basis
-        if derived:
-            rows = [self._killing_apply(d) for d in derived]
-            basis = elimination.kernel_basis(rows, self.dim)
-            rad = Subspace(self, self.graded_components(
-                [_sparse(v) for v in basis]))
-            self._verify_ideal(rad, "radical")
-        else:
-            rad = Subspace(self, self.graded_components(
-                [{i: 1} for i in range(self.dim)]))
+        # with [g, g] = 0 there is no row, and the kernel is all of g
+        rows = [self._killing_apply(d) for d in self._derived_span().basis]
+        vectors = [_sparse(v) for v in elimination.kernel_basis(rows, self.dim)]
+        rad = Subspace(self, self.graded_components(vectors))
+        self._verify_ideal(rad, "radical")
+        self._radical_ends = {max(v) for v in vectors}
         series = self.derived_series(rad)
         certify(series[-1].dim == 0, "radical candidate is not solvable (bug)")
         self._radical = rad
@@ -594,12 +594,8 @@ class GradedLieAlgebra:
         if rad.dim == 0:
             return rad
         # row j: the coefficients t of (K v_t)_j over the radical basis v_t
-        per_col = {}
-        for t, v in enumerate(rad.vectors):
-            for j, s in self._killing_apply(v).items():
-                if s:
-                    per_col.setdefault(j, {})[t] = s
-        rows = [per_col[j] for j in sorted(per_col)]
+        rows = elimination.coefficient_rows(
+            (t, self._killing_apply(v), 1) for t, v in enumerate(rad.vectors))
         coeff_basis = elimination.kernel_basis(rows, rad.dim)
         vectors = [_combination(_sparse(cv), rad.vectors) for cv in coeff_basis]
         nil = Subspace(self, self.graded_components(vectors))
@@ -636,16 +632,11 @@ class GradedLieAlgebra:
         zero_idx = self.degree_indices(0)
         nun = len(zero_idx)
         cols = self._columns()
-        rows = []  # [A | b], b at column nun
-        for j in range(self.dim):
-            per_k = {}
-            for pos, i in enumerate(zero_idx):
-                for k, c in cols[i].get(j, {}).items():
-                    per_k.setdefault(k, {})[pos] = c
-            rhs_deg = self.degrees[j]
-            touched = set(per_k) | ({j} if rhs_deg else set())
-            for k in sorted(touched):
-                rows.append({**per_k.get(k, {}), nun: rhs_deg if k == j else 0})
+        rows = []  # [A | b], b at column nun: [E, e_j] = deg j * e_j
+        for j, d in enumerate(self.degrees):
+            rows += elimination.coefficient_rows(
+                [*((pos, cols[i].get(j, {}), 1) for pos, i in enumerate(zero_idx)),
+                 (nun, {j: d}, 1)])
         if nun == 0:
             if any(self.degrees):
                 raise NoCharacteristicElementError("degree-0 part is zero")
@@ -666,9 +657,11 @@ class GradedLieAlgebra:
         return e
 
     def center(self) -> Subspace:
-        every = range(self.dim)
-        basis = elimination.kernel_basis(self._commutant_rows(every, every), self.dim)
-        return Subspace(self, [_sparse(v) for v in basis])
+        """Read off ``_commutant``: on a degree-additive table row (j, k) of
+        [y, e_j] = 0 only involves the unknowns of degree deg k - deg j, so
+        the canonical kernel over all of g is the union of the per-degree ones."""
+        certify(not self._degree_violations(), "centre of a table that is not degree-additive")
+        return Subspace(self, self._commutant(range(self.dim)))
 
     # -- subalgebra extraction ------------------------------------------
 
@@ -726,9 +719,13 @@ class GradedLieAlgebra:
     def _levi_quotient(self):
         """g / radical on complement units: (units, q_coords, factor algebra).
 
-        The units are basis vectors, taken in degree order, that complete
-        the radical's basis, found in one ``Echelon`` pass and certified to
-        complete it.  ``_restricted(units, radical)`` gives the rest:
+        The units are the e_i, in degree order, at the columns where no
+        kernel vector of ``radical`` ends: the units a greedy completion of
+        the radical in index order keeps, as every radical vector ends at
+        one of those columns, and one ending at i puts e_i in the radical
+        plus e_0 .. e_i-1.  The radical is graded, so completing in degree
+        order, stable by index, keeps the same ones.  ``_restricted``'s rank
+        test certifies that they complete the radical, and gives the rest:
         ``q_coords`` gives a vector's coordinates on the units modulo the
         radical, an ideal, and the factor algebra is g / radical in those
         coordinates (W. de Graaf, *Lie Algebras: Theory and Algorithms*,
@@ -746,9 +743,8 @@ class GradedLieAlgebra:
             return self._quotient
         rad = self.radical()
         n = self.dim
-        span = elimination.Echelon(n, rad.vectors)
-        complement_idx = [i for i in sorted(range(n), key=lambda i: self.degrees[i])
-                          if span.add({i: 1})]
+        complement_idx = sorted((i for i in range(n) if i not in self._radical_ends),
+                                key=lambda i: self.degrees[i])
         nq = len(complement_idx)
         certify(nq + rad.dim == n, "complement units do not complete the radical")
         degs, q_table, q_coords = self._restricted(
@@ -830,27 +826,14 @@ class GradedLieAlgebra:
             ad_red = {(a, m): nxt.reduce(self.bracket(sigma[a], level.vectors[m]))
                       for a in range(nq) for m, dm in enumerate(level_deg) if dm in q_deg}
 
-            def add(eqs, unknown, vec, coef):
-                for t, x in vec.items():
-                    row = eqs.setdefault(t, {})
-                    row[unknown] = row.get(unknown, 0) + coef * x
-
-            def rows():
-                # every pair, not only the defective ones: phi must not make a
-                # defect; each pair's rows are built, then drawn by the solver
-                for a, b, c_ab in pairs:
-                    eqs = {}  # coordinate -> {unknown: coefficient, bcol: rhs}
-                    for c, x in c_ab.items():
-                        for m in own[c]:
-                            add(eqs, col[c, m], level_red[m], x)
-                    for m in own[b]:
-                        add(eqs, col[b, m], ad_red[a, m], -1)
-                    for m in own[a]:
-                        add(eqs, col[a, m], ad_red[b, m], 1)
-                    add(eqs, bcol, nxt.reduce(delta.get((a, b), {})), 1)
-                    yield from eqs.values()
-
-            sol = elimination.solve(rows(), bcol)
+            # every pair, not only the defective ones: phi must not make a
+            # defect; each pair's rows are built, then drawn by the solver
+            rows = (row for a, b, c_ab in pairs for row in elimination.coefficient_rows([
+                *((col[c, m], level_red[m], x) for c, x in c_ab.items() for m in own[c]),
+                *((col[b, m], ad_red[a, m], -1) for m in own[b]),
+                *((col[a, m], ad_red[b, m], 1) for m in own[a]),
+                (bcol, nxt.reduce(delta.get((a, b), {})), 1)]))
+            sol = elimination.solve(rows, bcol)
             certify(sol is not None, f"correction system inconsistent at stage {stage}")
             for a in range(nq):
                 phi_a = {m: x for m in own[a] if (x := sol[col[a, m]])}

@@ -108,11 +108,6 @@ class ExactMatrix:
             out += sums
         return ExactMatrix(n, m, out)
 
-    def transpose(self):
-        return ExactMatrix(self.ncols, self.nrows,
-                           [self.entries[i * self.ncols + j]
-                            for j in range(self.ncols) for i in range(self.nrows)])
-
     def conj_transpose(self):
         def conj(x):
             return x.conjugate() if isinstance(x, GaussRational) else x

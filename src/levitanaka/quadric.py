@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 
+from . import elimination
 from .errors import (DegenerateFormError, InputError, NotFundamentalError, check,
                      json_field)
 from .graded import GradedLieAlgebra
@@ -54,16 +55,14 @@ class HermitianFormSystem:
         return ExactMatrix.from_rows(stacked_rows).kernel_vectors()
 
     def real_dependency(self):
-        """Real coefficients annihilating the components, or None."""
-        rows = []
-        for m in self.components:
-            row = []
-            for x in m.entries:
-                row.append(x.re)
-                row.append(x.im)
-            rows.append(row)
-        mat = ExactMatrix.from_rows(rows).transpose()
-        vecs = mat.kernel_vectors()
+        """Real coefficients annihilating the components, or None.
+
+        Entry e of a component is the real coordinates 2e and 2e + 1."""
+        rows = elimination.coefficient_rows(
+            (a, {c: part for e, x in enumerate(m.entries)
+                 for c, part in ((2 * e, x.re), (2 * e + 1, x.im))}, 1)
+            for a, m in enumerate(self.components))
+        vecs = elimination.kernel_basis(rows, self.k)
         return vecs[0] if vecs else None
 
     # -- the fundamental graded algebra ---------------------------------

@@ -192,6 +192,39 @@ def test_solve_matches_oracle(case):
     assert all(_exact_scalar(x) for x in sol)
 
 
+def test_coefficient_rows_sum_repeated_unknowns_one_row_per_coordinate():
+    # 2 * x0 * (e5 + 2 e3) + x1 * e5 - x0 * e3: the rows of coordinates 3 and 5
+    rows = elimination.coefficient_rows(
+        [(0, {5: 1, 3: 2}, 2), (1, {5: 1}, 1), (0, {3: 1}, -1)])
+    assert rows == [{0: 3}, {0: 2, 1: 1}]
+    # a zero entry is kept as a key, and a term with no entries adds no row
+    assert elimination.coefficient_rows([(0, {1: 0}, 1), (1, {}, 5)]) == [{0: 0}]
+
+
+@st.composite
+def term_lists(draw):
+    """(terms, nunknowns, ncoords): terms (t, {k: x}, c), unknowns repeated."""
+    nun = draw(st.integers(1, 6))
+    ncoords = draw(st.integers(1, 7))
+    values = st.one_of(st.integers(-5, 5), small_rats)
+    vector = st.dictionaries(st.integers(0, ncoords - 1), values, max_size=ncoords)
+    terms = draw(st.lists(st.tuples(st.integers(0, nun - 1), vector, values), max_size=10))
+    return terms, nun, ncoords
+
+
+@given(term_lists())
+@settings(max_examples=200, deadline=None)
+def test_coefficient_rows_kernel_matches_the_dense_transpose(case):
+    terms, nun, ncoords = case
+    # the dense matrix whose column t is the sum of c * v over t's terms
+    dense = [[Q(0)] * nun for _ in range(ncoords)]
+    for t, vector, c in terms:
+        for k, x in vector.items():
+            dense[k][t] += c * x
+    rows = elimination.coefficient_rows(terms)
+    assert elimination.kernel_basis(rows, nun) == [_primitive(v) for v in kernel(dense, nun)]
+
+
 @st.composite
 def rearranged_systems(draw):
     """(rows, variant, ncols): variant shuffles, duplicates and rescales rows."""

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import textwrap
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,11 +28,13 @@ from levitanaka.prolongation import prolong
 from levitanaka.quadric import HermitianFormSystem, diagonal_form
 from levitanaka.scalars import GaussRational
 
+from naive_oracle import ad_columns
 from naive_oracle import bracket as naive_bracket
 from naive_oracle import graded_components as naive_graded_components
 from naive_oracle import jacobi_first_failure, killing_matrix
 
 Q = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def sl2(degrees=(0, 1, -1)):
@@ -588,6 +592,68 @@ def test_center():
     assert sl2().center().dim == 0
     assert sl2_plus_center().center().dim == 1
     assert heisenberg3().center().dim == 1
+
+
+def _checked_algebras():
+    """(name, algebra): the corpus algebras, the prolongations of the corpus
+    quadrics, the basis change of algebra A with denominators, and an
+    abelian algebra whose basis is not in degree order."""
+    out = [("algebra_a_with_denominators", algebra_a_with_denominators()),
+           ("abelian_out_of_degree_order", GradedLieAlgebra(["a", "b", "c"], [1, -1, 0], {}))]
+    for entry in corpus.all_entries():
+        g = entry.payload
+        if entry.kind == "quadric":
+            g = prolong(g.build_m_minus()).algebra
+        out.append((entry.name, g))
+    return out
+
+
+def _structure_copies():
+    """The five basis changes of algebra A that the benchmark's deep checks run on."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(label, GradedLieAlgebra.from_json(obj))
+            for label, obj, _ in inputs.structure_inputs(5)[1]]
+
+
+def _full_commutant(g, against):
+    """The canonical kernel of [y, e_j] = 0 for j in ``against`` over all of g:
+    one system, its rows written out from the table in (j, k) order."""
+    cols = ad_columns(g.table, g.dim)
+    rows = []
+    for j in against:
+        per_k = {}
+        for i in range(g.dim):
+            for k, c in cols[i].get(j, {}).items():
+                per_k.setdefault(k, {})[i] = c
+        rows += [per_k[k] for k in sorted(per_k)]
+    return [{i: x for i, x in enumerate(v) if x}
+            for v in elimination.kernel_basis(rows, g.dim)]
+
+
+def test_center_and_faithfulness_match_the_single_full_solve():
+    for name, g in _checked_algebras():
+        assert g.center().vectors == _full_commutant(g, range(g.dim)), name
+        commutant = _full_commutant(g, g.degree_indices(-1))
+        assert g.unfaithful_degrees() == {g.degrees[i] for v in commutant for i in v}, name
+
+
+def test_center_requires_degree_additivity():
+    # the centre is read per degree, which only a degree-additive table allows
+    g = GradedLieAlgebra(["h", "e", "f"], [0, 1, 1],
+                         {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    with pytest.raises(InternalConsistencyError, match="not degree-additive"):
+        g.center()
+
+
+def test_levi_units_are_the_greedy_completion_of_the_radical():
+    for name, g in _checked_algebras() + _structure_copies():
+        span = elimination.Echelon(g.dim, g.radical().vectors)
+        greedy = [i for i in sorted(range(g.dim), key=lambda i: g.degrees[i])
+                  if span.add({i: 1})]
+        assert g._levi_quotient()[0] == greedy, name
 
 
 def test_levi_semisimple():

@@ -97,8 +97,9 @@ def test_change_basis_conjugates_J_by_the_degree_minus_1_block():
     m2 = m.change_basis(p)
     pb = ExactMatrix.from_rows([p.row(i)[:4] for i in range(4)])
     jpb = m.J * pb
+    # column b of J' solves P_b x = J P_b e_b
     expected = ExactMatrix.from_rows(
-        [pb.solve(jpb.col(b)) for b in range(4)]).transpose()
+        [list(row) for row in zip(*(pb.solve(jpb.col(b)) for b in range(4)))])
     assert expected != m.J
     assert m2.J == expected
     assert m2.validate().ok
