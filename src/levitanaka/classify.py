@@ -15,6 +15,10 @@ single-copy w_0 against the common support.  For the one-sided singleton
 pattern (hermitian kind-1 factors) the two-copy component condition is
 relaxed; see phi_is_admissible.
 
+So the verdicts decide a reversal by the Weyl group, w_0 E = -E on every
+factor, which is inner.  A "no" leaves outer ones open: on A3 COMPLEX
+{a1, a2'} the realified Chevalley involution reverses the grading.
+
 Everything that depends only on the diagram, not on phi, is worked out
 once per (family, rank, form, p, q) and shared by every descriptor on it
 (_diagram): the nodes, eps, the compact nodes, the components, the root

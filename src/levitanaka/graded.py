@@ -197,7 +197,7 @@ class GradedLieAlgebra:
                 raise ValueError(f"J is {J.nrows}x{J.ncols}, "
                                  f"degree -1 block has dim {d}")
         self.J = J
-        self._j_rows = None
+        self._j_columns = None
         self._unfaithful = None
         self._cols = None
         self._bad_degrees = None
@@ -306,27 +306,28 @@ class GradedLieAlgebra:
                        f"{self.names[j]},{self.names[k]})",
                        triple=triple)
             return report
-        jrows = self.j_rows()
-        for r, row in enumerate(jrows or ()):
-            square = {}
-            for t, a in row.items():
-                for c, b in jrows[t].items():
-                    square[c] = square.get(c, 0) + a * b
-            if {c: x for c, x in square.items() if x} != {r: -1}:
+        # J^2 = -Id as J(J e_b) = -e_b for each b in g_-1
+        jcols = self.j_columns() or {}
+        for b, image in jcols.items():
+            if _combination(image, jcols) != {b: -1}:
                 report.add("J_square", "J^2 != -Id on the degree -1 block")
                 break
         return report
 
-    def j_rows(self):
-        """The rows of J as sparse {col: value} dicts of exact scalars.
+    def j_columns(self):
+        """J's columns as algebra vectors: {b: J e_b} for each degree -1 index b.
 
-        Columns and rows are positions in the degree -1 block; computed
-        once per algebra.  None when the algebra carries no J.
+        Each image is a sparse {index: value} vector of exact scalars, so J
+        applied to a degree -1 vector v is ``_combination(v, j_columns())``.
+        The one reader of J's matrix; computed once per algebra.  None when
+        the algebra carries no J.
         """
-        if self._j_rows is None and self.J is not None:
-            self._j_rows = [{c: exact(x) for c, x in enumerate(self.J.row(r)) if x}
-                            for r in range(self.J.nrows)]
-        return self._j_rows
+        if self._j_columns is None and self.J is not None:
+            block = self.degree_indices(-1)
+            self._j_columns = {
+                b: {block[t]: exact(x) for t, x in enumerate(self.J.col(a)) if x}
+                for a, b in enumerate(block)}
+        return self._j_columns
 
     def unfaithful_degrees(self):
         """The degrees D with some y != 0 in g_D and [y, g_-1] = 0.
@@ -886,28 +887,22 @@ class GradedLieAlgebra:
         Columns must be degree-homogeneous; names are kept positional.
         The table and J' are read off one ``Echelon`` of the columns
         (``_restricted``): column b of J' holds the coordinates of J applied
-        to the b-th new vector of degree -1, J applied by its rows.  The
-        degree -1 block must keep its positions.
+        to the b-th new vector of degree -1 (``j_columns``).  The degree -1
+        block must keep its positions.
         """
         n = self.dim
         if p.nrows != n or p.ncols != n:
             raise ValueError("basis change must be square of matching size")
-        new_deg, table, coords = self._restricted(
-            [{i: exact(x) for i, x in enumerate(p.col(j)) if x} for j in range(n)])
+        vecs = [{i: exact(x) for i, x in enumerate(p.col(j)) if x} for j in range(n)]
+        new_deg, table, coords = self._restricted(vecs)
         jmat = None
-        if self.J is not None:
+        jcols = self.j_columns()
+        if jcols is not None:
             block = self.degree_indices(-1)
             if block != [j for j, d in enumerate(new_deg) if d == -1]:
                 raise ValueError("degree -1 block changed position")
-            pos = {j: b for b, j in enumerate(block)}
-            rows = [[0] * len(block) for _ in block]
-            for b, j in enumerate(block):
-                x = [p.entry(i, j) for i in block]
-                image = {block[r]: sum(a * x[c] for c, a in jrow.items())
-                         for r, jrow in enumerate(self.j_rows())}
-                for k, v in coords(image).items():
-                    rows[pos[k]][b] = v
-            jmat = ExactMatrix.from_rows(rows)
+            images = [coords(_combination(vecs[j], jcols)) for j in block]
+            jmat = ExactMatrix.from_rows([[im.get(k, 0) for im in images] for k in block])
         return GradedLieAlgebra(list(self.names), new_deg, table, jmat)
 
     # -- serialization -----------------------------------------------------

@@ -38,22 +38,26 @@ test that ``transitivity_check`` reports certifies.  A failed re-validation rais
 ``InternalConsistencyError`` through ``errors.certify``.  The grading element is
 computed last.
 
-Layer p's equations are sparse integer rows: J's entries come as ints
-from ``GradedLieAlgebra.j_rows``, the brackets from the table, and the
-columns from one map per source x.  At p = 0 the rows saying that u
-commutes with J come first, so the head that ``kernel_basis`` eliminates
-holds them and the derivation rows that follow pass its check.  The
-equations are generated, not stored: ``kernel_basis`` draws them one at
-a time, keeps its head and the tail rows that fail its check, and draws
-none past the head when the head has full column rank (on the n=7, k=8
-quadric, 536 of layer 3's 3,134 rows are ever built).  The table, the
-ad-column map and the free-column reads are working maps of
-``_assemble``: the ad-column map and the reads are released before the
-algebra is built from the table, which the algebra copies, and the table
-when ``_assemble`` returns, before the certificates run.
+Layer p's equations are sparse {col: value} rows, their columns from one
+map per source x.  The derivation rows are written out from the table's
+brackets.  At p = 0 the rows saying that u commutes with J come first,
+one ``elimination.coefficient_rows`` call per source x on J's columns as
+algebra vectors (``GradedLieAlgebra.j_columns``), so the head that
+``kernel_basis`` eliminates holds them and the derivation rows that
+follow pass its check.  The equations are generated, not stored:
+``kernel_basis`` draws them one at a time, keeps its head and the tail
+rows that fail its check, and draws none past the head when the head has
+full column rank (on the n=7, k=8 quadric, 536 of layer 3's 3,134 rows
+are ever built).  The table, the ad-column map and the free-column reads
+are working maps of ``_assemble``: the ad-column map and the reads are
+released before the algebra is built from the table, which the algebra
+copies, and the table when ``_assemble`` returns, before the
+certificates run.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import elimination
 from .errors import CapReachedError, PreconditionError, certify, check
@@ -90,16 +94,14 @@ def _check_preconditions(m: GradedLieAlgebra):
         raise PreconditionError(f"input fails validation: {rep.violations[0]}")
     block1 = m.degree_indices(-1)
     block2 = m.degree_indices(-2)
-    n1, n2 = len(block1), len(block2)
-    # J compatibility [JX, JY] = [X, Y] on basis pairs; J's columns as vectors
-    jcols = [{block1[t]: x for t, x in enumerate(m.J.col(a)) if x} for a in range(n1)]
-    for a in range(n1):
-        for b in range(a + 1, n1):
-            if m.bracket(jcols[a], jcols[b]) != m.bracket_elements(block1[a], block1[b]):
-                raise PreconditionError("J is not bracket-compatible")
+    # J compatibility [JX, JY] = [X, Y] on basis pairs
+    jcols = m.j_columns()
+    for a, b in combinations(block1, 2):
+        if m.bracket(jcols[a], jcols[b]) != m.bracket_elements(a, b):
+            raise PreconditionError("J is not bracket-compatible")
     # fundamental: [g_-1, g_-1] spans g_-2.  m has validated, so degree
     # additivity leaves only those brackets in its table
-    if elimination.rank(m.table.values(), m.dim) != n2:
+    if elimination.rank(m.table.values(), m.dim) != len(block2):
         raise PreconditionError("input is not fundamental")
     # nondegenerate: ad is injective on g_-1, that is degree -1 is faithful;
     # validate has run the kernel test that decides it
@@ -157,25 +159,14 @@ def _assemble(m, block1, block2, max_degree):
     def layer_rows(p, cols):
         """Layer p's equations, generated one at a time for kernel_basis."""
         if p == 0:
-            # u commutes with J on g_-1: (U J - J U) = 0 on (target y, source x).
-            # These rows go first, into kernel_basis's head: after the
-            # derivation rows every one of them fails the check on the tail
-            jrows = m.j_rows()
-            jcols = [{} for _ in block1]
-            for t, row in enumerate(jrows):
-                for a, v in row.items():
-                    jcols[a][t] = v
-            for a, x in enumerate(block1):
-                colx = cols[x]
-                for b, y in enumerate(block1):
-                    eq = {}
-                    for t, v in jcols[a].items():
-                        c = cols[block1[t]][y]
-                        eq[c] = eq.get(c, 0) + v
-                    for t, v in jrows[b].items():
-                        c = colx[block1[t]]
-                        eq[c] = eq.get(c, 0) - v
-                    yield eq
+            # u commutes with J on g_-1: [u, J x] - J [u, x] = 0, one row per
+            # target y.  These rows go first, into kernel_basis's head: after
+            # the derivation rows every one of them fails the check on the tail
+            jcols = m.j_columns()
+            for x in block1:
+                yield from elimination.coefficient_rows(
+                    [(cols[w][y], {y: 1}, v) for w, v in jcols[x].items() for y in block1]
+                    + [(cols[x][k], jcols[k], -1) for k in block1])
         # [u, [x, y]] - [[u, x], y] - [x, [u, y]] = 0, one row per target k
         for a, x in enumerate(block1):
             adx = ad[x]

@@ -46,13 +46,16 @@ class HermitianFormSystem:
 
     def joint_kernel(self):
         """Basis of the common kernel of all components."""
+        if not self.k:
+            return [self._unit(i) for i in range(self.n)]
         stacked_rows = []
         for m in self.components:
             stacked_rows.extend(m.to_rows())
-        if not stacked_rows:
-            return [[GaussRational(1) if i == j else GaussRational(0)
-                     for j in range(self.n)] for i in range(self.n)]
         return ExactMatrix.from_rows(stacked_rows).kernel_vectors()
+
+    def _unit(self, i):
+        """The unit vector e_{i+1} of C^n."""
+        return [GaussRational(int(i == j)) for j in range(self.n)]
 
     def real_dependency(self):
         """Real coefficients annihilating the components, or None.
@@ -69,7 +72,9 @@ class HermitianFormSystem:
 
     def build_m_minus(self) -> GradedLieAlgebra:
         """Degrees -2/-1 graded algebra of the quadric, with J."""
-        kern = self.joint_kernel()
+        # with no component the kernel is all of C^n: its first basis vector
+        # e_1 is the witness, built without the n^2 entries of the others
+        kern = self.joint_kernel() if self.k else [self._unit(0)][:self.n]
         if kern:
             raise DegenerateFormError([str(x) for x in kern[0]])
         dep = self.real_dependency()

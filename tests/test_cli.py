@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,8 @@ import levitanaka
 from levitanaka.cli import main
 from levitanaka.corpus import counterexample_quadric
 from levitanaka.quadric import diagonal_form
+
+from test_prolongation import heisenberg_3_with_j, incompatible_j
 
 
 @pytest.fixture()
@@ -343,6 +346,39 @@ def test_prolongation_failure_reports_alike(capsys, tmp_path, heisenberg_file):
         assert report["checks"] == [{"name": n, "status": "pass", "witness": None}
                                     for n in passed] + [failed]
         assert report["degree_dims"] is None and report["verdicts"] is None
+
+
+@pytest.mark.parametrize("build, witness", [
+    (lambda: heisenberg_3_with_j([[1, 0], [0, 1]]),
+     "input fails validation: {'check': 'J_square', "
+     "'detail': 'J^2 != -Id on the degree -1 block'}"),
+    (incompatible_j, "J is not bracket-compatible"),
+], ids=["J_square", "incompatible_J"])
+def test_prolong_J_failures_exit_1_with_witness(capsys, tmp_path, build, witness):
+    path = tmp_path / "m.json"
+    build().dump(path)
+    code, out = run_cli(capsys, "prolong", str(path))
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "prolongation", "status": "fail", "witness": witness}]
+
+
+def test_analyze_quadric_without_components_is_linear_in_n(capsys, tmp_path):
+    # k = 0: all of C^n is the kernel and the witness is e_1, built alone;
+    # the whole basis would be n^2 = 2,560,000 entries
+    n = 1600
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, "k": 0, "components": []}))
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "analyze-quadric", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "nondegenerate", "status": "fail", "witness": ["1"] + ["0"] * (n - 1)}]
+    assert peak < 10 * 2 ** 20
 
 
 def test_corpus_single_entry(capsys):

@@ -35,6 +35,7 @@ from test_graded import (
     sl2_sl2,
     transvected_counterexample,
 )
+from test_prolongation import heisenberg_3_with_j
 
 Q = Fraction
 I = GaussRational(0, 1)
@@ -74,7 +75,10 @@ def _strs(vectors, dim=None):
      "79cac4a77e3f3b930b105364cc80db34fe3b94e80025ee68e85481584c13d4f8"),
     (lambda: corpus.counterexample_quadric().payload.build_m_minus(),
      "5c1c5efe58d57b31a0aabb3be0c9c8681f4b88e8bb1262d14dad58f0b805eb94"),
-], ids=["heisenberg_pm", "k2_quadric", "counterexample_n7_k8"])
+    # J a = b/2, J b = -2a: J's entries reach the p = 0 rows as fractions
+    (lambda: heisenberg_3_with_j([[0, -2], [Q(1, 2), 0]]),
+     "b04ee17455a6f4adae488d4f87af746f2c08794431d33f8a81896889101955cf"),
+], ids=["heisenberg_pm", "k2_quadric", "counterexample_n7_k8", "heisenberg_fractional_J"])
 def test_prolong_report_bytes(capsys, tmp_path, build, digest):
     code, out = _cli_bytes(capsys, tmp_path, build().dump, "prolong")
     assert code == 0

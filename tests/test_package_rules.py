@@ -1,4 +1,4 @@
-"""Five rules every source file of ``src/levitanaka`` keeps.
+"""Six rules every source file of ``src/levitanaka`` keeps.
 
 - No bare ``assert``: ``python -O`` strips it, and a certificate must
   raise a domain error instead.
@@ -12,9 +12,14 @@
 - ``row_echelon`` is called by ``elimination.kernel_basis`` alone:
   ``solve`` and ``rank`` read the kernel, so a batch system has one
   reduction path.
+- J's matrix is read (``row``, ``col`` or ``entry`` called on a ``J``)
+  by ``GradedLieAlgebra.j_columns`` alone: every other reader takes J's
+  columns as algebra vectors from it.  Serialization's read of
+  ``J.entries`` and the constructor's shape check call none of them.
 
-The last four walk each file's syntax tree once per rule, skipping the
-one top-level function the rule allows.
+The last five walk each file's syntax tree once per rule, skipping the
+one top-level function, or the one method written ``Class.method``, that
+the rule allows.
 """
 
 import ast
@@ -27,15 +32,19 @@ SOURCES = sorted((ROOT / "src" / "levitanaka").rglob("*.py"))
 
 def _offences(breaks, module, helper):
     """path:line of every node for which ``breaks`` holds, outside the
-    top-level function ``helper`` of the source file named ``module``."""
+    top-level function ``helper`` of the source file named ``module``, or
+    its method ``helper`` when that is written ``Class.method``."""
     assert SOURCES
     bad = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         allowed = set()
         if path.name == module:
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == helper:
+            *owner, name = helper.split(".")
+            scopes = [n for n in tree.body if isinstance(n, ast.ClassDef)
+                      and [n.name] == owner] if owner else [tree]
+            for node in (n for scope in scopes for n in scope.body):
+                if isinstance(node, ast.FunctionDef) and node.name == name:
                     allowed = {id(n) for n in ast.walk(node)}
         bad += [f"{path.relative_to(ROOT)}:{n.lineno}" for n in ast.walk(tree)
                 if id(n) not in allowed and breaks(n)]
@@ -81,3 +90,12 @@ def test_row_echelon_is_called_by_kernel_basis_alone():
             getattr(n.func, "id", getattr(n.func, "attr", None)) == "row_echelon"
 
     assert _offences(calls_it, "elimination.py", "kernel_basis") == []
+
+
+def test_J_matrix_is_read_by_j_columns_alone():
+    def reads_j(n):
+        return isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and \
+            n.func.attr in ("row", "col", "entry") and \
+            getattr(n.func.value, "attr", getattr(n.func.value, "id", None)) == "J"
+
+    assert _offences(reads_j, "graded.py", "GradedLieAlgebra.j_columns") == []

@@ -106,6 +106,32 @@ def test_change_basis_conjugates_J_by_the_degree_minus_1_block():
     assert prolong(m2).degree_dims == prolong(m).degree_dims
 
 
+def heisenberg_3_with_j(j_rows):
+    """m = (a, b; c) with [a, b] = c and the given J on <a, b>."""
+    return GradedLieAlgebra(["a", "b", "c"], [-1, -1, -2], {(0, 1): {2: 1}},
+                            ExactMatrix.from_rows(j_rows))
+
+
+def incompatible_j():
+    """[a, b] = e and [c, d] = -e with J a = c, J b = d: J^2 = -Id, but
+    [J a, J b] = [c, d] = -e != [a, b]."""
+    j = ExactMatrix.from_rows([[0, 0, -1, 0], [0, 0, 0, -1],
+                               [1, 0, 0, 0], [0, 1, 0, 0]])
+    return GradedLieAlgebra(["a", "b", "c", "d", "e"], [-1] * 4 + [-2],
+                            {(0, 1): {4: 1}, (2, 3): {4: -1}}, j)
+
+
+J_SQUARE = {"check": "J_square", "detail": "J^2 != -Id on the degree -1 block"}
+
+
+def test_J_square_failure_is_one_violation():
+    m = heisenberg_3_with_j([[1, 0], [0, 1]])
+    assert m.validate().violations == [J_SQUARE]
+    with pytest.raises(PreconditionError) as info:
+        prolong(m)
+    assert str(info.value) == f"input fails validation: {J_SQUARE}"
+
+
 def test_precondition_errors():
     bad = GradedLieAlgebra(["a", "b"], [-1, -2], {})
     with pytest.raises(PreconditionError):
@@ -151,8 +177,11 @@ def test_j_compatibility_precondition():
     ])
     twisted = GradedLieAlgebra(m.names, m.degrees,
                                {k: dict(v) for k, v in m.table.items()}, jbad)
-    with pytest.raises(PreconditionError):
-        prolong(twisted)
+    for bad in (twisted, incompatible_j()):
+        assert bad.validate().ok
+        with pytest.raises(PreconditionError) as info:
+            prolong(bad)
+        assert str(info.value) == "J is not bracket-compatible"
 
 
 def test_cap_reached():
