@@ -180,6 +180,9 @@ class FactorDescriptor:
                 raise ValueError("A III/IV needs p + q = rank + 1, 1 <= p <= q")
             if form == "A IV" and p != 1:
                 raise ValueError("A IV means p = 1")
+        elif p is not None or q is not None:
+            field = "p" if p is not None else "q"
+            raise ValueError(f"factor field {field!r} belongs to A III/IV only, not {form}")
         elif form == "D Ib":
             if family != "D":
                 raise ValueError("D Ib requires family D")

@@ -228,7 +228,7 @@ def cmd_tables(args) -> int:
 def cmd_corpus(args) -> int:
     from . import corpus
 
-    if args.only:
+    if args.only is not None:
         try:
             entries = [corpus.entry_by_name(args.only)]
         except KeyError:

@@ -6,10 +6,13 @@ source material, "derived" for values established by independent
 computation (brute-force oracle, construction bookkeeping) and then
 frozen as regression goldens.
 
-The two large algebras are complex Lie algebras realified over Q: the
-builder below takes complex structure constants (Gaussian rationals)
-and emits the real graded algebra, doubling each basis line into
-(x, ix) and translating multiplication-by-i data into the J block.
+The two large algebras are complex matrix Lie algebras realified over
+Q, read off a basis of matrices by ``_realified``: each bracket is a
+commutator, put on the basis by one ``elimination.Echelon``; a line's
+degree is its eigenvalue under ad of a diagonal grading matrix, and on
+degree -1 the CR structure J is i times its eigenvalue under ad of a
+second diagonal matrix.  The real algebra doubles each basis line into
+(x, ix) and carries J as its degree -1 block.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from .involution import s_property_sufficient
 from .matrices import ExactMatrix
 from .prolongation import prolong, transitivity_check
 from .quadric import HermitianFormSystem, diagonal_form, extract_components
-from .scalars import GaussRational
-
-Q = Fraction
+from .scalars import exact
 
 # positions of the complex parameters inside the n=7, k=8 hermitian form
 COUNTEREXAMPLE_POSITIONS = [
@@ -61,136 +62,82 @@ class CorpusEntry:
         return f"CorpusEntry({self.name})"
 
 
-class ComplexAlgebraBuilder:
-    """Realification of a complex Lie algebra given by structure constants.
-
-    Basis lines are added with a degree and, for degree -1 lines, the
-    multiplication-by-i eigenvalue of the CR structure (+1 for J = i,
-    -1 for J = -i).  Brackets are complex-bilinear with GaussRational
-    coefficients.  realify() emits the real algebra with basis
-    (x, ix) per line and the induced J block.
-    """
-
-    def __init__(self):
-        self.names = []
-        self.degrees = []
-        self.j_signs = {}
-        self.index = {}
-        self.brackets = {}
-
-    def add(self, name, degree, j_sign=None):
-        if name in self.index:
-            raise ValueError(f"duplicate basis name {name}")
-        self.index[name] = len(self.names)
-        self.names.append(name)
-        self.degrees.append(degree)
-        if j_sign is not None:
-            if degree != -1:
-                raise ValueError("J data only lives on degree -1 lines")
-            self.j_signs[name] = j_sign
-        return name
-
-    def set_bracket(self, x, y, components):
-        """[x, y] = sum of coeff * z over components {z: GaussRational}."""
-        i, j = self.index[x], self.index[y]
-        if i == j:
-            raise ValueError("[x, x] must vanish")
-        if i > j:
-            i, j = j, i
-            components = {z: -c for z, c in components.items()}
-        clean = {}
-        for z, c in components.items():
-            c = c if isinstance(c, GaussRational) else GaussRational(c)
-            if c:
-                clean[self.index[z]] = c
-        if clean:
-            if (i, j) in self.brackets:
-                raise ValueError(f"bracket ({i},{j}) set twice")
-            self.brackets[(i, j)] = clean
-
-    def realify(self) -> GradedLieAlgebra:
-        names = []
-        degrees = []
-        for name, deg in zip(self.names, self.degrees):
-            names.append(name)
-            names.append(f"i{name}")
-            degrees.append(deg)
-            degrees.append(deg)
-        # set_bracket keeps each pair once with i < j, so the four real
-        # keys below are ordered and distinct; GradedLieAlgebra drops zeros
-        table = {}
-        for (i, j), comp in self.brackets.items():
-            re_part = {2 * z: c.re for z, c in comp.items()}
-            re_part.update({2 * z + 1: c.im for z, c in comp.items()})
-            im_part = {2 * z: -c.im for z, c in comp.items()}
-            im_part.update({2 * z + 1: c.re for z, c in comp.items()})
-            table[(2 * i, 2 * j)] = re_part
-            table[(2 * i, 2 * j + 1)] = im_part
-            table[(2 * i + 1, 2 * j)] = im_part
-            table[(2 * i + 1, 2 * j + 1)] = {k: -c for k, c in re_part.items()}
-        block = [t for t, d in enumerate(degrees) if d == -1]
-        jmat = None
-        if self.j_signs:
-            pos = {g: t for t, g in enumerate(block)}
-            rows = [[Q(0)] * len(block) for _ in range(len(block))]
-            for name, sign in self.j_signs.items():
-                i = self.index[name]
-                # J(x) = sign * ix, J(ix) = -sign * x
-                rows[pos[2 * i + 1]][pos[2 * i]] = Q(sign)
-                rows[pos[2 * i]][pos[2 * i + 1]] = Q(-sign)
-            jmat = ExactMatrix.from_rows(rows)
-        return GradedLieAlgebra(names, degrees, table, jmat)
-
-
-# -- sl(3, C) helpers ---------------------------------------------------------
-
-_SL3_BASIS = ("E12", "E13", "E23", "E21", "E31", "E32", "H1", "H2")
-_SL3_MATRICES = {
-    "E12": [(0, 1)], "E13": [(0, 2)], "E23": [(1, 2)],
-    "E21": [(1, 0)], "E31": [(2, 0)], "E32": [(2, 1)],
-}
-
-
-def _sl3_matrix(name):
-    m = [[0] * 3 for _ in range(3)]
-    if name == "H1":
-        m[0][0], m[1][1] = 1, -1
-    elif name == "H2":
-        m[1][1], m[2][2] = 1, -1
-    else:
-        for (r, c) in _SL3_MATRICES[name]:
-            m[r][c] = 1
-    return m
-
-
-def _sl3_decompose(m):
-    """gl(3) matrix -> (sl3 coefficients, trace/3); diag = a H1 + b H2."""
-    coeffs = {}
-    tr = Q(m[0][0] + m[1][1] + m[2][2], 3)
-    d = [m[0][0] - tr, m[1][1] - tr, m[2][2] - tr]
-    if d[0]:
-        coeffs["H1"] = Q(d[0])
-    if d[0] + d[1]:
-        coeffs["H2"] = Q(d[0] + d[1])
-    for name, pos in _SL3_MATRICES.items():
-        (r, c) = pos[0]
-        if m[r][c]:
-            coeffs[name] = Q(m[r][c])
-    return coeffs, tr
-
-
 def _commutator(a, b):
-    """ab - ba; basis matrices have one or two nonzero entries, so only
-    the nonzero entries of a and b are multiplied out."""
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        for i in range(n):
-            for k in range(n):
-                if x[i][k]:
-                    for j in range(n):
-                        out[i][j] += sign * x[i][k] * y[k][j]
+    """ab - ba for sparse matrices {(row, col): x}; zero entries may stay."""
+    out = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:
+                out[i, j] = out.get((i, j), 0) + x * y
+            if j == i:
+                out[l, k] = out.get((l, k), 0) - y * x
     return out
+
+
+def _eigenvalue(name, matrix, diag):
+    """The eigenvalue of a sparse matrix under ad of the diagonal matrix diag."""
+    values = {diag[r] - diag[c] for r, c in matrix}
+    certify(len(values) == 1, lambda: f"{name} is not a weight vector")
+    return values.pop()
+
+
+def _realified(basis, grading, jdiag):
+    """The real graded algebra of the complex Lie algebra spanned by ``basis``.
+
+    ``basis`` lists (name, matrix) pairs, each matrix a sparse
+    {(row, col): rational} of size len(grading); ``grading`` and ``jdiag``
+    are the diagonals of two diagonal matrices.  Certified on the way: the
+    lines are independent; each is a weight vector of ad(grading) with an
+    integral eigenvalue, its degree; on degree -1 it is a weight vector of
+    ad(jdiag) with eigenvalue +-1, and J is i times it; every commutator
+    lies in the span.  Line x gives the real lines x and ix, with
+    J(x) = +-ix.
+    """
+    n = len(grading)
+
+    def flat(matrix):
+        return {r * n + c: x for (r, c), x in matrix.items()}
+
+    span = elimination.Echelon(n * n)
+    names, degrees, signs = [], [], {}
+    for t, (name, matrix) in enumerate(basis):
+        certify(span.add(flat(matrix)),
+                lambda: f"{name} is dependent on the lines before it")
+        degree = exact(_eigenvalue(name, matrix, grading))
+        certify(type(degree) is int,
+                lambda: f"non-integral degree {degree} on {name}")
+        if degree == -1:
+            sign = _eigenvalue(name, matrix, jdiag)
+            certify(sign in (1, -1), lambda: f"bad J eigenvalue {sign} on {name}")
+            signs[t] = sign
+        names += [name, f"i{name}"]
+        degrees += [degree, degree]
+    table = {}
+    for i, (x, a) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            y, b = basis[j]
+            coords = span.coords(flat(_commutator(a, b)))
+            certify(coords is not None,
+                    lambda: f"[{x}, {y}] leaves the span of the basis")
+            if coords:
+                re_part = {2 * z: c for z, c in coords.items()}
+                im_part = {2 * z + 1: c for z, c in coords.items()}
+                table[2 * i, 2 * j] = re_part
+                table[2 * i, 2 * j + 1] = table[2 * i + 1, 2 * j] = im_part
+                table[2 * i + 1, 2 * j + 1] = {k: -c for k, c in re_part.items()}
+    pos = {g: p for p, g in enumerate(t for t, d in enumerate(degrees) if d == -1)}
+    rows = [[0] * len(pos) for _ in pos]
+    for t, sign in signs.items():
+        # J(x) = sign * ix, J(ix) = -sign * x
+        rows[pos[2 * t + 1]][pos[2 * t]] = sign
+        rows[pos[2 * t]][pos[2 * t + 1]] = -sign
+    return GradedLieAlgebra(names, degrees, table, ExactMatrix.from_rows(rows))
+
+
+# sl(3, C) on C^3: root vectors E_rs and the Cartan lines H1, H2
+_SL3 = {"E12": {(0, 1): 1}, "E13": {(0, 2): 1}, "E23": {(1, 2): 1},
+        "E21": {(1, 0): 1}, "E31": {(2, 0): 1}, "E32": {(2, 1): 1},
+        "H1": {(0, 0): 1, (1, 1): -1}, "H2": {(1, 1): 1, (2, 2): -1}}
 
 
 def example_algebra_a() -> CorpusEntry:
@@ -202,65 +149,27 @@ def example_algebra_a() -> CorpusEntry:
     trace line c_k.  W, U and the trace lines commute with everything
     inside the radical, so the radical is 2-step nilpotent and the two
     trace lines are central: the grading of this algebra is not inner.
-    """
-    b = ComplexAlgebraBuilder()
-    s_degrees = {"E12": 1, "E13": 2, "E23": 1, "E21": -1, "E31": -2,
-                 "E32": -1, "H1": 0, "H2": 0}
-    s_jsign = {"E21": 1, "E32": -1}
-    for name in _SL3_BASIS:
-        b.add(name, s_degrees[name], s_jsign.get(name))
-    for r in range(3):
-        b.add(f"v{r+1}", -r, 1 if r == 1 else None)
-    for k in (1, 2):
-        for r in range(3):
-            b.add(f"w{k}_{r+1}", r)
-    for k in (1, 2):
-        for name in _SL3_BASIS:
-            b.add(f"u{k}_{name}", s_degrees[name],
-                  s_jsign.get(name) if s_degrees[name] == -1 else None)
-    b.add("c1", 0)
-    b.add("c2", 0)
 
-    mats = {name: _sl3_matrix(name) for name in _SL3_BASIS}
-    # [s, s] once per unordered pair, and s acting on both adjoint copies
-    for i, x in enumerate(_SL3_BASIS):
-        for j, y in enumerate(_SL3_BASIS):
-            if i == j:
-                continue
-            coeffs, tr = _sl3_decompose(_commutator(mats[x], mats[y]))
-            certify(tr == 0, lambda: f"sl3 commutator has trace {tr}")
-            if not coeffs:
-                continue
-            if i < j:
-                b.set_bracket(x, y, {z: GaussRational(c) for z, c in coeffs.items()})
-            for k in (1, 2):
-                b.set_bracket(x, f"u{k}_{y}",
-                              {f"u{k}_{z}": GaussRational(c)
-                               for z, c in coeffs.items()})
-    # standard module and its duals
-    for x in _SL3_BASIS:
-        m = mats[x]
-        for r in range(3):
-            col = {f"v{s+1}": GaussRational(m[s][r]) for s in range(3) if m[s][r]}
-            if col:
-                b.set_bracket(x, f"v{r+1}", col)
-            for k in (1, 2):
-                row = {f"w{k}_{s+1}": GaussRational(-m[r][s])
-                       for s in range(3) if m[r][s]}
-                if row:
-                    b.set_bracket(x, f"w{k}_{r+1}", row)
-    # V x W^k -> U^k + C_k via the rank-one matrix E_{rs}
-    for k in (1, 2):
-        for r in range(3):
-            for s in range(3):
-                e = [[int(rr == r and cc == s) for cc in range(3)]
-                     for rr in range(3)]
-                coeffs, tr = _sl3_decompose(e)
-                comp = {f"u{k}_{z}": GaussRational(c) for z, c in coeffs.items()}
-                if tr:
-                    comp[f"c{k}"] = GaussRational(tr)
-                b.set_bracket(f"v{r+1}", f"w{k}_{s+1}", comp)
-    algebra = b.realify()
+    All of it lives in gl(10) on C^3 + C + C^3 + C^3: sl(3) acts as
+    diag(A, 0, A, A), v_r is E_{r,3}, w^k_s is E_{3,b_k+s}, and u^k_x and
+    c_k are x and the identity in the block (0, b_k), with b_1 = 4 and
+    b_2 = 7.
+    """
+    def placed(matrix, row, col):
+        return {(row + r, col + c): x for (r, c), x in matrix.items()}
+
+    offsets = {1: 4, 2: 7}
+    basis = [(name, {**placed(m, 0, 0), **placed(m, 4, 4), **placed(m, 7, 7)})
+             for name, m in _SL3.items()]
+    basis += [(f"v{r + 1}", {(r, 3): 1}) for r in range(3)]
+    basis += [(f"w{k}_{s + 1}", {(3, b + s): 1})
+              for k, b in offsets.items() for s in range(3)]
+    basis += [(f"u{k}_{name}", placed(m, 0, b))
+              for k, b in offsets.items() for name, m in _SL3.items()]
+    basis += [(f"c{k}", {(r, b + r): 1 for r in range(3)})
+              for k, b in offsets.items()]
+    algebra = _realified(basis, (1, 0, -1, 1, 1, 0, -1, 1, 0, -1),
+                         (0, 1, 0, 0, 0, 1, 0, 0, 1, 0))
     expected = {
         "degree_dims": {-2: 8, -1: 14, 0: 22, 1: 16, 2: 10},
         "degree_1_split": {"U_parts": 8, "W_parts": 4, "s_part": 4},
@@ -301,33 +210,6 @@ _O8_REPS = [(i, j) for i in range(1, 9) for j in range(1, 9)
             if i != j and i + j != 9 and (i, j) <= (9 - j, 9 - i)]
 
 
-def _o8_matrix(rep):
-    i, j = rep
-    m = [[0] * 8 for _ in range(8)]
-    m[i - 1][j - 1] = 1
-    m[8 - j][8 - i] = -1
-    return m
-
-
-def _o8_diag_matrix(t):
-    m = [[0] * 8 for _ in range(8)]
-    m[t - 1][t - 1] = 1
-    m[8 - t][8 - t] = -1
-    return m
-
-
-def _o8_decompose(m):
-    """so(8) matrix -> coefficients on the orbit/diagonal basis."""
-    coeffs = {}
-    for t in range(1, 5):
-        if m[t - 1][t - 1]:
-            coeffs[f"D{t}"] = Q(m[t - 1][t - 1])
-    for (i, j) in _O8_REPS:
-        if m[i - 1][j - 1]:
-            coeffs[f"B{i}_{j}"] = Q(m[i - 1][j - 1])
-    return coeffs
-
-
 def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
     """Semidirect product of so(8,C) + sl(2,C) with C^8 (x) C^2 and a
     central-acting scaling line T.
@@ -340,90 +222,39 @@ def o8_sl2_example(shift_choice: str = "double") -> CorpusEntry:
     - "minus-half": shift the module grading by -1/2 of the scaling
       line; degrees stay in -2..2 but the grading element picks up a
       radical component, which kills the reversal symmetry.
+
+    All of it lives in gl(17): so(8) (x) 1 and 1 (x) sl(2) act on
+    C^8 (x) C^2 (coordinate 2(a-1) + beta-1 for the pair (a, beta)), T is
+    the identity there, and x_{a,beta} is that coordinate's entry of
+    column 16.
     """
     if shift_choice not in ("double", "minus-half"):
         raise ValueError(f"unknown shift_choice {shift_choice!r}")
     doubled = shift_choice == "double"
-    b = ComplexAlgebraBuilder()
-    o8_names = [f"B{i}_{j}" for (i, j) in _O8_REPS] + \
-        [f"D{t}" for t in range(1, 5)]
-    o8_mats = {f"B{i}_{j}": _o8_matrix((i, j)) for (i, j) in _O8_REPS}
-    o8_mats.update({f"D{t}": _o8_diag_matrix(t) for t in range(1, 5)})
 
-    def o8_eigenvalue(name, diag):
-        # ad(diag d) eigenvalue: d_i - d_j on the support entry
-        m = o8_mats[name]
-        for i in range(8):
-            for j in range(8):
-                if m[i][j] and i != j:
-                    return diag[i] - diag[j]
-        return 0
+    def tensor(m, s):
+        return {(2 * r + p, 2 * c + q): x * y
+                for (r, c), x in m.items() for (p, q), y in s.items()}
 
+    one8 = {(a, a): 1 for a in range(8)}
+    one2 = {(0, 0): 1, (1, 1): 1}
+    # B_ij = E_ij - E_{9-j,9-i} for a root vector, D_t the same with i = j = t
+    basis = [(f"B{i}_{j}", tensor({(i - 1, j - 1): 1, (8 - j, 8 - i): -1}, one2))
+             for (i, j) in _O8_REPS]
+    basis += [(f"D{t}", tensor({(t - 1, t - 1): 1, (8 - t, 8 - t): -1}, one2))
+              for t in range(1, 5)]
+    basis += [("sl2e", tensor(one8, {(0, 1): 1})),
+              ("sl2f", tensor(one8, {(1, 0): 1})),
+              ("sl2h", tensor(one8, {(0, 0): 1, (1, 1): -1}))]
+    basis += [(f"x{a}_{beta}", {(2 * a + beta - 3, 16): 1})
+              for a in range(1, 9) for beta in (1, 2)]
+    basis.append(("T", {(k, k): 1 for k in range(16)}))
+    # the sl2 weights of beta = 1, 2 are +-1/2, and T acts with J-value 1/2
+    half = Fraction(1, 2)
     scale = 2 if doubled else 1
-    v_shift = Q(0) if doubled else Q(-1, 2)
-
-    def v_degree(a, beta):
-        sl2_weight = Q(1, 2) if beta == 1 else Q(-1, 2)
-        deg = scale * (Q(_O8_DIAG[a - 1]) + sl2_weight + v_shift)
-        certify(deg.denominator == 1,
-                lambda: f"non-integral degree {deg} on x{a}_{beta}")
-        return int(deg)
-
-    def v_jvalue(a, beta):
-        sl2_j = Q(1, 2) if beta == 1 else Q(-1, 2)
-        # T acts on the module with J-value 1/2
-        return Q(_O8_JDIAG[a - 1]) + sl2_j + Q(1, 2)
-
-    for name in o8_names:
-        deg = scale * o8_eigenvalue(name, _O8_DIAG)
-        jsign = None
-        if deg == -1:
-            jsign = o8_eigenvalue(name, _O8_JDIAG)
-            certify(jsign in (1, -1), lambda: f"bad J eigenvalue {jsign} on {name}")
-        b.add(name, deg, jsign)
-    b.add("sl2e", scale * 1)
-    b.add("sl2f", scale * -1, -1 if scale == 1 else None)
-    b.add("sl2h", 0)
-    for a in range(1, 9):
-        for beta in (1, 2):
-            deg = v_degree(a, beta)
-            jsign = None
-            if deg == -1:
-                jv = v_jvalue(a, beta)
-                certify(jv in (1, -1), lambda: f"bad J eigenvalue {jv} on x{a}_{beta}")
-                jsign = int(jv)
-            b.add(f"x{a}_{beta}", deg, jsign)
-    b.add("T", 0)
-
-    # so(8) internal brackets
-    for i, x in enumerate(o8_names):
-        for y in o8_names[i + 1:]:
-            coeffs = _o8_decompose(_commutator(o8_mats[x], o8_mats[y]))
-            if coeffs:
-                b.set_bracket(x, y, {z: GaussRational(c)
-                                     for z, c in coeffs.items()})
-    # sl2 internal
-    b.set_bracket("sl2h", "sl2e", {"sl2e": GaussRational(2)})
-    b.set_bracket("sl2h", "sl2f", {"sl2f": GaussRational(-2)})
-    b.set_bracket("sl2e", "sl2f", {"sl2h": GaussRational(1)})
-    # module actions
-    for name in o8_names:
-        m = o8_mats[name]
-        for a in range(1, 9):
-            for beta in (1, 2):
-                comp = {f"x{c+1}_{beta}": GaussRational(m[c][a - 1])
-                        for c in range(8) if m[c][a - 1]}
-                if comp:
-                    b.set_bracket(name, f"x{a}_{beta}", comp)
-    for a in range(1, 9):
-        # e: y_2 -> y_1, f: y_1 -> y_2, h: diag(1, -1)
-        b.set_bracket("sl2e", f"x{a}_2", {f"x{a}_1": GaussRational(1)})
-        b.set_bracket("sl2f", f"x{a}_1", {f"x{a}_2": GaussRational(1)})
-        b.set_bracket("sl2h", f"x{a}_1", {f"x{a}_1": GaussRational(1)})
-        b.set_bracket("sl2h", f"x{a}_2", {f"x{a}_2": GaussRational(-1)})
-        for beta in (1, 2):
-            b.set_bracket("T", f"x{a}_{beta}", {f"x{a}_{beta}": GaussRational(1)})
-    algebra = b.realify()
+    grading = [scale * (d + w) for d in _O8_DIAG for w in (half, -half)]
+    jdiag = [d + w + half for d in _O8_JDIAG for w in (half, -half)]
+    algebra = _realified(basis, grading + [0 if doubled else half], jdiag + [0])
     expected = {
         "radical_dim": 34,
         "nilradical_dim": 32,

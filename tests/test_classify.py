@@ -217,6 +217,12 @@ def test_descriptor_validation():
         D("D", 6, "D IIIb", ["a6"])  # D IIIb needs odd rank
     with pytest.raises(ValueError):
         D("D", 6, "D Ib", ["a9"])  # node outside the diagram
+    # p and q belong to A III/IV alone: a stray one would also split the
+    # equality and hash of two descriptors of one factor
+    with pytest.raises(ValueError, match="field 'p' belongs to A III/IV only"):
+        D("D", 4, "D Ib", ["a1"], 1, 9)
+    with pytest.raises(ValueError, match="field 'q' belongs to A III/IV only"):
+        D("A", 3, "COMPLEX", ["a1"], None, 2)
 
 
 def test_grading_data_worked_out_once_per_descriptor(monkeypatch):

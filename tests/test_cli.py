@@ -248,6 +248,8 @@ def test_classify_flags_must_be_booleans(capsys, tmp_path, field, value):
     ({"rank": 5.0}, "rank"),
     ({"rank": True}, "rank"),
     ({"phi": "a2"}, "phi"),
+    ({"family": "D", "rank": 4, "form": "D Ib", "phi": ["a1"], "p": 1, "q": 9}, "p"),
+    ({"form": "COMPLEX", "p": None}, "q"),
 ])
 def test_classify_factor_schema_names_the_field(capsys, tmp_path, change, field):
     factor = {k: v for k, v in {**A_III_FACTOR, **change}.items()
@@ -391,6 +393,14 @@ def test_corpus_single_entry(capsys):
 
 def test_corpus_unknown_entry(capsys):
     assert main(["corpus", "--only", "nonsense"]) == 2
+
+
+def test_corpus_empty_entry_name_is_unknown(capsys):
+    # an empty name names no entry; it must not run the whole corpus
+    assert main(["corpus", "--only", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown corpus entry ''" in captured.err
 
 
 def test_reports_deterministic(capsys, heisenberg_file):

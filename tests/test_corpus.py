@@ -50,10 +50,10 @@ def test_registry_names_unique(monkeypatch):
         entry_by_name("nonsense")
 
     # a lookup builds only the named entry: the realified algebras are not made
-    def refuse(self):
-        raise AssertionError("realify called")
+    def refuse(*args):
+        raise AssertionError("_realified called")
 
-    monkeypatch.setattr(corpus.ComplexAlgebraBuilder, "realify", refuse)
+    monkeypatch.setattr(corpus, "_realified", refuse)
     assert entry_by_name("heisenberg_1_p").name == "heisenberg_1_p"
 
 
@@ -311,47 +311,51 @@ def test_provenance_tags_present():
 
 
 def test_corpus_certificates_survive_python_O():
-    # under -O a bare assert is stripped; each tampered builder must raise
+    # under -O a bare assert is stripped; each tampered builder must raise,
+    # one tamper per certificate of corpus._realified
     script = textwrap.dedent("""
         from fractions import Fraction
         from levitanaka import corpus
         from levitanaka.errors import InternalConsistencyError
 
-        decompose = corpus._sl3_decompose
-        o8_diag, o8_jdiag = corpus._O8_DIAG, corpus._O8_JDIAG
+        reps, o8_diag, o8_jdiag = corpus._O8_REPS, corpus._O8_DIAG, corpus._O8_JDIAG
 
-        def traced_commutator():
-            corpus._sl3_decompose = lambda m: (decompose(m)[0], Fraction(1))
-            return corpus.example_algebra_a()
+        def dependent_line():
+            corpus._O8_REPS = reps + [(7, 8)]  # B7_8 = -B1_2
+            return corpus.o8_sl2_example("double")
+
+        def commutator_off_the_span():
+            corpus._O8_REPS = reps[1:]
+            return corpus.o8_sl2_example("double")
+
+        def not_a_weight_vector():
+            corpus._O8_DIAG = o8_diag[:7] + (0,)  # not antisymmetric
+            return corpus.o8_sl2_example("double")
 
         def half_degree():
-            corpus._O8_DIAG = (Fraction(1, 2),) + o8_diag[1:]
-            return corpus.o8_sl2_example("minus-half")
-
-        def o8_j_eigenvalue():
-            corpus._O8_JDIAG = (0, 0, 0, 2, -1, 0, 0, 0)
+            corpus._O8_DIAG = tuple(d + Fraction(1, 2) for d in o8_diag)
             return corpus.o8_sl2_example("minus-half")
 
         def module_j_eigenvalue():
             corpus._O8_JDIAG = (0, 0, 0, 1, -1, 0, 0, 1)
             return corpus.o8_sl2_example("double")
 
-        for tamper in (traced_commutator, half_degree, o8_j_eigenvalue,
-                       module_j_eigenvalue):
+        for tamper in (dependent_line, commutator_off_the_span,
+                       not_a_weight_vector, half_degree, module_j_eigenvalue):
             try:
                 tamper()
             except InternalConsistencyError as exc:
                 print(exc)
             else:
                 print("not raised")
-            corpus._sl3_decompose = decompose
-            corpus._O8_DIAG, corpus._O8_JDIAG = o8_diag, o8_jdiag
+            corpus._O8_REPS, corpus._O8_DIAG, corpus._O8_JDIAG = reps, o8_diag, o8_jdiag
     """)
     src = os.path.dirname(os.path.dirname(levitanaka.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["sl3 commutator has trace 1",
-                                "non-integral degree 1/2 on x1_1",
-                                "bad J eigenvalue 2 on B4_1",
+    assert out.splitlines() == ["B7_8 is dependent on the lines before it",
+                                "[B1_3, B3_2] leaves the span of the basis",
+                                "B1_2 is not a weight vector",
+                                "non-integral degree 3/2 on x1_1",
                                 "bad J eigenvalue 2 on x8_1"]

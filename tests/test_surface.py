@@ -34,7 +34,6 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 INSTANCE_CALLS = {
     "FactorDescriptor.root_system": "src/levitanaka/involution.py",
     "CorpusEntry.to_json": "tests/test_golden.py",
-    "ComplexAlgebraBuilder.add": "src/levitanaka/corpus.py",
     "Echelon.rank": "src/levitanaka/graded.py",
     "Echelon.reduce": "src/levitanaka/graded.py",
     "Echelon.contains": "src/levitanaka/graded.py",
